@@ -1,6 +1,7 @@
 package simmpi
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -13,8 +14,24 @@ import (
 // linear scan walked, so the two pickers must commit identical
 // operation sequences — same kinds, same ranks, same ready times — and
 // produce bit-identical reports and traces. These tests run every
-// workload under both pickers (hooks.linearScan retains the seed scan)
+// workload under both pickers (linearScanPick retains the seed scan)
 // and compare.
+
+// linearScanPick is the seed scheduler's picker: an O(Ranks) scan over
+// the pending table. Lowest rank wins ties because later equal-ready
+// ops do not displace the incumbent.
+func linearScanPick(pending []*op) *op {
+	var best *op
+	for _, o := range pending {
+		if o == nil || math.IsInf(o.ready, 1) {
+			continue
+		}
+		if best == nil || o.ready < best.ready {
+			best = o
+		}
+	}
+	return best
+}
 
 type commitRecord struct {
 	kind  opKind
@@ -29,12 +46,13 @@ func runBoth(t *testing.T, cfg Config, body func(*Proc) error) (heapLog, scanLog
 	exec := func(linear bool) ([]commitRecord, *Report) {
 		cfg.Net.Reset() // both pickers start from pristine link state
 		var log []commitRecord
-		rep, err := run(cfg, body, hooks{
-			linearScan: linear,
-			onCommit: func(kind opKind, rank int, ready float64) {
-				log = append(log, commitRecord{kind, rank, ready})
-			},
-		})
+		h := hooks{onCommit: func(kind opKind, rank int, ready float64) {
+			log = append(log, commitRecord{kind, rank, ready})
+		}}
+		if linear {
+			h.pick = linearScanPick
+		}
+		rep, err := run(cfg, body, h)
 		if err != nil {
 			t.Fatalf("linear=%v: %v", linear, err)
 		}

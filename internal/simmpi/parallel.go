@@ -28,27 +28,25 @@
 package simmpi
 
 import (
-	"fmt"
 	"math"
 
 	"montblanc/internal/network"
 	"montblanc/internal/trace"
 )
 
-// pshard is one scheduler shard: a contiguous block of whole nodes with
-// its own declaration channel, indexed min-heap and cross-send outbox.
-// All fields are owned by the shard goroutine during a window and read
-// by the coordinator only between phaseDone and the next cmd send.
+// pshard is one scheduler shard: a contiguous block of whole nodes
+// whose ranks [lo, hi) it alone resumes, with its own indexed min-heap
+// and cross-send outbox. All fields are owned by the shard goroutine
+// during a window and read by the coordinator only between phaseDone
+// and the next cmd send.
 type pshard struct {
-	id       int
-	opCh     chan *op
-	heap     opHeap
-	live     int // ranks not yet exited
-	nPending int // ranks with a declared, uncommitted op
-	out      outbox
-	comms    []trace.Comm // intra-node comms in shard commit order
-	events   uint64
-	locals   uint64 // intra-node sends committed shard-locally
+	lo, hi int
+	heap   opHeap
+	live   int // ranks not yet exited
+	out    outbox
+	comms  []trace.Comm // intra-node comms in shard commit order
+	events uint64
+	locals uint64 // intra-node sends committed shard-locally
 
 	cmd chan float64 // next window edge; closed to stop the shard
 
@@ -77,7 +75,7 @@ func runParallel(cfg Config, body func(*Proc) error, workers int) (*Report, erro
 	start := nowMonotonic()
 	la := cfg.Net.Lookahead()
 	pw := &pworld{
-		world:     newWorld(cfg, hooks{}),
+		world:     newWorld(cfg, body, hooks{}),
 		shardOf:   make([]int, cfg.Ranks),
 		phaseDone: make(chan struct{}, workers),
 		endTimes:  make([]float64, cfg.Ranks),
@@ -98,7 +96,7 @@ func runParallel(cfg Config, body func(*Proc) error, workers int) (*Report, erro
 		if hi > cfg.Ranks {
 			hi = cfg.Ranks
 		}
-		s := &pshard{id: i, opCh: make(chan *op), cmd: make(chan float64), live: hi - lo}
+		s := &pshard{lo: lo, hi: hi, cmd: make(chan float64), live: hi - lo}
 		s.heap.a = make([]*op, 0, hi-lo)
 		for r := lo; r < hi; r++ {
 			pw.shardOf[r] = i
@@ -106,18 +104,16 @@ func runParallel(cfg Config, body func(*Proc) error, workers int) (*Report, erro
 		pw.shards = append(pw.shards, s)
 		node0 += nn
 	}
-	procs := pw.spawnProcs(body, func(rank int) chan *op { return pw.shards[pw.shardOf[rank]].opCh })
+	defer pw.stopRanks()
 	for _, s := range pw.shards {
 		go pw.shardLoop(s)
 	}
 
 	stats := SchedStats{Workers: workers, Lookahead: la}
 	var netErr, deadlock error
-	edge := math.Inf(-1) // first phase only collects declarations
 	for {
-		for _, s := range pw.shards {
-			s.cmd <- edge
-		}
+		// Wait out the phase: first every rank's first declaration, then
+		// one window per round.
 		for range pw.shards {
 			<-pw.phaseDone
 		}
@@ -144,8 +140,10 @@ func runParallel(cfg Config, body func(*Proc) error, workers int) (*Report, erro
 			deadlock = pw.deadlockError()
 			break
 		}
-		edge = minNext + la
 		stats.Windows++
+		for _, s := range pw.shards {
+			s.cmd <- minNext + la
+		}
 	}
 	for _, s := range pw.shards {
 		close(s.cmd)
@@ -153,13 +151,11 @@ func runParallel(cfg Config, body func(*Proc) error, workers int) (*Report, erro
 	if netErr != nil {
 		return nil, netErr
 	}
+	if err := rankError(pw.rankErrs); err != nil {
+		return nil, err
+	}
 	if deadlock != nil {
 		return nil, deadlock
-	}
-	for r, err := range pw.rankErrs {
-		if err != nil {
-			return nil, fmt.Errorf("simmpi: rank %d: %w", r, err)
-		}
 	}
 
 	for _, s := range pw.shards {
@@ -169,67 +165,56 @@ func runParallel(cfg Config, body func(*Proc) error, workers int) (*Report, erro
 	stats.CrossSends = pw.crossSends
 	stats.Wall = nowMonotonic() - start
 	rep := &Report{RankSeconds: pw.endTimes, Drops: cfg.Net.Drops(), Sched: stats,
-		Faults: faultTotals(procs)}
+		Faults: faultTotals(pw.procs)}
 	for _, t := range pw.endTimes {
 		if t > rep.Seconds {
 			rep.Seconds = t
 		}
 	}
 	if cfg.CollectTrace {
-		rep.Trace = mergeTrace(cfg, procs, pw.mergedComms())
+		rep.Trace = mergeTrace(cfg, pw.procs, pw.mergedComms())
 	}
 	recordEngineRun(stats)
 	return rep, nil
 }
 
-// shardLoop runs one shard: a window per cmd value until the channel
+// shardLoop runs one shard: it resumes each of its ranks to its first
+// declaration, then runs a window per cmd value until the channel
 // closes.
 func (pw *pworld) shardLoop(s *pshard) {
+	for r := s.lo; r < s.hi; r++ {
+		pw.step(r, &s.heap)
+	}
+	pw.phaseDone <- struct{}{}
 	for edge := range s.cmd {
 		pw.runWindow(s, edge)
 		pw.phaseDone <- struct{}{}
 	}
 }
 
-// runWindow collects declarations and commits this shard's events with
-// ready < edge, in the shard's (ready, rank) order — exactly the global
-// commit order restricted to the shard's ranks.
+// runWindow commits this shard's events with ready < edge, in the
+// shard's (ready, rank) order — exactly the global commit order
+// restricted to the shard's ranks.
 func (pw *pworld) runWindow(s *pshard, edge float64) {
 	s.out.reset()
 	for s.err == nil {
-		// Collect until every live rank of the shard has declared — an
-		// undeclared rank is running and will post; parked recvs count
-		// as declared.
-		for s.nPending < s.live {
-			o := <-s.opCh
-			pw.pending[o.rank] = o
-			s.nPending++
-			switch o.kind {
-			case opSend, opExit:
-				o.ready = o.time
-				s.heap.push(o)
-			case opRecv:
-				o.ready = math.Inf(1)
-				pw.matchShard(s, o)
-			}
-		}
 		best := s.heap.peek()
 		if best == nil || best.ready >= edge {
 			return
 		}
 		s.heap.pop()
 		pw.pending[best.rank] = nil
-		s.nPending--
 		s.events++
 		switch best.kind {
 		case opSend:
 			pw.commitSend(s, best)
 		case opRecv:
 			copyCost := float64(best.matchedMsg.bytes) / pw.cfg.CopyBandwidth
-			pw.resume[best.rank] <- resumeMsg{
+			pw.procs[best.rank].res = resumeMsg{
 				time:    best.ready + copyCost,
 				dropped: best.matchedMsg.dropped,
 			}
+			pw.step(best.rank, &s.heap)
 		case opExit:
 			s.live--
 			pw.endTimes[best.rank] = best.time
@@ -250,7 +235,8 @@ func (pw *pworld) commitSend(s *pshard, o *op) {
 	resumeAt := o.time + overhead
 	if pw.node(o.rank) != pw.node(o.dst) {
 		s.out.push(xsend{time: o.time, rank: o.rank, dst: o.dst, tag: o.tag, bytes: o.bytes})
-		pw.resume[o.rank] <- resumeMsg{time: resumeAt}
+		pw.procs[o.rank].res = resumeMsg{time: resumeAt}
+		pw.step(o.rank, &s.heap)
 		return
 	}
 	s.locals++
@@ -268,22 +254,10 @@ func (pw *pworld) commitSend(s *pshard, o *op) {
 		})
 	}
 	if ro := pw.pending[o.dst]; ro != nil && ro.kind == opRecv && !ro.matched {
-		pw.matchShard(s, ro)
+		pw.tryMatch(ro, &s.heap)
 	}
-	pw.resume[o.rank] <- resumeMsg{time: resumeAt}
-}
-
-// matchShard completes a pending recv against the mailbox if possible,
-// pushing it onto the shard's heap.
-func (pw *pworld) matchShard(s *pshard, o *op) {
-	m, ok := pw.mail[o.rank].match(o.src, o.tag)
-	if !ok {
-		return
-	}
-	o.matched = true
-	o.matchedMsg = m
-	o.ready = math.Max(o.time, m.arrival)
-	s.heap.push(o)
+	pw.procs[o.rank].res = resumeMsg{time: resumeAt}
+	pw.step(o.rank, &s.heap)
 }
 
 // barrier runs between windows with every shard parked: it drains the
@@ -334,33 +308,10 @@ func (pw *pworld) barrier() error {
 			})
 		}
 		if ro := pw.pending[bx.dst]; ro != nil && ro.kind == opRecv && !ro.matched {
-			pw.matchBarrier(ro)
+			pw.tryMatch(ro, &pw.shards[pw.shardOf[ro.rank]].heap)
 		}
 	}
 	return cutErr
-}
-
-// matchBarrier is matchShard for the coordinator: the matched recv goes
-// to the heap of whichever shard owns the destination rank.
-func (pw *pworld) matchBarrier(o *op) {
-	m, ok := pw.mail[o.rank].match(o.src, o.tag)
-	if !ok {
-		return
-	}
-	o.matched = true
-	o.matchedMsg = m
-	o.ready = math.Max(o.time, m.arrival)
-	pw.shards[pw.shardOf[o.rank]].heap.push(o)
-}
-
-// deadlockError reconstructs the sequential scheduler's deadlock
-// diagnostic from the global pending table.
-func (pw *pworld) deadlockError() error {
-	pw.nPending = 0
-	for _, s := range pw.shards {
-		pw.nPending += s.nPending
-	}
-	return pw.world.deadlockError()
 }
 
 // mergedComms merges the shards' intra-node comm logs with the barrier

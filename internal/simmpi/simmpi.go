@@ -1,5 +1,5 @@
 // Package simmpi is a deterministic, discrete-event MPI simulator: rank
-// programs written in Go run as goroutines against a simulated network
+// programs written in Go run as coroutines against a simulated network
 // and advance a virtual clock instead of wall time. It provides the
 // substrate for the paper's scalability studies (Figures 3 and 4):
 // point-to-point messaging with eager and rendezvous protocols, and the
@@ -7,10 +7,12 @@
 // like a real MPI implementation would.
 //
 // Determinism: a central scheduler executes communication events in
-// global (virtual time, rank) order; it only commits an event when every
-// live rank has declared its next operation, so link reservations happen
-// in causal order regardless of goroutine scheduling. Running the same
-// program twice produces bit-identical timings and traces.
+// global (virtual time, rank) order. It drives every rank body itself,
+// resuming a rank right after committing its operation and running it
+// until it declares the next one, so every live rank has always declared
+// when the next event commits and link reservations happen in causal
+// order. Running the same program twice produces bit-identical timings
+// and traces.
 //
 // The scheduler commits from an indexed min-heap of executable
 // operations in O(log Ranks) per event with an allocation-free
@@ -21,6 +23,7 @@ package simmpi
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"strconv"
@@ -210,10 +213,10 @@ func (k opKind) String() string {
 }
 
 // op is one rank's declared next operation. Each Proc owns exactly one
-// op struct for its whole lifetime (postBuf): because a rank blocks
-// until the scheduler resumes it, and the scheduler never touches an op
-// after sending the resume, the struct can be reused for every post —
-// the hot path allocates nothing per operation.
+// op struct for its whole lifetime (postBuf): because a rank is
+// suspended until the scheduler resumes it, and the scheduler never
+// touches an op after resuming its rank, the struct can be reused for
+// every post — the hot path allocates nothing per operation.
 type op struct {
 	kind          opKind
 	rank          int
@@ -241,25 +244,24 @@ type resumeMsg struct {
 // hooks are test-only scheduler observation points; the zero value is
 // the production configuration.
 type hooks struct {
-	// linearScan replaces the heap pick with the seed scheduler's
-	// O(Ranks) scan over pending ops — the reference implementation the
-	// equivalence property suite compares commit orders against.
-	linearScan bool
+	// pick, when set, replaces the heap picker: given the pending table
+	// it returns the executable op with the smallest (ready, rank), or
+	// nil when none is executable. The equivalence property suite
+	// supplies the seed scheduler's O(Ranks) scan as the reference.
+	pick func(pending []*op) *op
 	// onCommit, when set, observes every committed operation in commit
 	// order.
 	onCommit func(kind opKind, rank int, ready float64)
 }
 
 type world struct {
-	cfg      Config
-	opCh     chan *op
-	resume   []chan resumeMsg
-	mail     []mailbox // indexed by destination rank
-	pending  []*op     // indexed by rank; nil when the rank has not declared
-	nPending int
-	heap     opHeap
-	comms    []trace.Comm
-	hooks    hooks
+	cfg     Config
+	procs   []*Proc
+	mail    []mailbox // indexed by destination rank
+	pending []*op     // indexed by rank; nil while the rank is running
+	heap    opHeap
+	comms   []trace.Comm
+	hooks   hooks
 
 	// outages holds each node's merged, start-sorted outage windows;
 	// nil for failure-free runs (the hot paths then skip all fault
@@ -281,11 +283,19 @@ type Proc struct {
 	rank, size   int
 	now          float64
 	w            *world
-	opCh         chan *op // where this rank declares operations (per-shard when parallel)
 	tr           *trace.Trace
 	collSeq      map[string]int
 	droppedRecvs int // running count of retransmitted messages received
 	postBuf      op  // the rank's reusable operation struct
+
+	// The rank body runs as an iter.Pull coroutine: next resumes it until
+	// it declares an operation (or returns), stop unwinds it, and yield
+	// suspends it from post. res is where the scheduler leaves the
+	// committed operation's outcome before resuming the rank.
+	next  func() (*op, bool)
+	stop  func()
+	yield func(*op) bool
+	res   resumeMsg
 
 	// down is this rank's node's outage schedule (nil when failure-
 	// free); downIdx advances monotonically with the clock, so fault
@@ -392,10 +402,15 @@ func (p *Proc) record(kind trace.Kind, name string, start, end float64) {
 	})
 }
 
+// rankAborted is the panic value post raises when the scheduler stops
+// a suspended rank: it unwinds the body — even one that ignores the
+// errors of Send and Recv — back to Proc.call, which recovers it.
+type rankAborted struct{}
+
 // post submits an operation through the rank's reusable op struct and
-// blocks until the scheduler completes it. The scheduler owns the
-// struct from the channel send until it resumes the rank; it never
-// touches the op afterwards, so the next post may safely overwrite it.
+// suspends the rank until the scheduler completes it. The scheduler owns
+// the struct from the yield until it resumes the rank; it never touches
+// the op afterwards, so the next post may safely overwrite it.
 func (p *Proc) post(kind opKind, src, dst, tag, bytes int) resumeMsg {
 	o := &p.postBuf
 	o.kind = kind
@@ -406,8 +421,19 @@ func (p *Proc) post(kind opKind, src, dst, tag, bytes int) resumeMsg {
 	o.matched = false
 	o.matchedMsg = msg{}
 	o.err = nil
-	p.opCh <- o
-	return <-p.w.resume[p.rank]
+	if !p.yield(o) {
+		panic(rankAborted{})
+	}
+	return p.res
+}
+
+// resume runs the rank until it declares its next operation and returns
+// that operation; once the body has returned it returns the rank's exit.
+func (p *Proc) resume() *op {
+	if o, ok := p.next(); ok {
+		return o
+	}
+	return &p.postBuf
 }
 
 // Send transmits bytes to rank dst with the given tag. It returns once
@@ -472,17 +498,17 @@ func (p *Proc) Collective(name string, body func() error) error {
 }
 
 // Run executes body on every rank of a fresh world and returns the
-// report. Any rank error aborts with that error (lowest rank wins).
+// report. Any rank error aborts with that error (lowest rank wins), even
+// when the failed rank leaves its peers deadlocked.
 func Run(cfg Config, body func(*Proc) error) (*Report, error) {
 	return run(cfg, body, hooks{})
 }
 
-// newWorld builds the state both schedulers share: mailboxes, resume
-// channels, the pending table and the interned trace labels.
-func newWorld(cfg Config, h hooks) *world {
+// newWorld builds the state both schedulers share: the ranks,
+// mailboxes, the pending table and the interned trace labels.
+func newWorld(cfg Config, body func(*Proc) error, h hooks) *world {
 	w := &world{
 		cfg:     cfg,
-		resume:  make([]chan resumeMsg, cfg.Ranks),
 		mail:    make([]mailbox, cfg.Ranks),
 		pending: make([]*op, cfg.Ranks),
 		hooks:   h,
@@ -503,18 +529,18 @@ func newWorld(cfg Config, h hooks) *world {
 			w.comms = make([]trace.Comm, 0, cfg.Ranks*cfg.TraceHint/2)
 		}
 	}
+	w.spawnProcs(body)
 	return w
 }
 
-// spawnProcs starts one goroutine per rank running body; each rank
-// declares operations on chFor(rank) — the shared channel sequentially,
-// its shard's channel in parallel.
-func (w *world) spawnProcs(body func(*Proc) error, chFor func(rank int) chan *op) []*Proc {
+// spawnProcs creates one Proc per rank with body as its coroutine. A
+// rank runs only while its scheduler resumes it, and runs nothing until
+// the first resume.
+func (w *world) spawnProcs(body func(*Proc) error) {
 	cfg := w.cfg
-	procs := make([]*Proc, cfg.Ranks)
+	w.procs = make([]*Proc, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
-		w.resume[r] = make(chan resumeMsg, 1)
-		p := &Proc{rank: r, size: cfg.Ranks, w: w, opCh: chFor(r), collSeq: map[string]int{}}
+		p := &Proc{rank: r, size: cfg.Ranks, w: w, collSeq: map[string]int{}}
 		if w.outages != nil {
 			p.down = w.outages[w.node(r)]
 			p.skipDown() // a node down at t=0 boots its ranks at the restart
@@ -525,25 +551,39 @@ func (w *world) spawnProcs(body func(*Proc) error, chFor func(rank int) chan *op
 				p.tr.Reserve(cfg.TraceHint, 0)
 			}
 		}
-		procs[r] = p
-		go func(p *Proc) {
-			var err error
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						err = fmt.Errorf("rank body panicked: %v", r)
-					}
-				}()
-				err = body(p)
-			}()
+		p.next, p.stop = iter.Pull(func(yield func(*op) bool) {
+			p.yield = yield
+			err := p.call(body)
 			// The body has returned: its final post (if any) is fully
 			// committed, so the reusable op struct is free for the exit.
-			o := &p.postBuf
-			*o = op{kind: opExit, rank: p.rank, time: p.now, err: err}
-			p.opCh <- o
-		}(p)
+			p.postBuf = op{kind: opExit, rank: p.rank, time: p.now, err: err}
+		})
+		w.procs[r] = p
 	}
-	return procs
+}
+
+// call runs body on the rank, turning a panic into an error. A stopped
+// rank unwinds through here with rankAborted, which is not an error:
+// the run has already failed for another reason.
+func (p *Proc) call(body func(*Proc) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(rankAborted); !ok {
+				err = fmt.Errorf("rank body panicked: %v", r)
+			}
+		}
+	}()
+	return body(p)
+}
+
+// stopRanks unwinds every rank still suspended in post. Both schedulers
+// defer it, so no return path — success, deadlock or network error —
+// leaves a rank's coroutine behind; it costs nothing for ranks whose
+// body has returned.
+func (w *world) stopRanks() {
+	for _, p := range w.procs {
+		p.stop()
+	}
 }
 
 // buildNodeOutages groups, sorts and merges the configured outages by
@@ -582,7 +622,7 @@ func buildNodeOutages(cfg Config) [][]Outage {
 
 // faultTotals sums the per-rank freeze accounting after a run. Safe to
 // read without further synchronization: a rank writes its counters
-// before posting opExit, and the scheduler observed that exit before
+// before its body returns, and the scheduler observed that exit before
 // the run returned.
 func faultTotals(procs []*Proc) FaultStats {
 	var fs FaultStats
@@ -615,7 +655,7 @@ func mergeTrace(cfg Config, procs []*Proc, comms []trace.Comm) *trace.Trace {
 // parallelism cannot help (one worker, one node) or cannot be proven
 // exact (no lookahead from the network, scheduler observation hooks).
 func shardCount(cfg Config, h hooks) int {
-	if cfg.Workers <= 1 || h.linearScan || h.onCommit != nil {
+	if cfg.Workers <= 1 || h.pick != nil || h.onCommit != nil {
 		return 1
 	}
 	if !(cfg.Net.Lookahead() > 0) {
@@ -641,41 +681,28 @@ func run(cfg Config, body func(*Proc) error, h hooks) (*Report, error) {
 		return runParallel(cfg, body, workers)
 	}
 	start := nowMonotonic()
-	w := newWorld(cfg, h)
-	w.opCh = make(chan *op)
+	w := newWorld(cfg, body, h)
+	defer w.stopRanks()
 	w.heap.a = make([]*op, 0, cfg.Ranks)
-	procs := w.spawnProcs(body, func(int) chan *op { return w.opCh })
+	for r := range w.procs {
+		w.step(r, &w.heap) // every rank to its first declaration
+	}
 
 	endTimes := make([]float64, cfg.Ranks)
 	rankErrs := make([]error, cfg.Ranks)
 	live := cfg.Ranks
-	netErr := error(nil)
 	stats := SchedStats{Workers: 1, Lookahead: cfg.Net.Lookahead()}
 
-	for live > 0 && netErr == nil {
-		// Collect until every live rank has declared its next operation
-		// — the barrier that makes commit order independent of goroutine
-		// scheduling.
-		for w.nPending < live {
-			o := <-w.opCh
-			w.pending[o.rank] = o
-			w.nPending++
-			switch o.kind {
-			case opSend, opExit:
-				o.ready = o.time
-				w.enqueue(o)
-			case opRecv:
-				o.ready = math.Inf(1)
-				w.tryMatch(o)
-			}
-		}
+	for live > 0 {
 		// Commit the executable op with the smallest (ready, rank).
 		best := w.pick()
 		if best == nil {
+			if err := rankError(rankErrs); err != nil {
+				return nil, err
+			}
 			return nil, w.deadlockError()
 		}
 		w.pending[best.rank] = nil
-		w.nPending--
 		stats.Events++
 		if h.onCommit != nil {
 			h.onCommit(best.kind, best.rank, best.ready)
@@ -689,8 +716,7 @@ func run(cfg Config, body func(*Proc) error, h hooks) (*Report, error) {
 			}
 			res, err := w.deliver(best)
 			if err != nil {
-				netErr = err
-				break
+				return nil, err
 			}
 			m := msg{arrival: res.Arrival, dropped: res.Dropped, bytes: best.bytes}
 			w.mail[best.dst].push(best.rank, best.tag, m)
@@ -702,70 +728,84 @@ func run(cfg Config, body func(*Proc) error, h hooks) (*Report, error) {
 			}
 			// A parked recv may now be satisfiable.
 			if ro := w.pending[best.dst]; ro != nil && ro.kind == opRecv && !ro.matched {
-				w.tryMatch(ro)
+				w.tryMatch(ro, &w.heap)
 			}
 			overhead := cfg.SendOverhead + float64(best.bytes)/cfg.CopyBandwidth
-			w.resume[best.rank] <- resumeMsg{time: best.time + overhead}
+			w.procs[best.rank].res = resumeMsg{time: best.time + overhead}
+			w.step(best.rank, &w.heap)
 		case opRecv:
 			copyCost := float64(best.matchedMsg.bytes) / cfg.CopyBandwidth
-			w.resume[best.rank] <- resumeMsg{
+			w.procs[best.rank].res = resumeMsg{
 				time:    best.ready + copyCost,
 				dropped: best.matchedMsg.dropped,
 			}
+			w.step(best.rank, &w.heap)
 		case opExit:
 			live--
 			endTimes[best.rank] = best.time
 			rankErrs[best.rank] = best.err
 		}
 	}
-	if netErr != nil {
-		return nil, netErr
-	}
-	for r, err := range rankErrs {
-		if err != nil {
-			return nil, fmt.Errorf("simmpi: rank %d: %w", r, err)
-		}
+	if err := rankError(rankErrs); err != nil {
+		return nil, err
 	}
 
 	stats.Wall = nowMonotonic() - start
 	rep := &Report{RankSeconds: endTimes, Drops: cfg.Net.Drops(), Sched: stats,
-		Faults: faultTotals(procs)}
+		Faults: faultTotals(w.procs)}
 	for _, t := range endTimes {
 		if t > rep.Seconds {
 			rep.Seconds = t
 		}
 	}
 	if cfg.CollectTrace {
-		rep.Trace = mergeTrace(cfg, procs, w.comms)
+		rep.Trace = mergeTrace(cfg, w.procs, w.comms)
 	}
 	recordEngineRun(stats)
 	return rep, nil
 }
 
-// enqueue makes an executable op eligible for commit.
-func (w *world) enqueue(o *op) {
-	if w.hooks.linearScan {
+// rankError returns the lowest rank's error, wrapped, or nil when every
+// exited rank succeeded.
+func rankError(errs []error) error {
+	for r, err := range errs {
+		if err != nil {
+			return fmt.Errorf("simmpi: rank %d: %w", r, err)
+		}
+	}
+	return nil
+}
+
+// step resumes rank r until it declares its next operation, and makes
+// that operation pending: sends and exits are executable at once, recvs
+// once a message matches. Executable ops go on h, the heap of whichever
+// scheduler (or shard) owns the rank.
+func (w *world) step(r int, h *opHeap) {
+	o := w.procs[r].resume()
+	w.pending[r] = o
+	switch o.kind {
+	case opSend, opExit:
+		o.ready = o.time
+		w.enqueue(o, h)
+	case opRecv:
+		o.ready = math.Inf(1)
+		w.tryMatch(o, h)
+	}
+}
+
+// enqueue makes an executable op eligible for commit on heap h.
+func (w *world) enqueue(o *op, h *opHeap) {
+	if w.hooks.pick != nil {
 		return // the reference picker scans pending directly
 	}
-	w.heap.push(o)
+	h.push(o)
 }
 
 // pick returns the executable pending op with the smallest
 // (ready, rank), or nil if none is executable.
 func (w *world) pick() *op {
-	if w.hooks.linearScan {
-		// Seed scheduler reference: O(Ranks) scan, lowest rank wins ties
-		// because later equal-ready ops do not displace the incumbent.
-		var best *op
-		for _, o := range w.pending {
-			if o == nil || math.IsInf(o.ready, 1) {
-				continue
-			}
-			if best == nil || o.ready < best.ready {
-				best = o
-			}
-		}
-		return best
+	if w.hooks.pick != nil {
+		return w.hooks.pick(w.pending)
 	}
 	return w.heap.pop()
 }
@@ -778,8 +818,8 @@ func (w *world) deliver(o *op) (network.Result, error) {
 }
 
 // tryMatch completes a pending recv against the mailbox if possible,
-// making it executable.
-func (w *world) tryMatch(o *op) {
+// making it executable on heap h.
+func (w *world) tryMatch(o *op, h *opHeap) {
 	m, ok := w.mail[o.rank].match(o.src, o.tag)
 	if !ok {
 		return
@@ -787,7 +827,7 @@ func (w *world) tryMatch(o *op) {
 	o.matched = true
 	o.matchedMsg = m
 	o.ready = math.Max(o.time, m.arrival)
-	w.enqueue(o)
+	w.enqueue(o, h)
 }
 
 // describe renders the op for diagnostics.
@@ -810,7 +850,7 @@ func (o *op) describe() string {
 // by kind, so a stall is never misreported as a recv when something
 // else is stuck.
 func (w *world) deadlockError() error {
-	lowest := -1
+	lowest, blocked := -1, 0
 	kinds := [3]int{}
 	for r, o := range w.pending {
 		if o == nil {
@@ -819,6 +859,7 @@ func (w *world) deadlockError() error {
 		if lowest == -1 {
 			lowest = r
 		}
+		blocked++
 		if int(o.kind) < len(kinds) {
 			kinds[o.kind]++
 		}
@@ -828,5 +869,5 @@ func (w *world) deadlockError() error {
 	}
 	o := w.pending[lowest]
 	return fmt.Errorf("simmpi: deadlock: rank %d waiting on %s (%d more ranks blocked; pending ops: %d send, %d recv, %d exit)",
-		lowest, o.describe(), w.nPending-1, kinds[opSend], kinds[opRecv], kinds[opExit])
+		lowest, o.describe(), blocked-1, kinds[opSend], kinds[opRecv], kinds[opExit])
 }

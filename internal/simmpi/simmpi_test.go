@@ -2,8 +2,10 @@ package simmpi
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"montblanc/internal/network"
 	"montblanc/internal/trace"
@@ -160,16 +162,73 @@ func TestDeadlockReportsActualPendingOps(t *testing.T) {
 	}
 }
 
+// A stalled run must not leave its ranks behind: every rank suspended
+// in a recv cycle is unwound when Run reports the deadlock, including a
+// body that ignores Recv's error and would otherwise loop forever.
+func TestDeadlockReleasesRanks(t *testing.T) {
+	const ranks = 64
+	prev := func(p *Proc) int { return (p.Rank() + ranks - 1) % ranks }
+	for _, tc := range []struct {
+		name string
+		body func(*Proc) error
+	}{
+		{"returns", func(p *Proc) error { return p.Recv(prev(p), 0) }},
+		{"ignores-errors", func(p *Proc) error {
+			for {
+				_ = p.Recv(prev(p), 0)
+			}
+		}},
+	} {
+		for _, workers := range []int{0, 4} {
+			base := runtime.NumGoroutine()
+			cfg := starConfig(ranks, 2)
+			cfg.Workers = workers
+			if _, err := Run(cfg, tc.body); err == nil || !strings.Contains(err.Error(), "deadlock") {
+				t.Fatalf("%s workers=%d: err = %v, want deadlock", tc.name, workers, err)
+			}
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				runtime.Gosched()
+			}
+			if n > base {
+				t.Errorf("%s workers=%d: %d goroutines after the run, %d before", tc.name, workers, n, base)
+			}
+		}
+	}
+}
+
+// Any rank error wins over what it causes: a rank that fails leaves its
+// peers waiting on it, and the run reports the failure, not the
+// resulting deadlock.
 func TestRankErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Run(starConfig(2, 1), func(p *Proc) error {
-		if p.Rank() == 1 {
-			return boom
+	for _, tc := range []struct {
+		name string
+		body func(*Proc) error
+	}{
+		{"peers-exit", func(p *Proc) error {
+			if p.Rank() == 1 {
+				return boom
+			}
+			return nil
+		}},
+		{"peer-waits", func(p *Proc) error {
+			switch p.Rank() {
+			case 0:
+				return boom
+			case 1:
+				return p.Recv(0, 0)
+			}
+			return nil
+		}},
+	} {
+		for _, workers := range []int{0, 4} {
+			cfg := starConfig(8, 2)
+			cfg.Workers = workers
+			if _, err := Run(cfg, tc.body); !errors.Is(err, boom) {
+				t.Errorf("%s workers=%d: err = %v, want boom", tc.name, workers, err)
+			}
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v", err)
 	}
 }
 
