@@ -1,5 +1,5 @@
-// Benchmarks regenerating every table and figure of the paper, plus the
-// ablations called out in DESIGN.md §5. Custom metrics carry the
+// Benchmarks regenerating every table and figure of the paper, plus four
+// ablations of the models behind them. Custom metrics carry the
 // reproduced quantities (ratios, efficiencies, sweet spots) so
 // `go test -bench=. -benchmem` doubles as the reproduction harness.
 package montblanc
@@ -276,7 +276,7 @@ func BenchmarkFig7MagicfilterKernel(b *testing.B) {
 	b.SetBytes(int64(len(src) * 8))
 }
 
-// --- Ablations (DESIGN.md §5) -----------------------------------------------
+// --- Ablations -------------------------------------------------------------
 
 // Ablation 1: physically-indexed caches + page allocator. Random pages
 // must cost bandwidth on the two-colour Snowball L1.

@@ -7,9 +7,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
+	"montblanc/internal/service"
 	"montblanc/internal/service/client"
 )
 
@@ -25,10 +25,7 @@ func runCall(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("montblanc call", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	url := fs.String("url", "http://127.0.0.1:8080", "base URL of the montblanc serve instance")
-	quick := fs.Bool("quick", false, "request reduced-size instances")
-	seed := fs.Uint64("seed", 0, "override the deterministic seed (0 = server default)")
-	platNames := fs.String("platform", "", "comma-separated platforms for the sweep* experiments (default: all)")
-	simWorkers := fs.Int("sim-workers", 0, "DES scheduler shards per simulation on the server")
+	optFlags := addOptionFlags(fs)
 	attempts := fs.Int("attempts", 5, "total attempts including the first")
 	attemptTimeout := fs.Duration("attempt-timeout", 65*time.Second, "timeout for one HTTP attempt")
 	retryBudget := fs.Duration("retry-budget", 5*time.Minute, "bound on the whole call including backoff waits (0 = unbounded)")
@@ -43,6 +40,11 @@ the JSON result array to stdout — the same bytes 'montblanc -json'
 emits. Retries transport errors and 5xx responses with capped
 exponential backoff + full jitter, honoring Retry-After on 503; the
 server's content-addressed cache makes retries idempotent.
+
+The experiment-option flags (-quick, -seed, -platform, -sim-workers,
+-fault-* and -checkpoint-interval) are montblanc's own and go into the
+request's options. The server checks them: -platform may name machines
+only the server knows.
 
 Flags:`)
 		fs.PrintDefaults()
@@ -62,29 +64,14 @@ Flags:`)
 		return 2
 	}
 
-	// The request mirrors the service wire schema (SERVICE.md): the
-	// server resolves globs and "all" with the same grammar as the CLI.
-	type wireOpts struct {
-		Quick      bool     `json:"quick"`
-		Seed       uint64   `json:"seed"`
-		Platforms  []string `json:"platforms,omitempty"`
-		SimWorkers int      `json:"sim_workers,omitempty"`
+	opts, err := optFlags.options()
+	if err != nil {
+		fmt.Fprintln(stderr, "montblanc call:", err)
+		return 2
 	}
-	req := struct {
-		Experiments []string `json:"experiments"`
-		Options     wireOpts `json:"options"`
-	}{
-		Experiments: fs.Args(),
-		Options:     wireOpts{Quick: *quick, Seed: *seed, SimWorkers: *simWorkers},
-	}
-	if *platNames != "" {
-		for _, name := range strings.Split(*platNames, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				req.Options.Platforms = append(req.Options.Platforms, name)
-			}
-		}
-	}
-	body, err := json.Marshal(req)
+	// The server resolves globs and "all" with the same grammar as the
+	// CLI and normalizes the options before anything runs.
+	body, err := json.Marshal(service.RunRequest{Experiments: fs.Args(), Options: opts})
 	if err != nil {
 		fmt.Fprintln(stderr, "montblanc call:", err)
 		return 1

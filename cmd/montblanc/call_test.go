@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -70,6 +71,17 @@ func TestCallUsageErrors(t *testing.T) {
 	if code != 0 || !strings.Contains(errOut, "usage: montblanc call") {
 		t.Errorf("call -h: exit %d stderr %q", code, errOut)
 	}
+	// Experiment options before the verb would be dropped unsent (call)
+	// or unused (serve): both are usage errors naming the flags.
+	for _, args := range [][]string{
+		{"-quick", "-fault-mtbf", "40", "-sim-workers", "4", "call", "-url", "http://127.0.0.1:1", "-attempts", "1", "resilience-sweep"},
+		{"-quick", "serve", "-addr", "256.256.256.256:99999"},
+	} {
+		code, _, errOut := runCLI(t, args...)
+		if code != 2 || !strings.Contains(errOut, "-quick") {
+			t.Errorf("%q: exit %d stderr %q, want 2 naming -quick", args, code, errOut)
+		}
+	}
 }
 
 // TestCallRoundTrip drives `montblanc call` against a stub server:
@@ -78,13 +90,13 @@ func TestCallUsageErrors(t *testing.T) {
 func TestCallRoundTrip(t *testing.T) {
 	var gotBody atomic.Value
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b := make([]byte, r.ContentLength)
-		r.Body.Read(b)
+		b, _ := io.ReadAll(r.Body)
 		gotBody.Store(string(b))
 		w.Write([]byte(`[{"id":"fig1","title":"t","seconds":0.1,"output":"o"}]`))
 	}))
 	defer ts.Close()
-	code, out, errOut := runCLI(t, "call", "-url", ts.URL, "-quick", "-seed", "5", "fig1")
+	code, out, errOut := runCLI(t, "call", "-url", ts.URL, "-quick", "-seed", "5",
+		"-fault-mtbf", "40", "-fault-downtime", "2", "-checkpoint-interval", "1.5", "fig1")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errOut)
 	}
@@ -96,6 +108,11 @@ func TestCallRoundTrip(t *testing.T) {
 		Options     struct {
 			Quick bool   `json:"quick"`
 			Seed  uint64 `json:"seed"`
+			Fault struct {
+				MTBF       float64 `json:"mtbf_seconds"`
+				Downtime   float64 `json:"downtime_seconds"`
+				Checkpoint float64 `json:"checkpoint_interval_seconds"`
+			} `json:"fault"`
 		} `json:"options"`
 	}
 	if err := json.Unmarshal([]byte(gotBody.Load().(string)), &req); err != nil {
@@ -104,6 +121,9 @@ func TestCallRoundTrip(t *testing.T) {
 	if len(req.Experiments) != 1 || req.Experiments[0] != "fig1" ||
 		!req.Options.Quick || req.Options.Seed != 5 {
 		t.Errorf("request = %+v, flags did not reach the wire", req)
+	}
+	if f := req.Options.Fault; f.MTBF != 40 || f.Downtime != 2 || f.Checkpoint != 1.5 {
+		t.Errorf("options.fault = %+v, want mtbf 40, downtime 2, checkpoint interval 1.5", f)
 	}
 	// The response bytes must round-trip as results too.
 	var results []runner.Result

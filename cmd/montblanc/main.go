@@ -34,6 +34,7 @@
 //	montblanc -platform-file m.json serve             # serve extra machines too
 //	montblanc serve -cache-dir /var/cache/montblanc   # results survive restarts (even kill -9)
 //	montblanc call -url http://host:8080 'fig3*'      # resilient client: retries, backoff, Retry-After
+//	montblanc call -quick -fault-mtbf 300 resilience-sweep  # option flags go after the verb
 //
 // The serve mode exposes the experiments over HTTP/JSON (POST /v1/run,
 // GET /v1/experiments, /v1/platforms, /metrics, /healthz) with a
@@ -77,7 +78,6 @@ import (
 	"time"
 
 	"montblanc/internal/experiments"
-	"montblanc/internal/fault"
 	"montblanc/internal/platform"
 	"montblanc/internal/report"
 	"montblanc/internal/runner"
@@ -90,24 +90,6 @@ import (
 // instead of spawning thousands of goroutine pools.
 const maxParallel = 256
 
-// clampWorkers validates a worker-count flag: negatives are a usage
-// error, zero means "use the default", values above max clamp with a
-// note on stderr. It returns the effective value and ok=false on a
-// usage error.
-func clampWorkers(stderr io.Writer, name string, v, def, max int) (int, bool) {
-	switch {
-	case v < 0:
-		fmt.Fprintf(stderr, "montblanc: %s must be >= 0, got %d\n", name, v)
-		return 0, false
-	case v == 0:
-		return def, true
-	case v > max:
-		fmt.Fprintf(stderr, "montblanc: %s %d clamped to %d\n", name, v, max)
-		return max, true
-	}
-	return v, true
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -118,22 +100,13 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("montblanc", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	quick := fs.Bool("quick", false, "run reduced-size instances")
-	seed := fs.Uint64("seed", 0, "override the default deterministic seed (0 = default)")
+	optFlags := addOptionFlags(fs)
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "number of concurrent experiment workers")
-	simWorkers := fs.Int("sim-workers", 0, "DES scheduler shards per simulation (<=1 sequential reference, >1 conservative-parallel; output identical either way)")
 	jsonOut := fs.Bool("json", false, "emit results as a JSON array instead of rendered text")
 	timing := fs.Bool("time", false, "print a per-experiment timing summary to stderr")
-	platNames := fs.String("platform", "", "comma-separated registered platforms the sweep* experiments cover (default: all)")
 	platFile := fs.String("platform-file", "", "JSON platform spec file to register before running (one spec or an array)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof allocation profile of the run to this file")
-	faultFile := fs.String("fault-file", "", "JSON fault schedule for the resilience* experiments (see FAULT.md)")
-	faultMTBF := fs.Float64("fault-mtbf", 0, "per-node mean time between failures in seconds for generated crashes (resilience* experiments)")
-	faultDowntime := fs.Float64("fault-downtime", 0, "crash-to-restart downtime in seconds (0 = schedule default)")
-	faultHorizon := fs.Float64("fault-horizon", 0, "bound on generated crash times in seconds (0 = the experiment's own estimate)")
-	faultSeed := fs.Uint64("fault-seed", 0, "seed for the generated crash draws")
-	checkpointInterval := fs.Float64("checkpoint-interval", 0, "pin the resilience checkpoint interval in seconds (must be > 0 when set)")
 	fs.Usage = func() { usage(stderr, fs) }
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -147,12 +120,26 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	var ok bool
-	if *parallel, ok = clampWorkers(stderr, "-parallel", *parallel, runtime.GOMAXPROCS(0), maxParallel); !ok {
-		return 2
+	// serve and call take no experiment options from this command line:
+	// serve's requests carry their own and call parses them after its
+	// verb. Given here, they would be dropped without a word.
+	if verb := fs.Arg(0); verb == "serve" || verb == "call" {
+		if given := optFlags.given(); len(given) > 0 {
+			fmt.Fprintf(stderr, "montblanc: -%s given before '%s' would be ignored; experiment options go after the 'call' verb (run 'montblanc call -h')\n",
+				strings.Join(given, ", -"), verb)
+			return 2
+		}
 	}
-	if *simWorkers, ok = clampWorkers(stderr, "-sim-workers", *simWorkers, 0, simmpi.MaxWorkers); !ok {
+
+	switch {
+	case *parallel < 0:
+		fmt.Fprintf(stderr, "montblanc: -parallel must be >= 0, got %d\n", *parallel)
 		return 2
+	case *parallel == 0:
+		*parallel = runtime.GOMAXPROCS(0)
+	case *parallel > maxParallel:
+		fmt.Fprintf(stderr, "montblanc: -parallel %d clamped to %d\n", *parallel, maxParallel)
+		*parallel = maxParallel
 	}
 
 	// Profiles wrap the whole run — experiment selection, simulation and
@@ -229,69 +216,27 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return runCall(fs.Args()[1:], stdout, stderr)
 	}
 
-	opts := experiments.Options{Quick: *quick, Seed: *seed, SimWorkers: *simWorkers}
-	// Fault flags assemble one schedule for the resilience experiments:
-	// -fault-file loads a JSON spec, the scalar flags fill or override
-	// its fields, and fault.Spec.Validate is the single authority that
-	// refuses hostile numbers (NaN rates, negative MTBFs, non-positive
-	// checkpoint intervals) before anything runs.
-	faultSet := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "fault-file", "fault-mtbf", "fault-downtime", "fault-horizon", "fault-seed", "checkpoint-interval":
-			faultSet[f.Name] = true
-		}
-	})
-	if len(faultSet) > 0 {
-		spec := &fault.Spec{}
-		if faultSet["fault-file"] {
-			loaded, err := fault.LoadSpecFile(*faultFile)
-			if err != nil {
-				fmt.Fprintln(stderr, "montblanc:", err)
-				return 2
-			}
-			spec = loaded
-		}
-		if faultSet["fault-mtbf"] {
-			spec.MTBFSeconds = *faultMTBF
-		}
-		if faultSet["fault-downtime"] {
-			spec.DowntimeSeconds = *faultDowntime
-		}
-		if faultSet["fault-horizon"] {
-			spec.HorizonSeconds = *faultHorizon
-		}
-		if faultSet["fault-seed"] {
-			spec.Seed = *faultSeed
-		}
-		if faultSet["checkpoint-interval"] {
-			// Zero elsewhere means "unset"; an explicit zero here is a
-			// request for a nonsensical policy and must fail, not
-			// silently fall back to the default grid.
-			if !(*checkpointInterval > 0) {
-				fmt.Fprintf(stderr, "montblanc: -checkpoint-interval must be > 0 seconds, got %v\n", *checkpointInterval)
-				return 2
-			}
-			spec.CheckpointIntervalSeconds = *checkpointInterval
-		}
-		if err := spec.Validate(); err != nil {
-			fmt.Fprintln(stderr, "montblanc:", err)
-			return 2
-		}
-		opts.Fault = spec
+	parsed, err := optFlags.options()
+	if err != nil {
+		fmt.Fprintln(stderr, "montblanc:", err)
+		return 2
 	}
-	if *platNames != "" {
-		for _, name := range strings.Split(*platNames, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if _, err := platform.Lookup(name); err != nil {
-				fmt.Fprintf(stderr, "montblanc: %v (try 'montblanc platforms')\n", err)
-				return 2
-			}
-			opts.Platforms = append(opts.Platforms, name)
+	opts, err := parsed.Normalize()
+	if err != nil {
+		oe := &experiments.OptionError{}
+		errors.As(err, &oe)
+		switch oe.Option {
+		case "sim_workers":
+			fmt.Fprintf(stderr, "montblanc: -sim-workers must be >= 0, got %d\n", parsed.SimWorkers)
+		case "platforms":
+			fmt.Fprintf(stderr, "montblanc: %v (try 'montblanc platforms')\n", err)
+		default:
+			fmt.Fprintln(stderr, "montblanc:", err)
 		}
+		return 2
+	}
+	if opts.SimWorkers != parsed.SimWorkers {
+		fmt.Fprintf(stderr, "montblanc: -sim-workers %d clamped to %d\n", parsed.SimWorkers, opts.SimWorkers)
 	}
 
 	for _, arg := range fs.Args() {
@@ -609,7 +554,10 @@ the API); machines registered via -platform-file are served too. With
 matching resilient client: capped exponential backoff with full
 jitter, Retry-After honored on 503, per-attempt timeouts and a total
 retry budget — blind retries are safe because requests are
-content-addressed.
+content-addressed. call takes the experiment-option flags below
+(-quick, -seed, -platform, -sim-workers, -fault-*,
+-checkpoint-interval) after its verb and sends them as the request's
+options; given before 'serve' or 'call' they are a usage error.
 
 `)
 	fs.PrintDefaults()

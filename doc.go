@@ -69,8 +69,11 @@
 // deduplication makes N concurrent identical requests cost one
 // simulation. Requests may carry inline machine specs, resolved
 // request-scoped against the registry (platform.Resolver) without
-// registering anything. SERVICE.md documents the endpoints, schemas,
-// cache-key recipe and /metrics fields.
+// registering anything. One options type, experiments.Options, is the
+// CLI's flags, the /v1/run request's "options" object and the input of
+// the cache key, and Options.Normalize is the one place options are
+// checked. SERVICE.md documents the endpoints, schemas, cache-key
+// recipe and /metrics fields.
 //
 // Determinism rules are enforced statically: tools/detlint is a
 // go/analysis-style multichecker (runnable standalone or via `go vet
@@ -86,6 +89,6 @@
 // fails on any unsuppressed diagnostic. tools/detlint/DETLINT.md
 // documents the analyzers, directive syntax and package policy.
 //
-// See DESIGN.md for the system inventory, EXPERIMENTS.md for paper-vs-
-// measured results, and cmd/montblanc for the experiment driver.
+// See ROADMAP.md for the architecture and open work, and cmd/montblanc
+// for the experiment driver.
 package montblanc

@@ -140,10 +140,6 @@ type ScalingConfig struct {
 	// the Figure 4 picture.
 	JitterPct float64
 	Seed      uint64
-	// SimWorkers selects the simulator scheduler (see
-	// cluster.JobConfig.SimWorkers); results are byte-identical at any
-	// value.
-	SimWorkers int
 }
 
 func (c ScalingConfig) withDefaults() ScalingConfig {
@@ -188,8 +184,7 @@ func timeDistributed(c *cluster.Cluster, ranks int, cfg ScalingConfig, collectTr
 		// Per iteration: one compute interval plus three linear
 		// alltoallv transposes, each 2*(ranks-1) send/recv intervals
 		// and a collective interval.
-		TraceHint:  cfg.Iters * (1 + 3*(2*(ranks-1)+1)),
-		SimWorkers: cfg.SimWorkers,
+		TraceHint: cfg.Iters * (1 + 3*(2*(ranks-1)+1)),
 	}
 	totalBytes := 8 * cfg.GridPoints
 	flopsPerRank := float64(cfg.GridPoints) * cfg.FlopsPerPoint / float64(ranks)
@@ -216,20 +211,7 @@ func timeDistributed(c *cluster.Cluster, ranks int, cfg ScalingConfig, collectTr
 // StrongScaling produces the Figure 3c speedup points (baseline = first
 // core count; the paper's instance fits a single node).
 func StrongScaling(c *cluster.Cluster, coreCounts []int, cfg ScalingConfig) ([]cluster.SpeedupPoint, error) {
-	points := make([]cluster.SpeedupPoint, 0, len(coreCounts))
-	for _, cores := range coreCounts {
-		rep, err := TimeDistributed(c, cores, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bigdft: %d cores: %w", cores, err)
-		}
-		points = append(points, cluster.SpeedupPoint{
-			Cores: cores, Seconds: rep.Seconds, Drops: rep.Drops,
-		})
-	}
-	base := points[0]
-	for i := range points {
-		points[i].Speedup = base.Seconds / points[i].Seconds * float64(base.Cores)
-		points[i].Efficiency = points[i].Speedup / float64(points[i].Cores)
-	}
-	return points, nil
+	return cluster.StrongScaling(coreCounts, func(cores int) (*simmpi.Report, error) {
+		return TimeDistributed(c, cores, cfg)
+	})
 }

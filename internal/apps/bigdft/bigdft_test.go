@@ -187,8 +187,8 @@ func TestFigure4DelayedCollectives(t *testing.T) {
 	}
 }
 
-// The ablation of DESIGN.md decision 2: with infinite switch buffers the
-// collapse disappears.
+// The switch-buffer ablation: with infinite switch buffers the collapse
+// disappears.
 func TestAblationInfiniteBuffers(t *testing.T) {
 	c1, _ := cluster.Tibidabo(32)
 	cfg := ScalingConfig{Iters: 5}

@@ -185,10 +185,6 @@ func SolveTime(p *platform.Platform, n int) float64 {
 type ScalingConfig struct {
 	N  int // matrix order
 	NB int // panel width (block size)
-	// SimWorkers selects the simulator scheduler (see
-	// cluster.JobConfig.SimWorkers); results are byte-identical at any
-	// value.
-	SimWorkers int
 }
 
 func (c ScalingConfig) withDefaults() ScalingConfig {
@@ -218,7 +214,6 @@ func TimeDistributed(c *cluster.Cluster, ranks int, cfg ScalingConfig) (*simmpi.
 		CoreFlopsPerSec: coreRate,
 		// The matrix dominates memory: 8 N^2 bytes.
 		MemoryBytes: int64(8 * cfg.N * cfg.N),
-		SimWorkers:  cfg.SimWorkers,
 	}
 	panels := cfg.N / cfg.NB
 	return c.Run(job, func(p *simmpi.Proc) error {
@@ -246,21 +241,7 @@ func TimeDistributed(c *cluster.Cluster, ranks int, cfg ScalingConfig) (*simmpi.
 // StrongScaling produces the Figure 3a speedup curve for the given core
 // counts.
 func StrongScaling(c *cluster.Cluster, coreCounts []int, cfg ScalingConfig) ([]cluster.SpeedupPoint, error) {
-	cfg = cfg.withDefaults()
-	points := make([]cluster.SpeedupPoint, 0, len(coreCounts))
-	for _, cores := range coreCounts {
-		rep, err := TimeDistributed(c, cores, cfg)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, cluster.SpeedupPoint{
-			Cores: cores, Seconds: rep.Seconds, Drops: rep.Drops,
-		})
-	}
-	base := points[0]
-	for i := range points {
-		points[i].Speedup = base.Seconds / points[i].Seconds * float64(base.Cores)
-		points[i].Efficiency = points[i].Speedup / float64(points[i].Cores)
-	}
-	return points, nil
+	return cluster.StrongScaling(coreCounts, func(cores int) (*simmpi.Report, error) {
+		return TimeDistributed(c, cores, cfg)
+	})
 }

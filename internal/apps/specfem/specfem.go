@@ -10,7 +10,6 @@ package specfem
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"montblanc/internal/cluster"
@@ -273,10 +272,6 @@ type ScalingConfig struct {
 	// MemoryBytes is the instance footprint; the paper's use case does
 	// not fit one Tibidabo node, forcing a 4-core (2-node) baseline.
 	MemoryBytes int64
-	// SimWorkers selects the simulator scheduler (see
-	// cluster.JobConfig.SimWorkers); results are byte-identical at any
-	// value.
-	SimWorkers int
 }
 
 func (c ScalingConfig) withDefaults() ScalingConfig {
@@ -316,25 +311,11 @@ const kernelEfficiency = 0.7
 // 2-D grid neighbours (point-to-point only — the pattern that keeps
 // SPECFEM3D off the congested switch paths).
 func TimeDistributed(c *cluster.Cluster, ranks int, cfg ScalingConfig) (*simmpi.Report, error) {
-	return timeDistributed(c, ranks, cfg, false)
-}
-
-// TraceDistributed is TimeDistributed with trace collection.
-func TraceDistributed(c *cluster.Cluster, ranks int, cfg ScalingConfig) (*simmpi.Report, error) {
-	return timeDistributed(c, ranks, cfg, true)
-}
-
-func timeDistributed(c *cluster.Cluster, ranks int, cfg ScalingConfig, collectTrace bool) (*simmpi.Report, error) {
 	cfg = cfg.withDefaults()
 	job := cluster.JobConfig{
 		Ranks:           ranks,
 		CoreFlopsPerSec: c.CoreFlops(false, kernelEfficiency),
 		MemoryBytes:     cfg.MemoryBytes,
-		CollectTrace:    collectTrace,
-		// Per step: one compute interval plus a send and a recv per
-		// grid neighbour (at most four).
-		TraceHint:  cfg.Steps * 9,
-		SimWorkers: cfg.SimWorkers,
 	}
 	rows, cols := grid(ranks)
 	elemsPerRank := float64(cfg.Elems) / float64(ranks)
@@ -407,20 +388,7 @@ func timeDistributed(c *cluster.Cluster, ranks int, cfg ScalingConfig, collectTr
 // count is the baseline (the paper uses 4 cores: the instance cannot run
 // on fewer than two nodes).
 func StrongScaling(c *cluster.Cluster, coreCounts []int, cfg ScalingConfig) ([]cluster.SpeedupPoint, error) {
-	points := make([]cluster.SpeedupPoint, 0, len(coreCounts))
-	for _, cores := range coreCounts {
-		rep, err := TimeDistributed(c, cores, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("specfem: %d cores: %w", cores, err)
-		}
-		points = append(points, cluster.SpeedupPoint{
-			Cores: cores, Seconds: rep.Seconds, Drops: rep.Drops,
-		})
-	}
-	base := points[0]
-	for i := range points {
-		points[i].Speedup = base.Seconds / points[i].Seconds * float64(base.Cores)
-		points[i].Efficiency = points[i].Speedup / float64(points[i].Cores)
-	}
-	return points, nil
+	return cluster.StrongScaling(coreCounts, func(cores int) (*simmpi.Report, error) {
+		return TimeDistributed(c, cores, cfg)
+	})
 }

@@ -20,6 +20,12 @@ type Cluster struct {
 	Node  *platform.Platform
 	Nodes int
 	Net   *network.Network
+	// SimWorkers selects the simulator's scheduler for every job Run
+	// starts: <= 1 runs the sequential reference, > 1 the
+	// conservative-parallel windowed scheduler with that many shards
+	// (see simmpi.Config.Workers). Either way the results are
+	// byte-identical.
+	SimWorkers int
 }
 
 // Tibidabo builds a Tibidabo slice with the given number of nodes. Up to
@@ -72,11 +78,6 @@ type JobConfig struct {
 	// MemoryBytes is the job's total footprint; the job must fit the
 	// nodes it spans (the paper's SPECFEM3D instance needs >= 2 nodes).
 	MemoryBytes int64
-	// SimWorkers selects the simulator's scheduler: <= 1 runs the
-	// sequential reference, > 1 the conservative-parallel windowed
-	// scheduler with that many shards (see simmpi.Config.Workers).
-	// Either way the results are byte-identical.
-	SimWorkers int
 	// Faults is an optional resolved fault schedule: its node outages
 	// feed the simulator and its link faults are applied to the fabric
 	// after the pre-run reset. Nil means a failure-free run.
@@ -129,7 +130,7 @@ func (c *Cluster) Run(job JobConfig, body func(*simmpi.Proc) error) (*simmpi.Rep
 		CoreFlopsPerSec: job.CoreFlopsPerSec,
 		CollectTrace:    job.CollectTrace,
 		TraceHint:       job.TraceHint,
-		Workers:         job.SimWorkers,
+		Workers:         c.SimWorkers,
 	}
 	if job.Faults != nil {
 		if err := job.Faults.Apply(c.Net); err != nil {
@@ -163,20 +164,17 @@ type SpeedupPoint struct {
 	Drops      uint64
 }
 
-// StrongScaling runs the job at each core count and derives speedups
+// StrongScaling runs one job per core count and derives speedups
 // against the first (baseline) point, exactly like Figure 3 does —
 // SPECFEM3D's baseline is a 4-core run because the instance cannot fit
-// fewer than two nodes.
-func StrongScaling(c *Cluster, coreCounts []int, job JobConfig,
-	body func(*simmpi.Proc) error) ([]SpeedupPoint, error) {
+// fewer than two nodes. run simulates the job on the given cores.
+func StrongScaling(coreCounts []int, run func(cores int) (*simmpi.Report, error)) ([]SpeedupPoint, error) {
 	if len(coreCounts) == 0 {
 		return nil, fmt.Errorf("cluster: no core counts")
 	}
 	points := make([]SpeedupPoint, 0, len(coreCounts))
 	for _, cores := range coreCounts {
-		j := job
-		j.Ranks = cores
-		rep, err := c.Run(j, body)
+		rep, err := run(cores)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %d cores: %w", cores, err)
 		}

@@ -96,12 +96,12 @@ func TestRunResetsFabric(t *testing.T) {
 func TestStrongScalingPerfectlyParallelJob(t *testing.T) {
 	c, _ := Tibidabo(16)
 	const totalFlops = 32e9
-	job := JobConfig{CoreFlopsPerSec: 1e9}
-	points, err := StrongScaling(c, []int{1, 2, 4, 8, 16, 32}, job,
-		func(p *simmpi.Proc) error {
+	points, err := StrongScaling([]int{1, 2, 4, 8, 16, 32}, func(cores int) (*simmpi.Report, error) {
+		return c.Run(JobConfig{Ranks: cores, CoreFlopsPerSec: 1e9}, func(p *simmpi.Proc) error {
 			p.ComputeFlops(totalFlops/float64(p.Size()), "work")
 			return nil
 		})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,12 @@ func TestStrongScalingPerfectlyParallelJob(t *testing.T) {
 func TestStrongScalingBaselineOffset(t *testing.T) {
 	// With a 4-core baseline, speedup at 4 cores is 4 by definition.
 	c, _ := Tibidabo(16)
-	points, err := StrongScaling(c, []int{4, 8}, JobConfig{CoreFlopsPerSec: 1e9},
-		func(p *simmpi.Proc) error {
+	points, err := StrongScaling([]int{4, 8}, func(cores int) (*simmpi.Report, error) {
+		return c.Run(JobConfig{Ranks: cores, CoreFlopsPerSec: 1e9}, func(p *simmpi.Proc) error {
 			p.ComputeFlops(8e9/float64(p.Size()), "work")
 			return nil
 		})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +141,13 @@ func TestStrongScalingBaselineOffset(t *testing.T) {
 
 func TestStrongScalingErrors(t *testing.T) {
 	c, _ := Tibidabo(2)
-	if _, err := StrongScaling(c, nil, JobConfig{}, nil); err == nil {
+	if _, err := StrongScaling(nil, nil); err == nil {
 		t.Error("empty core counts accepted")
 	}
-	_, err := StrongScaling(c, []int{64}, JobConfig{CoreFlopsPerSec: 1e9},
-		func(p *simmpi.Proc) error { return nil })
+	_, err := StrongScaling([]int{64}, func(cores int) (*simmpi.Report, error) {
+		return c.Run(JobConfig{Ranks: cores, CoreFlopsPerSec: 1e9},
+			func(p *simmpi.Proc) error { return nil })
+	})
 	if err == nil {
 		t.Error("oversubscription accepted")
 	}

@@ -1,8 +1,7 @@
 // Package experiments contains one driver per table and figure of the
 // paper. Each driver runs the underlying models/simulations and renders
 // the same rows or series the paper reports, so `montblanc <id>`
-// regenerates any result. EXPERIMENTS.md records paper-vs-measured for
-// every driver.
+// regenerates any result.
 package experiments
 
 import (
@@ -18,44 +17,38 @@ import (
 	"montblanc/internal/runner"
 )
 
-// Options tunes experiment execution.
+// Options tunes experiment execution. It is also the "options" object
+// of a /v1/run request (SERVICE.md), hence the JSON tags; the inline
+// Specs travel at the top level of the request instead.
 type Options struct {
 	// Quick shrinks instance sizes and repetition counts so the full
 	// suite runs in seconds (used by tests and `montblanc -quick all`).
-	Quick bool
+	Quick bool `json:"quick"`
 	// Seed overrides the default deterministic seed (0 keeps defaults).
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Platforms restricts the cross-platform sweep experiments to the
 	// named platforms, in the given order. Empty means every resolvable
 	// platform. Experiments reproducing a specific paper artifact
 	// ignore it: fig5 is a Snowball study whatever the sweep set says.
-	Platforms []string
+	Platforms []string `json:"platforms,omitempty"`
 	// Specs are request-scoped inline machine specs, resolved alongside
 	// the global registry without registering anything (see
 	// platform.Resolver); an inline spec may shadow a registered name.
 	// The service uses this to honor per-request machines while
 	// concurrent requests never fight over the process-wide registry.
-	Specs []platform.Spec
+	Specs []platform.Spec `json:"-"`
 	// SimWorkers runs the cluster simulations inside experiments on the
 	// conservative-parallel scheduler with this many shards (<= 1 keeps
 	// the sequential reference). Output is byte-identical at any value,
 	// which is why it is deliberately NOT part of the cache key
 	// (CanonicalJSON): the same canonical request may execute on either
 	// scheduler and replay the same bytes.
-	SimWorkers int
+	SimWorkers int `json:"sim_workers,omitempty"`
 	// Fault replaces the resilience experiments' built-in fault grid
 	// with one user-supplied schedule (see internal/fault.Spec); nil
 	// keeps the defaults. Unlike SimWorkers it changes experiment
 	// output, so it IS part of the cache key (CanonicalJSON).
-	Fault *fault.Spec
-}
-
-// Resolver returns the platform resolver for these options: the global
-// registry overlaid with the inline Specs. With no inline specs it is
-// a pure registry view, so option-driven lookups and the historical
-// package-level lookups see identical machines.
-func (o Options) Resolver() (*platform.Resolver, error) {
-	return platform.NewResolver(o.Specs)
+	Fault *fault.Spec `json:"fault,omitempty"`
 }
 
 // Experiment is a runnable reproduction of one paper artifact.

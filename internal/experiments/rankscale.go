@@ -36,7 +36,6 @@ func init() {
 // halo/compute ratio per step is size-independent, so fewer steps keep
 // the curve's shape while bounding the wall clock at O(10k) ranks).
 func scaleRanksShape(o Options) (nodes int, cores []int, cfg specfem.ScalingConfig) {
-	cfg = specfem.ScalingConfig{SimWorkers: o.SimWorkers}
 	if o.Quick {
 		cfg.Steps = 5
 		return 256, []int{32, 128, 512}, cfg
@@ -54,6 +53,7 @@ func ScaleRanksData(o Options) ([]cluster.SpeedupPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.SimWorkers = o.SimWorkers
 	return specfem.StrongScaling(c, cores, cfg)
 }
 

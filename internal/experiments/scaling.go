@@ -43,10 +43,11 @@ func Fig3aData(o Options) ([]cluster.SpeedupPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := linpack.ScalingConfig{SimWorkers: o.SimWorkers}
+	c.SimWorkers = o.SimWorkers
+	var cfg linpack.ScalingConfig
 	cores := []int{8, 16, 32, 48, 64, 80, 96}
 	if o.Quick {
-		cfg = linpack.ScalingConfig{N: 4096, NB: 64, SimWorkers: o.SimWorkers}
+		cfg = linpack.ScalingConfig{N: 4096, NB: 64}
 		cores = []int{2, 8, 32}
 	}
 	return linpack.StrongScaling(c, cores, cfg)
@@ -71,7 +72,8 @@ func Fig3bData(o Options) ([]cluster.SpeedupPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := specfem.ScalingConfig{SimWorkers: o.SimWorkers}
+	c.SimWorkers = o.SimWorkers
+	var cfg specfem.ScalingConfig
 	cores := []int{4, 8, 16, 32, 64, 128, 192}
 	if o.Quick {
 		cfg.Steps = 5
@@ -98,7 +100,8 @@ func Fig3cData(o Options) ([]cluster.SpeedupPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := bigdft.ScalingConfig{Seed: o.Seed, SimWorkers: o.SimWorkers}
+	c.SimWorkers = o.SimWorkers
+	cfg := bigdft.ScalingConfig{Seed: o.Seed}
 	cores := []int{1, 2, 4, 8, 12, 16, 24, 32, 36}
 	if o.Quick {
 		cfg.Iters = 3
@@ -125,7 +128,8 @@ func Fig4Data(o Options) (*trace.Trace, trace.CongestionReport, error) {
 	if err != nil {
 		return nil, trace.CongestionReport{}, err
 	}
-	cfg := bigdft.ScalingConfig{Seed: o.Seed, SimWorkers: o.SimWorkers}
+	c.SimWorkers = o.SimWorkers
+	cfg := bigdft.ScalingConfig{Seed: o.Seed}
 	if o.Quick {
 		cfg.Iters = 3
 	}

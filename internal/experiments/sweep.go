@@ -59,26 +59,20 @@ func sweepRef(w io.Writer, s *core.Sweep) int {
 	return ref
 }
 
-// sweepPlatforms resolves the sweep set from the options: the named
+// sweepPlatforms builds the sweep set from the options: the named
 // platforms in the given order, or every resolvable platform. Lookups
 // go through the options' resolver, so request-scoped inline specs
 // (Options.Specs) join the sweep without touching the global registry.
 func sweepPlatforms(o Options) ([]*platform.Platform, error) {
-	r, err := o.Resolver()
+	_, specs, err := o.resolve(true)
 	if err != nil {
 		return nil, err
 	}
-	names := o.Platforms
-	if len(names) == 0 {
-		names = r.Names()
-	}
-	ps := make([]*platform.Platform, 0, len(names))
-	for _, n := range names {
-		p, err := r.Lookup(n)
-		if err != nil {
+	ps := make([]*platform.Platform, len(specs))
+	for i, s := range specs {
+		if ps[i], err = s.Build(); err != nil {
 			return nil, err
 		}
-		ps = append(ps, p)
 	}
 	return ps, nil
 }

@@ -498,7 +498,7 @@ func loopPaths(loop []*Link) [][]*Link {
 }
 
 // InfiniteBuffers disables buffer overruns on every link — the ablation
-// knob for the Figure 3c collapse (DESIGN.md decision 2).
+// knob for the Figure 3c collapse (BenchmarkAblationSwitchBuffers).
 func (n *Network) InfiniteBuffers() {
 	for _, l := range n.links {
 		l.Buffer = 0

@@ -30,12 +30,10 @@ import (
 	"time"
 
 	"montblanc/internal/experiments"
-	"montblanc/internal/fault"
 	"montblanc/internal/platform"
 	"montblanc/internal/report"
 	"montblanc/internal/runner"
 	"montblanc/internal/service/store"
-	"montblanc/internal/simmpi"
 )
 
 // Config tunes a Server. The zero value serves with sensible defaults.
@@ -210,36 +208,25 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 
 // --- wire types ---------------------------------------------------
 
-// runRequest is the /v1/run request body.
-type runRequest struct {
+// RunRequest is the /v1/run request body: handleRun decodes it and
+// `montblanc call` encodes it.
+type RunRequest struct {
 	// Experiments selects what to run: exact IDs, path.Match globs
 	// ("fig3*") or the keyword "all" — the same grammar as the CLI.
 	Experiments []string `json:"experiments"`
-	// Options mirrors experiments.Options.
-	Options wireOptions `json:"options"`
+	// Options are normalized on arrival (experiments.Options.Normalize):
+	// sim_workers is clamped and, as it cannot change output, left out
+	// of the cache key; a fault schedule changes output and is keyed.
+	Options experiments.Options `json:"options"`
 	// Specs are request-scoped inline machine specs: resolvable (and
 	// able to shadow registered names) for this request only, never
 	// registered globally.
 	Specs []platform.Spec `json:"specs,omitempty"`
 }
 
-type wireOptions struct {
-	Quick     bool     `json:"quick"`
-	Seed      uint64   `json:"seed"`
-	Platforms []string `json:"platforms,omitempty"`
-	// SimWorkers selects the DES scheduler for this request's
-	// simulations (<= 1 sequential reference, > 1 conservative-
-	// parallel shards; clamped to simmpi.MaxWorkers). Output is
-	// byte-identical at any value, so it is deliberately excluded from
-	// the cache key: a cached result serves requests at any worker
-	// count.
-	SimWorkers int `json:"sim_workers,omitempty"`
-	// Fault is an optional fault schedule for the resilience
-	// experiments (see FAULT.md). Unlike sim_workers it changes
-	// experiment output, so it IS cache-key material: a fault-injected
-	// request never replays a failure-free entry.
-	Fault *fault.Spec `json:"fault,omitempty"`
-}
+// optionCodes maps an experiments.OptionError's field to its error
+// code; the other option errors are "bad_options".
+var optionCodes = map[string]string{"fault": "bad_fault", "specs": "bad_spec"}
 
 // wireError is the structured error envelope every non-2xx response
 // carries.
@@ -271,7 +258,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.met.inflightReqs.Add(1)
 	defer s.met.inflightReqs.Add(-1)
 
-	var req runRequest
+	var req RunRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -284,35 +271,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if req.Options.SimWorkers < 0 {
-		s.writeError(w, http.StatusBadRequest, "bad_options",
-			"options.sim_workers must be >= 0, got %d", req.Options.SimWorkers)
-		return
-	}
-	if req.Options.SimWorkers > simmpi.MaxWorkers {
-		req.Options.SimWorkers = simmpi.MaxWorkers
-	}
-	// Validate the fault schedule up front: hostile numbers (NaN rates,
-	// negative MTBFs, non-positive checkpoint intervals) are a 400
-	// naming the field, not a per-experiment failure buried in results.
-	if req.Options.Fault != nil {
-		if err := req.Options.Fault.Validate(); err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad_fault", "%v", err)
-			return
+	// Bad options are a 400 naming the field before anything runs, not
+	// a per-experiment failure buried in results.
+	req.Options.Specs = req.Specs
+	opts, err := req.Options.Normalize()
+	if err != nil {
+		code := "bad_options"
+		var oe *experiments.OptionError
+		if errors.As(err, &oe) && optionCodes[oe.Option] != "" {
+			code = optionCodes[oe.Option]
 		}
-	}
-	opts := experiments.Options{
-		Quick:      req.Options.Quick,
-		Seed:       req.Options.Seed,
-		Platforms:  req.Options.Platforms,
-		Specs:      req.Specs,
-		SimWorkers: req.Options.SimWorkers,
-		Fault:      req.Options.Fault,
-	}
-	// Validate inline specs up front so a bad machine is a 400 naming
-	// the spec, not a per-experiment failure buried in results.
-	if _, err := opts.Resolver(); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_spec", "%v", err)
+		s.writeError(w, http.StatusBadRequest, code, "%v", err)
 		return
 	}
 	es, err := s.match(req.Experiments...)
