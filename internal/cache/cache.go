@@ -8,6 +8,8 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"montblanc/internal/mem"
 	"montblanc/internal/units"
@@ -34,6 +36,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache %s: line size %d not a positive power of two", c.Name, c.LineSize)
 	case c.Associativity <= 0:
 		return fmt.Errorf("cache %s: associativity %d", c.Name, c.Associativity)
+	case c.Associativity > maxWays:
+		return fmt.Errorf("cache %s: associativity %d exceeds %d ways, the most a %d-bit recency rank can order",
+			c.Name, c.Associativity, maxWays, 16-rankShift)
 	case (c.Size/c.LineSize)%c.Associativity != 0:
 		return fmt.Errorf("cache %s: %d lines not divisible by %d ways",
 			c.Name, c.Size/c.LineSize, c.Associativity)
@@ -59,25 +64,30 @@ func (s Stats) MissRatio() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// level is the next-lower member of the hierarchy.
-type level interface {
-	access(lineAddr uint64, write bool) int
-}
-
 // Memory is the DRAM backstop of a hierarchy.
 type Memory struct {
 	Latency int // cycles per line fill
 	stats   Stats
 }
 
-func (m *Memory) access(_ uint64, _ bool) int {
-	m.stats.Accesses++
-	m.stats.Misses++ // every DRAM access is a "miss" at this level
-	return m.Latency
-}
-
 // Stats returns the DRAM access counts.
 func (m *Memory) Stats() Stats { return m.stats }
+
+// Each line carries one state word: its recency rank within its set
+// above its valid and dirty bits. Rank 0 is the least recently used way
+// and Associativity-1 the most recent; ways never touched share rank 0.
+// The word is exactly the flags word AppendState emits.
+const (
+	dirtyBit  = 1 << 0
+	validBit  = 1 << 1
+	rankShift = 2
+	rankOne   = 1 << rankShift // one rank step
+	flagMask  = rankOne - 1
+
+	// maxWays is the largest associativity whose ranks fit a 16-bit
+	// state word.
+	maxWays = 1 << (16 - rankShift)
+)
 
 // Cache is one simulated level.
 type Cache struct {
@@ -86,31 +96,18 @@ type Cache struct {
 	setMask   uint64
 	setBits   uint
 	tags      []uint64
-	valid     []bool
-	dirty     []bool
-	used      []uint64
-	clock     uint64
+	state     []uint16 // per line: rank<<rankShift | validBit | dirtyBit
 	stats     Stats
-	next      level
 }
 
-// New creates a cache level above next (another *Cache or *Memory).
-func New(cfg Config, next level) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if next == nil {
-		return nil, fmt.Errorf("cache %s: nil next level", cfg.Name)
-	}
+// newCache allocates a validated level.
+func newCache(cfg Config) *Cache {
 	nLines := cfg.Size / cfg.LineSize
 	nSets := nLines / cfg.Associativity
 	c := &Cache{
 		cfg:   cfg,
 		tags:  make([]uint64, nLines),
-		valid: make([]bool, nLines),
-		dirty: make([]bool, nLines),
-		used:  make([]uint64, nLines),
-		next:  next,
+		state: make([]uint16, nLines),
 	}
 	for 1<<c.lineShift < cfg.LineSize {
 		c.lineShift++
@@ -119,7 +116,7 @@ func New(cfg Config, next level) (*Cache, error) {
 		c.setBits++
 	}
 	c.setMask = uint64(nSets - 1)
-	return c, nil
+	return c
 }
 
 // Config returns the level configuration.
@@ -128,76 +125,101 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns the level's event counts.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// access looks up the line containing pa, filling from below on a miss.
-// It returns the total latency in cycles including lower levels.
-func (c *Cache) access(pa uint64, write bool) int {
-	lat, _ := c.accessIdx(pa, write)
-	return lat
-}
-
-// accessIdx is access returning also the line-array index now holding
-// the touched line, so the batched path can bulk-account follow-up hits
-// on the same line without re-scanning the set.
-func (c *Cache) accessIdx(pa uint64, write bool) (latency, line int) {
+// access looks up the line holding pa and makes it its set's most
+// recently used line, filling it on a miss. The victim is the last
+// invalid way if the set has one, else the least recently used way. It
+// returns the index of the line now holding pa and whether it hit.
+func (c *Cache) access(pa uint64, write bool) (line int, hit bool) {
 	c.stats.Accesses++
-	c.clock++
-	set := (pa >> c.lineShift) & c.setMask
+	assoc := c.cfg.Associativity
+	base := int((pa>>c.lineShift)&c.setMask) * assoc
 	tag := pa >> (c.lineShift + c.setBits)
-	base := int(set) * c.cfg.Associativity
-	victim, victimUsed := base, ^uint64(0)
-	for w := 0; w < c.cfg.Associativity; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
+	tags := c.tags[base : base+assoc]
+	state := c.state[base : base+assoc]
+	for w, t := range tags {
+		if t == tag && state[w]&validBit != 0 {
 			c.stats.Hits++
-			c.used[i] = c.clock
 			if write {
-				c.dirty[i] = true
+				state[w] |= dirtyBit
 			}
-			return c.cfg.HitLatency, i
-		}
-		if !c.valid[i] {
-			victim, victimUsed = i, 0
-		} else if c.used[i] < victimUsed {
-			victim, victimUsed = i, c.used[i]
+			promote(state, w)
+			return base + w, true
 		}
 	}
 	c.stats.Misses++
-	cost := c.cfg.HitLatency + c.next.access(pa, false)
-	if c.valid[victim] && c.dirty[victim] {
-		// Write-back of the evicted dirty line. The latency is absorbed
-		// by write buffers; we only count the event.
-		c.stats.Writebacks++
+	fill := uint16(validBit)
+	if write {
+		fill |= dirtyBit
 	}
-	c.tags[victim] = tag
-	c.valid[victim] = true
-	c.dirty[victim] = write
-	c.used[victim] = c.clock
-	return cost, victim
+	// Move every way down one rank, as evicting the rank-0 way of a full
+	// set requires, noting that way and the last invalid one.
+	lru, invalid := 0, -1
+	for w, s := range state {
+		if s&validBit == 0 {
+			invalid = w
+		} else if s < rankOne {
+			lru = w
+		}
+		state[w] = s - rankOne
+	}
+	if invalid < 0 {
+		if state[lru]&dirtyBit != 0 {
+			// Write-back of the evicted dirty line. The latency is
+			// absorbed by write buffers; we only count the event.
+			c.stats.Writebacks++
+		}
+		tags[lru] = tag
+		state[lru] = uint16(assoc-1)<<rankShift | fill
+		return base + lru, false
+	}
+	// The set is not full: undo the move and fill the last invalid way.
+	for w := range state {
+		state[w] += rankOne
+	}
+	tags[invalid] = tag
+	state[invalid] |= fill // invalid lines are never dirty
+	promote(state, invalid)
+	return base + invalid, false
+}
+
+// promote makes way w the most recently used of its set: every way more
+// recent than w moves down one rank and w takes the top rank.
+func promote(state []uint16, w int) {
+	s := state[w]
+	top := uint16(len(state)-1) << rankShift
+	if s >= top {
+		return
+	}
+	newer := s | flagMask // state words above this are more recent than w
+	for v, o := range state {
+		if o > newer {
+			state[v] = o - rankOne
+		}
+	}
+	state[w] = s&flagMask | top
 }
 
 // hitRun bulk-accounts n guaranteed hits on the resident line at index
 // idx. It is exactly equivalent to n consecutive access calls on
 // addresses within that line immediately after the call that touched
-// it: each would hit (the line is most recently used and nothing
-// intervenes), bump the clock, and refresh the LRU stamp.
+// it: each would hit the set's most recently used line, so only the
+// counters and (for stores) the dirty bit move.
 func (c *Cache) hitRun(idx, n int, write bool) {
 	c.stats.Accesses += uint64(n)
 	c.stats.Hits += uint64(n)
-	c.clock += uint64(n)
-	c.used[idx] = c.clock
 	if write {
-		c.dirty[idx] = true
+		c.state[idx] |= dirtyBit
 	}
 }
 
 // Flush invalidates all lines, counting dirty evictions as writebacks.
+// Ranks are kept: a flush does not reorder recency.
 func (c *Cache) Flush() {
-	for i := range c.valid {
-		if c.valid[i] && c.dirty[i] {
+	for i, s := range c.state {
+		if s&dirtyBit != 0 { // only valid lines are ever dirty
 			c.stats.Writebacks++
 		}
-		c.valid[i] = false
-		c.dirty[i] = false
+		c.state[i] = s &^ flagMask
 	}
 }
 
@@ -226,33 +248,48 @@ func NewHierarchy(cfgs []Config, memLatency int, tlb *mem.TLB) (*Hierarchy, erro
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("cache: hierarchy needs at least one level")
 	}
-	h := &Hierarchy{mem: &Memory{Latency: memLatency}, tlb: tlb}
-	var below level = h.mem
 	levels := make([]*Cache, len(cfgs))
-	for i := len(cfgs) - 1; i >= 0; i-- {
-		c, err := New(cfgs[i], below)
-		if err != nil {
+	for i, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		levels[i] = c
-		below = c
+		levels[i] = newCache(cfg)
 	}
-	h.levels = levels
-	return h, nil
+	return &Hierarchy{tlb: tlb, levels: levels, mem: &Memory{Latency: memLatency}}, nil
 }
 
 // Access performs a load (write=false) or store (write=true) at virtual
 // address va and returns the total latency in cycles, including any TLB
 // miss penalty.
 func (h *Hierarchy) Access(va uint64, write bool) int {
-	pa := va
-	cost := 0
+	pa, cost := va, 0
 	if h.tlb != nil {
-		var tcyc int
-		pa, tcyc = h.tlb.Translate(va)
-		cost += tcyc
+		pa, cost = h.tlb.Translate(va)
 	}
-	return cost + h.levels[0].access(pa, write)
+	l1 := h.levels[0]
+	cost += l1.cfg.HitLatency
+	if _, hit := l1.access(pa, write); !hit {
+		cost += h.miss(pa)
+	}
+	return cost
+}
+
+// miss walks the miss chain below the L1 for physical address pa: each
+// level looks the line up (filling it on a miss), and the walk stops at
+// the first hit or, when every level misses, at DRAM. Lower levels are
+// filled by reads; only the L1 sees stores. It returns the latency
+// beyond the L1 hit cost.
+func (h *Hierarchy) miss(pa uint64) int {
+	lat := 0
+	for _, c := range h.levels[1:] {
+		lat += c.cfg.HitLatency
+		if _, hit := c.access(pa, false); hit {
+			return lat
+		}
+	}
+	h.mem.stats.Accesses++
+	h.mem.stats.Misses++ // every DRAM access is a "miss" at this level
+	return lat + h.mem.Latency
 }
 
 // RunResult aggregates the outcome of a batched access run.
@@ -314,6 +351,12 @@ func (h *Hierarchy) AccessRun(va uint64, strideBytes, count int, write bool) Run
 	l1Hit := uint64(l1.cfg.HitLatency)
 	lineSize := uint64(l1.cfg.LineSize)
 	stride := uint64(strideBytes)
+	// Counting the accesses left in a line divides by the stride; shift
+	// instead when the stride is a power of two.
+	shift := -1
+	if stride > 0 && stride&(stride-1) == 0 {
+		shift = bits.TrailingZeros64(stride)
+	}
 	for j := 0; j < count; {
 		vaj := va + uint64(j)*stride
 		// Page segment: the accesses from j onward that share vaj's page.
@@ -343,14 +386,24 @@ func (h *Hierarchy) AccessRun(va uint64, strideBytes, count int, write bool) Run
 			if stride == 0 {
 				// All remaining accesses touch this very address.
 			} else if stride < lineSize {
-				left := lineSize - paCur%lineSize // bytes to line end
-				if n := int((left-1)/stride) + 1; n < k {
+				left := lineSize - paCur&(lineSize-1) // bytes to line end
+				var n int
+				if shift >= 0 {
+					n = int((left-1)>>shift) + 1
+				} else {
+					n = int((left-1)/stride) + 1
+				}
+				if n < k {
 					k = n
 				}
 			} else {
 				k = 1
 			}
-			lat, line := l1.accessIdx(paCur, write)
+			lat := l1.cfg.HitLatency
+			line, hit := l1.access(paCur, write)
+			if !hit {
+				lat += h.miss(paCur)
+			}
 			if done == 0 {
 				lat += tcyc
 			}
@@ -478,9 +531,8 @@ func subStats(a, b Stats) Stats {
 // verified periodic-pass replay (see CACHE.md): once a pass is proven
 // to leave the hierarchy's canonical state (AppendState) at a fixed
 // point, further identical passes move only the counters, by exactly d
-// each — replaying them is legal and exact. Replacement clocks are not
-// advanced: they are strictly increasing and only their relative order
-// is observable, so subsequent accesses behave identically either way.
+// each — replaying them is legal and exact. Replacement state is not
+// touched: a replayed pass leaves it where the verified pass did.
 func (h *Hierarchy) AddStats(d *HierarchyStats, times uint64) {
 	for i, l := range h.levels {
 		if i >= len(d.Levels) {
@@ -505,15 +557,21 @@ func (h *Hierarchy) AddStats(d *HierarchyStats, times uint64) {
 // replacement state (every cache level, then the TLB) to dst and
 // returns the extended slice. Two hierarchies with equal encodings —
 // and equal configuration and backing mapper state — behave
-// identically for any subsequent access sequence: the encoding captures
-// line contents, validity, dirtiness and relative LRU ranks, which is
-// all the replacement machinery's decisions depend on. Absolute clock
-// values are excluded, so a periodic pass over a fixed working set
-// reaches a detectable fixed point. Counters are excluded too: state
-// equality is about future behaviour, not history.
+// identically for any subsequent access sequence: per line, in way
+// order, the encoding is the tag and the stored state word (recency
+// rank within the set, validity, dirtiness), which is all the
+// replacement machinery's decisions depend on. Way order is part of the
+// encoding — conservative, since victim selection scans ways in order.
+// Ranks are relative, so a periodic pass over a fixed working set
+// reaches a detectable fixed point. Counters are excluded: state
+// equality is about future behaviour, not history. The cost is one
+// linear copy of StateWords words.
 func (h *Hierarchy) AppendState(dst []uint64) []uint64 {
+	dst = slices.Grow(dst, h.StateWords())
 	for _, l := range h.levels {
-		dst = l.appendState(dst)
+		for i, tag := range l.tags {
+			dst = append(dst, tag, uint64(l.state[i]))
+		}
 	}
 	if h.tlb != nil {
 		dst = h.tlb.AppendState(dst)
@@ -533,33 +591,4 @@ func (h *Hierarchy) StateWords() int {
 		n += h.tlb.StateWords()
 	}
 	return n
-}
-
-// appendState encodes one level: per line (in way order) the tag and a
-// packed word of the line's LRU rank within its set, validity and
-// dirtiness. Way order is part of the encoding — conservative, since
-// victim selection scans ways in order — so equal encodings guarantee
-// identical future behaviour.
-func (c *Cache) appendState(dst []uint64) []uint64 {
-	assoc := c.cfg.Associativity
-	for base := 0; base < len(c.tags); base += assoc {
-		for w := 0; w < assoc; w++ {
-			i := base + w
-			rank := uint64(0)
-			for v := 0; v < assoc; v++ {
-				if c.used[base+v] < c.used[i] {
-					rank++
-				}
-			}
-			flags := rank << 2
-			if c.valid[i] {
-				flags |= 2
-			}
-			if c.dirty[i] {
-				flags |= 1
-			}
-			dst = append(dst, c.tags[i], flags)
-		}
-	}
-	return dst
 }

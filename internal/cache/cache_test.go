@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -36,6 +37,16 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %q accepted", c.Name)
 		}
+	}
+	// The widest set a stored recency rank can order, and one way more.
+	widest := Config{Name: "widest", Size: maxWays * 64, LineSize: 64, Associativity: maxWays}
+	if err := widest.Validate(); err != nil {
+		t.Errorf("%d ways rejected: %v", maxWays, err)
+	}
+	tooWide := Config{Name: "too-wide", Size: 2 * maxWays * 64, LineSize: 64, Associativity: maxWays + 1}
+	if err := tooWide.Validate(); err == nil || !strings.Contains(err.Error(), "too-wide") ||
+		!strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("%d ways: got %v, want a rank-width error naming the level", maxWays+1, err)
 	}
 }
 
@@ -200,9 +211,6 @@ func TestHierarchyErrors(t *testing.T) {
 	}
 	if _, err := NewHierarchy([]Config{{Name: "bad", Size: 3}}, 100, nil); err == nil {
 		t.Error("invalid level accepted")
-	}
-	if _, err := New(tinyL1(), nil); err == nil {
-		t.Error("nil next level accepted")
 	}
 }
 

@@ -39,9 +39,12 @@ func scaleMembenchSizes(quick bool) []int {
 // page-skipping access patterns (in 64-bit elements).
 var scaleMembenchStrides = []int{1, 8, 64}
 
+// scaleMembenchPlatforms are the Arm generations the sweep compares.
+var scaleMembenchPlatforms = []string{"Snowball", "ThunderX2"}
+
 func runScaleMembench(w io.Writer, o Options) error {
 	sizes := scaleMembenchSizes(o.Quick)
-	for _, name := range []string{"Snowball", "ThunderX2"} {
+	for _, name := range scaleMembenchPlatforms {
 		p := platform.MustLookup(name)
 		// A contiguous mapping through the real TLB model: the batched
 		// path still pays translation once per page and the miss

@@ -13,7 +13,7 @@ import (
 // measured pass on a warm Runner allocates (amortized) nothing — the
 // batched engine works in reused buffers and fixed-point snapshots live
 // in Runner-owned scratch. This guard pins the *executed-pass* path: the
-// array is kept below the memoization gate (count < StateWords), so all
+// array is kept below the memoization gate (Runner.memoizes), so all
 // WarmPasses+MeasurePasses passes really run through AccessRun and a
 // single allocation reintroduced per executed pass trips the <= 1
 // bound. Only the per-Run constant overhead (the papi.Counters
@@ -27,19 +27,22 @@ func TestMembenchSteadyPassAllocsPerOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		ArrayBytes:    64 * units.KiB,
+		ArrayBytes:    16 * units.KiB,
 		Width:         cpu.W64,
 		WarmPasses:    2,
 		MeasurePasses: 64,
 	}
 	const passes = 2 + 64
-	if count := cfg.ArrayBytes / cfg.Width.Bytes(); count >= r.Hierarchy().StateWords() {
-		t.Fatalf("config reaches the memoization gate (count %d >= %d state words); "+
-			"the guard would divide by passes that never execute", count, r.Hierarchy().StateWords())
+	if r.memoizes(cfg) {
+		t.Fatal("config reaches the memoization gate; the guard would divide by passes that never execute")
 	}
 	// Prime the Runner-owned scratch.
-	if _, err := r.Run(cfg); err != nil {
+	res, err := r.Run(cfg)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.SimulatedPasses != passes {
+		t.Fatalf("simulated %d passes, want all %d", res.SimulatedPasses, passes)
 	}
 	allocsPerRun := testing.AllocsPerRun(3, func() {
 		if _, err := r.Run(cfg); err != nil {
@@ -75,9 +78,8 @@ func TestMembenchMemoizedRunAllocsConstant(t *testing.T) {
 		WarmPasses:    2,
 		MeasurePasses: 64,
 	}
-	if count := cfg.ArrayBytes / cfg.Width.Bytes(); count < r.Hierarchy().StateWords() {
-		t.Fatalf("config misses the memoization gate (count %d < %d state words)",
-			count, r.Hierarchy().StateWords())
+	if !r.memoizes(cfg) {
+		t.Fatal("config misses the memoization gate")
 	}
 	if _, err := r.Run(cfg); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,12 @@
 // (cache capacity), the stride spatial locality (line utilization), and
 // the element width / unroll degree the instruction-level effects of
 // Figure 6.
+//
+// A measurement is a run of identical passes over the array, simulated
+// on the batched cache engine. Once a pass maps the hierarchy's
+// replacement state onto itself, every later pass would repeat it, so
+// Runner.Run replays its counters instead of simulating the rest; see
+// internal/cache/CACHE.md.
 package membench
 
 import (
@@ -66,23 +72,30 @@ type Result struct {
 	Seconds   float64
 	Bandwidth float64 // effective bytes/s = accesses * elemBytes / time
 	Counters  papi.Counters
+
+	// SimulatedPasses counts the passes the engine executed and
+	// ReplayedPasses those a fixed-point pass stood in for; they sum to
+	// WarmPasses+MeasurePasses. RunScalar replays none.
+	SimulatedPasses, ReplayedPasses int
 }
 
 // Runner performs measurements against one platform with one page
 // mapping, modelling a single process whose malloc/free keeps returning
 // the same physical pages (§V.A.1). Measurements run on the batched
 // cache engine (cache.Hierarchy.AccessRun) with periodic-pass
-// memoization; RunScalar retains the element-at-a-time reference path,
-// and the two are pinned exactly equivalent by the property suite in
-// equivalence_test.go. See internal/cache/CACHE.md.
+// memoization: every simulated pass, warm or measured, is a fixed-point
+// candidate whose counter delta and aggregates stand in for every
+// measured pass still to run. RunScalar retains the element-at-a-time
+// reference path, and the two are pinned exactly equivalent by the
+// property suite in equivalence_test.go. See internal/cache/CACHE.md.
 type Runner struct {
 	plat *platform.Platform
 	hier *cache.Hierarchy
 
 	// Memoization scratch, reused across passes and Runs so the steady
 	// state allocates nothing: two canonical-state snapshots for
-	// fixed-point detection and three counter snapshots for delta
-	// capture and replay.
+	// fixed-point detection, sized to StateWords on first use, and
+	// three counter snapshots for delta capture and replay.
 	statePrev, stateCur             []uint64
 	statsPre, statsPost, statsDelta cache.HierarchyStats
 }
@@ -103,10 +116,11 @@ func (r *Runner) Hierarchy() *cache.Hierarchy { return r.hier }
 
 // Run measures one configuration and returns the result. It drives the
 // batched engine: translation once per page, set machinery once per
-// line, and — once a measured pass is detected to leave the hierarchy's
-// canonical state at a fixed point — the remaining passes replayed as
-// counter deltas instead of being re-simulated. Results are exactly
-// those of RunScalar.
+// line, and — once a pass, warm or measured, is detected to leave the
+// hierarchy's canonical state at a fixed point — the warm passes left
+// skipped and the measured passes left replayed as counter deltas
+// instead of being re-simulated. Results are exactly those of
+// RunScalar; Result.SimulatedPasses says how many passes ran.
 func (r *Runner) Run(cfg Config) (Result, error) { return r.run(cfg, false) }
 
 // RunScalar is the reference implementation: one Hierarchy.Access per
@@ -118,6 +132,23 @@ func (r *Runner) RunScalar(cfg Config) (Result, error) { return r.run(cfg, true)
 
 // statesEqual compares two canonical-state encodings.
 func statesEqual(a, b []uint64) bool { return slices.Equal(a, b) }
+
+// memoGateFactor weighs simulated L1 lines against state words: Run
+// takes fixed-point snapshots only when a pass touches at least
+// StateWords/memoGateFactor L1 lines. A snapshot (copy plus compare)
+// costs about 2 ns per word and a pass that large 45-170 ns per line,
+// so at the gate one snapshot costs at most about 1.4 passes.
+// internal/cache/CACHE.md records the factor sweep behind the choice.
+const memoGateFactor = 32
+
+// memoizes reports whether Run takes fixed-point snapshots for cfg.
+func (r *Runner) memoizes(cfg Config) bool {
+	cfg = cfg.withDefaults()
+	strideBytes := cfg.StrideElems * cfg.Width.Bytes()
+	count := (cfg.ArrayBytes/cfg.Width.Bytes() + cfg.StrideElems - 1) / cfg.StrideElems
+	lines := min(count, (count-1)*strideBytes/r.plat.L1().LineSize+1)
+	return lines*memoGateFactor >= r.hier.StateWords()
+}
 
 func (r *Runner) run(cfg Config, scalar bool) (Result, error) {
 	cfg = cfg.withDefaults()
@@ -155,76 +186,70 @@ func (r *Runner) run(cfg Config, scalar bool) (Result, error) {
 		return float64(rr.Accesses)*issuePerAccess + r.plat.CPU.StallCyclesTotal(rr.Extra)
 	}
 
-	// Fixed-point detection costs two canonical snapshots per pass;
-	// only pay it when a pass dwarfs the snapshot.
-	memo := !scalar && count >= r.hier.StateWords()
-
-	// Warm passes evolve state only (counters are reset below), so once
-	// a warm pass maps the canonical state onto itself the remaining
-	// warm passes are no-ops and may be skipped.
-	if memo && cfg.WarmPasses > 1 {
+	memo := !scalar && r.memoizes(cfg)
+	if memo {
+		if words := r.hier.StateWords(); cap(r.stateCur) < words {
+			r.statePrev = make([]uint64, 0, words)
+			r.stateCur = make([]uint64, 0, words)
+		}
 		r.stateCur = r.hier.AppendState(r.stateCur[:0])
-		for w := 0; w < cfg.WarmPasses; w++ {
-			pass()
-			r.statePrev, r.stateCur = r.stateCur, r.statePrev
-			r.stateCur = r.hier.AppendState(r.stateCur[:0])
-			if statesEqual(r.statePrev, r.stateCur) {
-				break
-			}
-		}
-	} else {
-		for w := 0; w < cfg.WarmPasses; w++ {
-			pass()
-		}
-		if memo {
-			r.stateCur = r.hier.AppendState(r.stateCur[:0])
-		}
 	}
-	r.hier.ResetStats()
-
+	passes := cfg.WarmPasses + cfg.MeasurePasses
 	var totalCycles float64
 	var totalAccesses uint64
-	var memoAgg cache.RunResult
-	var memoCycles float64
-	haveMemo := false
-	for p := 0; p < cfg.MeasurePasses; p++ {
-		if haveMemo {
-			// Every remaining pass starts from the verified fixed point
-			// and is therefore identical: advance the counters by the
-			// captured delta and replay the identical cycle/access
-			// contributions in pass order.
-			remaining := cfg.MeasurePasses - p
-			r.hier.AddStats(&r.statsDelta, uint64(remaining))
-			for i := 0; i < remaining; i++ {
-				totalCycles += memoCycles
-				totalAccesses += memoAgg.Accesses
-			}
-			break
+	simulated := 0
+	for p := 0; p < passes; p++ {
+		measured := p >= cfg.WarmPasses
+		if p == cfg.WarmPasses {
+			r.hier.ResetStats()
 		}
-		if memo && p < cfg.MeasurePasses-1 {
+		// Every pass but the last is a fixed-point candidate.
+		candidate := memo && p < passes-1
+		if candidate {
 			r.hier.ReadStats(&r.statsPre)
-			rr := pass()
-			cyc := passCycles(rr)
-			totalCycles += cyc
-			totalAccesses += rr.Accesses
-			r.hier.ReadStats(&r.statsPost)
-			r.statePrev, r.stateCur = r.stateCur, r.statePrev
-			r.stateCur = r.hier.AppendState(r.stateCur[:0])
-			if statesEqual(r.statePrev, r.stateCur) {
-				r.statsDelta.Delta(&r.statsPost, &r.statsPre)
-				memoAgg, memoCycles, haveMemo = rr, cyc, true
-			}
-			continue
 		}
 		rr := pass()
-		totalCycles += passCycles(rr)
-		totalAccesses += rr.Accesses
+		simulated++
+		cyc := passCycles(rr)
+		if measured {
+			totalCycles += cyc
+			totalAccesses += rr.Accesses
+		}
+		if !candidate {
+			continue
+		}
+		r.statePrev, r.stateCur = r.stateCur, r.statePrev
+		r.stateCur = r.hier.AppendState(r.stateCur[:0])
+		if !statesEqual(r.statePrev, r.stateCur) {
+			continue
+		}
+		// Pass p mapped the canonical state onto itself, so every later
+		// pass starts from the state p started from and repeats it
+		// exactly. Warm passes left only move state and are skipped;
+		// each measured pass left replays p's counter delta and adds
+		// p's cycles and accesses, in pass order.
+		r.hier.ReadStats(&r.statsPost)
+		r.statsDelta.Delta(&r.statsPost, &r.statsPre)
+		replay := cfg.MeasurePasses
+		if measured {
+			replay = passes - 1 - p
+		} else {
+			r.hier.ResetStats()
+		}
+		r.hier.AddStats(&r.statsDelta, uint64(replay))
+		for i := 0; i < replay; i++ {
+			totalCycles += cyc
+			totalAccesses += rr.Accesses
+		}
+		break
 	}
 
 	res := Result{
-		Config:   cfg,
-		Cycles:   totalCycles,
-		Accesses: totalAccesses,
+		Config:          cfg,
+		Cycles:          totalCycles,
+		Accesses:        totalAccesses,
+		SimulatedPasses: simulated,
+		ReplayedPasses:  passes - simulated,
 	}
 	res.Seconds = totalCycles * r.plat.CPU.SecondsPerCycle()
 	if res.Seconds > 0 {
