@@ -490,10 +490,9 @@ func simRingIters(p *simmpi.Proc, iters, bytes int) error {
 	return nil
 }
 
-// simRankScalingCase runs one (ranks, workers) point of the rank-scaling
-// benchmark and reports committed-events/s from the scheduler's own
-// counter.
-func simRankScalingCase(b *testing.B, ranks, per, iters, workers int) {
+// simRankScalingCase runs one rank count of the rank-scaling benchmark
+// and reports committed-events/s from the scheduler's own counter.
+func simRankScalingCase(b *testing.B, ranks, per, iters int) {
 	nodes := (ranks + per - 1) / per
 	var net *network.Network
 	if nodes <= 32 {
@@ -504,7 +503,7 @@ func simRankScalingCase(b *testing.B, ranks, per, iters, workers int) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		net.Reset()
-		rep, err := simmpi.Run(simmpi.Config{Ranks: ranks, Net: net, RanksPerNode: per, Workers: workers},
+		rep, err := simmpi.Run(simmpi.Config{Ranks: ranks, Net: net, RanksPerNode: per},
 			func(p *simmpi.Proc) error {
 				return simRingIters(p, iters, 2048)
 			})
@@ -521,40 +520,14 @@ func simRankScalingCase(b *testing.B, ranks, per, iters, workers int) {
 // arXiv:2007.04868 evaluate at hundreds-to-thousands of cores). The
 // committed-events/s metric should be roughly flat across rank counts
 // for an O(log R) scheduler and collapse for an O(R) one. The sub-
-// benchmark names are stable (benchstat history); the sequential path
-// (Workers 0) keeps them.
+// benchmark names are stable (benchstat history).
 func BenchmarkSimMPIRankScaling(b *testing.B) {
 	const per = 2
 	const iters = 20
 	for _, ranks := range []int{32, 128, 512} {
 		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
-			simRankScalingCase(b, ranks, per, iters, 0)
+			simRankScalingCase(b, ranks, per, iters)
 		})
-	}
-}
-
-// BenchmarkSimMPIRankScalingParallel extends the curve to the O(10k)
-// regime and compares the conservative-parallel scheduler against the
-// sequential reference at each size: events/s at workers=4 over
-// workers=1 is the speedup the sharded event heaps buy (compare with
-// benchstat, or divide the reported metrics directly). On a single-core
-// host the parallel points measure scheduling overhead instead —
-// speedup needs GOMAXPROCS >= workers.
-func BenchmarkSimMPIRankScalingParallel(b *testing.B) {
-	const per = 2
-	cases := []struct {
-		ranks, iters int
-	}{
-		{512, 20},
-		{4096, 5},
-		{10240, 2},
-	}
-	for _, c := range cases {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("ranks=%d/workers=%d", c.ranks, workers), func(b *testing.B) {
-				simRankScalingCase(b, c.ranks, per, c.iters, workers)
-			})
-		}
 	}
 }
 

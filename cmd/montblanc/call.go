@@ -41,8 +41,8 @@ emits. Retries transport errors and 5xx responses with capped
 exponential backoff + full jitter, honoring Retry-After on 503; the
 server's content-addressed cache makes retries idempotent.
 
-The experiment-option flags (-quick, -seed, -platform, -sim-workers,
--fault-* and -checkpoint-interval) are montblanc's own and go into the
+The experiment-option flags (-quick, -seed, -platform, -fault-* and
+-checkpoint-interval) are montblanc's own and go into the
 request's options. The server checks them: -platform may name machines
 only the server knows.
 

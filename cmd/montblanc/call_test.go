@@ -67,6 +67,10 @@ func TestCallUsageErrors(t *testing.T) {
 	if code, _, _ := runCLI(t, "call", "-definitely-not-a-flag"); code != 2 {
 		t.Error("unknown call flag accepted")
 	}
+	if code, _, errOut := runCLI(t, "call", "-url", "http://127.0.0.1:1", "-sim-workers", "4", "fig2"); code != 2 ||
+		!strings.Contains(errOut, "sim-workers") {
+		t.Errorf("call -sim-workers 4: exit %d stderr %q, want 2 naming the flag", code, errOut)
+	}
 	code, _, errOut := runCLI(t, "call", "-h")
 	if code != 0 || !strings.Contains(errOut, "usage: montblanc call") {
 		t.Errorf("call -h: exit %d stderr %q", code, errOut)
@@ -74,7 +78,7 @@ func TestCallUsageErrors(t *testing.T) {
 	// Experiment options before the verb would be dropped unsent (call)
 	// or unused (serve): both are usage errors naming the flags.
 	for _, args := range [][]string{
-		{"-quick", "-fault-mtbf", "40", "-sim-workers", "4", "call", "-url", "http://127.0.0.1:1", "-attempts", "1", "resilience-sweep"},
+		{"-quick", "-fault-mtbf", "40", "call", "-url", "http://127.0.0.1:1", "-attempts", "1", "resilience-sweep"},
 		{"-quick", "serve", "-addr", "256.256.256.256:99999"},
 	} {
 		code, _, errOut := runCLI(t, args...)

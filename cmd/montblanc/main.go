@@ -14,7 +14,6 @@
 //	montblanc -quick all         # smaller instances, seconds instead of minutes
 //	montblanc -seed 7 fig5       # override the deterministic seed
 //	montblanc -parallel 4 all    # worker-pool execution, same bytes out
-//	montblanc -sim-workers 4 all # sharded DES scheduler, same bytes out
 //	montblanc -json 'fig*'       # structured results for downstream tooling
 //	montblanc -time all          # per-experiment timing summary on stderr
 //
@@ -225,18 +224,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		oe := &experiments.OptionError{}
 		errors.As(err, &oe)
-		switch oe.Option {
-		case "sim_workers":
-			fmt.Fprintf(stderr, "montblanc: -sim-workers must be >= 0, got %d\n", parsed.SimWorkers)
-		case "platforms":
+		if oe.Option == "platforms" {
 			fmt.Fprintf(stderr, "montblanc: %v (try 'montblanc platforms')\n", err)
-		default:
+		} else {
 			fmt.Fprintln(stderr, "montblanc:", err)
 		}
 		return 2
-	}
-	if opts.SimWorkers != parsed.SimWorkers {
-		fmt.Fprintf(stderr, "montblanc: -sim-workers %d clamped to %d\n", parsed.SimWorkers, opts.SimWorkers)
 	}
 
 	for _, arg := range fs.Args() {
@@ -496,18 +489,18 @@ func writeTimings(w io.Writer, results []runner.Result) error {
 }
 
 // writeEngineStats renders the process-wide DES scheduler aggregate
-// under -time: committed-events throughput, window count, mean
-// lookahead and the cross-shard-send ratio. Runs that never entered the
-// simulator (list/platforms paths are excluded earlier; fig1/2 are
-// analytic) leave the counters at zero, in which case nothing prints.
+// under -time: runs, committed events and their throughput. Runs that
+// never entered the simulator (list/platforms paths are excluded
+// earlier; fig1/2 are analytic) leave the counters at zero, in which
+// case nothing prints.
 func writeEngineStats(w io.Writer) error {
 	st := simmpi.Engine()
 	if st.Runs == 0 {
 		return nil
 	}
 	_, err := fmt.Fprintf(w,
-		"sim engine: %d runs, %d events (%.3g events/s), %d windows, mean lookahead %.3gs, cross-send ratio %.2f\n",
-		st.Runs, st.Events, st.EventsPerSec, st.Windows, st.MeanLookahead, st.CrossRatio)
+		"sim engine: %d runs, %d events (%.3g events/s)\n",
+		st.Runs, st.Events, st.EventsPerSec)
 	if err != nil {
 		return fmt.Errorf("writing sim engine summary: %w", err)
 	}
@@ -537,15 +530,11 @@ machine is charged its constant envelope, the paper's §III.C model.
 -cpuprofile and -memprofile write runtime/pprof profiles of the whole
 run (selection, simulation, rendering) for use with 'go tool pprof'.
 
--sim-workers > 1 runs each cluster simulation on the conservative-
-parallel DES scheduler with that many shards; output stays
-byte-identical to the sequential reference at any value.
-
 The -fault-* flags and -checkpoint-interval inject a deterministic
 fault schedule (node crashes, link degradations; see FAULT.md) into the
 resilience* experiments: -fault-file loads a JSON schedule, the scalar
 flags fill or override its fields. Fault-injected runs too are
-byte-identical at any -sim-workers value.
+byte-identical run to run.
 
 'montblanc serve' runs the experiments as a long-lived HTTP/JSON
 service with a content-addressed result cache (SERVICE.md documents
@@ -555,9 +544,9 @@ matching resilient client: capped exponential backoff with full
 jitter, Retry-After honored on 503, per-attempt timeouts and a total
 retry budget — blind retries are safe because requests are
 content-addressed. call takes the experiment-option flags below
-(-quick, -seed, -platform, -sim-workers, -fault-*,
--checkpoint-interval) after its verb and sends them as the request's
-options; given before 'serve' or 'call' they are a usage error.
+(-quick, -seed, -platform, -fault-*, -checkpoint-interval) after its
+verb and sends them as the request's options; given before 'serve' or
+'call' they are a usage error.
 
 `)
 	fs.PrintDefaults()

@@ -181,6 +181,11 @@ func TestBadFlagExitCode(t *testing.T) {
 	if code != 2 {
 		t.Errorf("exit %d, want 2", code)
 	}
+	// -sim-workers is not a flag: the simulator has one commit loop.
+	code, _, errOut := runCLI(t, "-sim-workers", "4", "fig2")
+	if code != 2 || !strings.Contains(errOut, "sim-workers") {
+		t.Errorf("-sim-workers 4 fig2: exit %d stderr %q, want 2 naming the flag", code, errOut)
+	}
 }
 
 func TestJSONList(t *testing.T) {
@@ -431,9 +436,9 @@ func TestWriteTimingsReportsWriteError(t *testing.T) {
 
 // --- worker-count flag validation -----------------------------------
 
-// -parallel and -sim-workers share one validation policy: negatives are
-// usage errors, zero means "default", absurd values clamp to the
-// documented bound with a note on stderr.
+// -parallel validation: negatives are usage errors, zero means
+// "default", absurd values clamp to the documented bound with a note on
+// stderr.
 func TestWorkerFlagValidation(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -444,9 +449,6 @@ func TestWorkerFlagValidation(t *testing.T) {
 		{"parallel-negative", []string{"-parallel", "-1", "-quick", "fig2"}, 2, "-parallel must be >= 0"},
 		{"parallel-zero-defaults", []string{"-parallel", "0", "-quick", "fig2"}, 0, ""},
 		{"parallel-clamped", []string{"-parallel", "100000", "-quick", "fig2"}, 0, "-parallel 100000 clamped to 256"},
-		{"sim-workers-negative", []string{"-sim-workers", "-3", "-quick", "fig2"}, 2, "-sim-workers must be >= 0"},
-		{"sim-workers-zero-sequential", []string{"-sim-workers", "0", "-quick", "fig2"}, 0, ""},
-		{"sim-workers-clamped", []string{"-sim-workers", "100000", "-quick", "fig2"}, 0, "-sim-workers 100000 clamped to 64"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -461,29 +463,6 @@ func TestWorkerFlagValidation(t *testing.T) {
 	}
 }
 
-// The parallel DES scheduler must not move a byte of any experiment's
-// output: the quick suite at -sim-workers 1, 4 and 8 is compared
-// byte-for-byte against the sequential default.
-func TestSimWorkersOutputIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quick-suite sweep in -short mode")
-	}
-	code, ref, _ := runCLI(t, "-quick", "all")
-	if code != 0 {
-		t.Fatalf("reference run exit %d", code)
-	}
-	for _, n := range []string{"1", "4", "8"} {
-		code, out, _ := runCLI(t, "-quick", "-sim-workers", n, "all")
-		if code != 0 {
-			t.Fatalf("-sim-workers %s exit %d", n, code)
-		}
-		if out != ref {
-			t.Errorf("-sim-workers %s stdout differs from sequential (%d vs %d bytes)",
-				n, len(out), len(ref))
-		}
-	}
-}
-
 // -time also reports the process-wide DES engine aggregate once any
 // simulation ran.
 func TestTimingIncludesEngineStats(t *testing.T) {
@@ -494,7 +473,7 @@ func TestTimingIncludesEngineStats(t *testing.T) {
 	if !strings.Contains(errOut, "sim engine:") {
 		t.Errorf("stderr %q lacks the sim engine summary", errOut)
 	}
-	for _, field := range []string{"events/s", "windows", "mean lookahead", "cross-send ratio"} {
+	for _, field := range []string{"runs", "events", "events/s"} {
 		if !strings.Contains(errOut, field) {
 			t.Errorf("engine summary missing %q in %q", field, errOut)
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // optionFlags are the experiment-option flags: -quick, -seed,
-// -platform, -sim-workers, -fault-* and -checkpoint-interval. montblanc
+// -platform, -fault-* and -checkpoint-interval. montblanc
 // and montblanc call both register them through addOptionFlags, so the
 // two take the same names, usage text and checks.
 type optionFlags struct {
@@ -21,7 +21,6 @@ type optionFlags struct {
 	quick                                  *bool
 	seed, faultSeed                        *uint64
 	platforms, faultFile                   *string
-	simWorkers                             *int
 	mtbf, downtime, horizon, checkpointInt *float64
 }
 
@@ -33,7 +32,6 @@ func addOptionFlags(fs *flag.FlagSet) *optionFlags {
 		quick:         own.Bool("quick", false, "run reduced-size instances"),
 		seed:          own.Uint64("seed", 0, "override the default deterministic seed (0 = default)"),
 		platforms:     own.String("platform", "", "comma-separated registered platforms the sweep* experiments cover (default: all)"),
-		simWorkers:    own.Int("sim-workers", 0, "DES scheduler shards per simulation (<=1 sequential reference, >1 conservative-parallel; output identical either way)"),
 		faultFile:     own.String("fault-file", "", "JSON fault schedule for the resilience* experiments (see FAULT.md)"),
 		mtbf:          own.Float64("fault-mtbf", 0, "per-node mean time between failures in seconds for generated crashes (resilience* experiments)"),
 		downtime:      own.Float64("fault-downtime", 0, "crash-to-restart downtime in seconds (0 = schedule default)"),
@@ -65,7 +63,7 @@ func (f *optionFlags) given() []string {
 // zero is refused here rather than silently falling back to the
 // default grid.
 func (f *optionFlags) options() (experiments.Options, error) {
-	o := experiments.Options{Quick: *f.quick, Seed: *f.seed, SimWorkers: *f.simWorkers}
+	o := experiments.Options{Quick: *f.quick, Seed: *f.seed}
 	for _, name := range strings.Split(*f.platforms, ",") {
 		if name = strings.TrimSpace(name); name != "" {
 			o.Platforms = append(o.Platforms, name)

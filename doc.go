@@ -41,7 +41,9 @@
 // (virtual time, rank) order at O(log ranks) per event with an
 // allocation-free hot path, so the scale-ranks experiment and the
 // BenchmarkSimMPI* family can replay the Mont-Blanc follow-on regimes
-// (hundreds of ranks) in milliseconds. internal/simmpi/SIMMPI.md
+// (hundreds to 10240 ranks) in seconds. It has one commit loop: a
+// conservative-parallel scheduler was measured against it and removed
+// (the decision record is in SIMMPI.md). internal/simmpi/SIMMPI.md
 // documents the scheduler design and its determinism invariants; the
 // golden files under internal/experiments/testdata pin the quick-suite
 // bytes to the seed scheduler's output.

@@ -34,6 +34,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache %s: size %d not a positive power of two", c.Name, c.Size)
 	case c.LineSize <= 0 || c.LineSize&(c.LineSize-1) != 0:
 		return fmt.Errorf("cache %s: line size %d not a positive power of two", c.Name, c.LineSize)
+	case c.Size < c.LineSize:
+		return fmt.Errorf("cache %s: size %d holds no %d-byte line", c.Name, c.Size, c.LineSize)
 	case c.Associativity <= 0:
 		return fmt.Errorf("cache %s: associativity %d", c.Name, c.Associativity)
 	case c.Associativity > maxWays:

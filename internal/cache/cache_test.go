@@ -32,6 +32,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "as", Size: 1024, LineSize: 64, Associativity: 0},
 		{Name: "div", Size: 1024, LineSize: 64, Associativity: 5},
 		{Name: "lat", Size: 1024, LineSize: 64, Associativity: 2, HitLatency: -1},
+		{Name: "sub-line", Size: 32, LineSize: 64, Associativity: 1},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

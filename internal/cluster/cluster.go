@@ -20,12 +20,6 @@ type Cluster struct {
 	Node  *platform.Platform
 	Nodes int
 	Net   *network.Network
-	// SimWorkers selects the simulator's scheduler for every job Run
-	// starts: <= 1 runs the sequential reference, > 1 the
-	// conservative-parallel windowed scheduler with that many shards
-	// (see simmpi.Config.Workers). Either way the results are
-	// byte-identical.
-	SimWorkers int
 }
 
 // Tibidabo builds a Tibidabo slice with the given number of nodes. Up to
@@ -130,7 +124,6 @@ func (c *Cluster) Run(job JobConfig, body func(*simmpi.Proc) error) (*simmpi.Rep
 		CoreFlopsPerSec: job.CoreFlopsPerSec,
 		CollectTrace:    job.CollectTrace,
 		TraceHint:       job.TraceHint,
-		Workers:         c.SimWorkers,
 	}
 	if job.Faults != nil {
 		if err := job.Faults.Apply(c.Net); err != nil {

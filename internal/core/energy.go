@@ -44,9 +44,6 @@ type PhaseProbeConfig struct {
 	// balance is a legitimate request); negative values are treated as
 	// zero.
 	Imbalance float64
-	// SimWorkers selects the simulator scheduler (see
-	// simmpi.Config.Workers); results are byte-identical at any value.
-	SimWorkers int
 }
 
 func (c PhaseProbeConfig) withDefaults() PhaseProbeConfig {
@@ -103,7 +100,6 @@ func RunPhaseProbe(p *platform.Platform, cfg PhaseProbeConfig) (PhaseEnergy, err
 		RanksPerNode:    1,
 		CoreFlopsPerSec: p.SustainedFlops(true, cfg.Efficiency),
 		CollectTrace:    true,
-		Workers:         cfg.SimWorkers,
 	}
 	rep, err := simmpi.Run(sim, func(pr *simmpi.Proc) error {
 		right := (pr.Rank() + 1) % n

@@ -43,9 +43,6 @@ type ResilienceConfig struct {
 	// Efficiency is the fraction of node peak the work sustains, in
 	// (0, 1] (default 0.5).
 	Efficiency float64
-	// SimWorkers selects the simulator scheduler (see
-	// simmpi.Config.Workers); results are byte-identical at any value.
-	SimWorkers int
 	// Faults is the resolved fault schedule; nil runs failure-free. It
 	// must have been resolved against exactly Nodes nodes.
 	Faults *fault.Resolved
@@ -132,7 +129,7 @@ type ResilienceResult struct {
 // restart or a halo exchange merely suspends it — a deliberate
 // simplification that keeps every phase a pure function of the rank's
 // program and the schedule, which is what keeps fault-injected runs
-// byte-identical at any scheduler worker count.
+// byte-identical run to run.
 func RunResilienceProbe(p *platform.Platform, cfg ResilienceConfig) (ResilienceResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -162,7 +159,6 @@ func RunResilienceProbe(p *platform.Platform, cfg ResilienceConfig) (ResilienceR
 		RanksPerNode:    1,
 		CoreFlopsPerSec: rate,
 		CollectTrace:    true,
-		Workers:         cfg.SimWorkers,
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Apply(net); err != nil {

@@ -87,26 +87,28 @@ func TestResilienceProbeCrashStretchesRun(t *testing.T) {
 	}
 }
 
-func TestResilienceProbeDeterministicAcrossWorkers(t *testing.T) {
+// One resolved fault schedule drives every run it is given to: the
+// probe applies it to a fresh fabric each time, so a second run with
+// the same schedule reproduces the first exactly.
+func TestResilienceProbeDeterministic(t *testing.T) {
 	p := platform.MustLookup("Snowball")
 	cfg := quickResilience()
 	spec := &fault.Spec{Seed: 3, MTBFSeconds: 20, HorizonSeconds: 200, DowntimeSeconds: 2}
 	cfg.Faults = resolveFor(t, spec, cfg.Nodes, 0)
-	cfg.SimWorkers = 1
 	base, err := RunResilienceProbe(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for workers := 2; workers <= 8; workers++ {
-		cfg.SimWorkers = workers
-		got, err := RunResilienceProbe(p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Seconds != base.Seconds || !reflect.DeepEqual(got.Breakdown, base.Breakdown) ||
-			got.Crashes != base.Crashes || got.DownSeconds != base.DownSeconds {
-			t.Fatalf("workers=%d: fault-injected probe differs from sequential", workers)
-		}
+	if base.Crashes == 0 {
+		t.Fatal("the schedule never crashed a node")
+	}
+	got, err := RunResilienceProbe(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seconds != base.Seconds || !reflect.DeepEqual(got.Breakdown, base.Breakdown) ||
+		got.Crashes != base.Crashes || got.DownSeconds != base.DownSeconds {
+		t.Fatal("second run of the fault-injected probe differs from the first")
 	}
 }
 

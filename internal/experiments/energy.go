@@ -33,10 +33,10 @@ func phaseProbeConfig(o Options) core.PhaseProbeConfig {
 	if o.Quick {
 		return core.PhaseProbeConfig{
 			Nodes: 4, Iters: 4, FlopsPerIter: 5e8, SweepBytes: 16 << 20,
-			Imbalance: 0.3, SimWorkers: o.SimWorkers,
+			Imbalance: 0.3,
 		}
 	}
-	return core.PhaseProbeConfig{Imbalance: 0.3, SimWorkers: o.SimWorkers}
+	return core.PhaseProbeConfig{Imbalance: 0.3}
 }
 
 func runEnergyPhases(w io.Writer, o Options) error {

@@ -37,17 +37,10 @@ type Options struct {
 	// The service uses this to honor per-request machines while
 	// concurrent requests never fight over the process-wide registry.
 	Specs []platform.Spec `json:"-"`
-	// SimWorkers runs the cluster simulations inside experiments on the
-	// conservative-parallel scheduler with this many shards (<= 1 keeps
-	// the sequential reference). Output is byte-identical at any value,
-	// which is why it is deliberately NOT part of the cache key
-	// (CanonicalJSON): the same canonical request may execute on either
-	// scheduler and replay the same bytes.
-	SimWorkers int `json:"sim_workers,omitempty"`
 	// Fault replaces the resilience experiments' built-in fault grid
 	// with one user-supplied schedule (see internal/fault.Spec); nil
-	// keeps the defaults. Unlike SimWorkers it changes experiment
-	// output, so it IS part of the cache key (CanonicalJSON).
+	// keeps the defaults. It changes experiment output, so it is part
+	// of the cache key (CanonicalJSON).
 	Fault *fault.Spec `json:"fault,omitempty"`
 }
 

@@ -53,44 +53,6 @@ func TestQuickSuiteGolden(t *testing.T) {
 	compareGolden(t, filepath.Join("testdata", "quick_all.golden"), buf.Bytes())
 }
 
-// The conservative-parallel DES scheduler must reproduce every pinned
-// figure byte-for-byte: the same goldens, never regenerated, are
-// asserted again with the simulations sharded across 4 workers. Only
-// the simmpi-backed figures are re-run — fig5/fig6 are cache-simulator
-// outputs the scheduler cannot touch.
-func TestFigureQuickOutputGoldenParallelScheduler(t *testing.T) {
-	for _, id := range []string{"fig3a", "fig3b", "fig3c", "fig4"} {
-		t.Run(id, func(t *testing.T) {
-			e, ok := Find(id)
-			if !ok {
-				t.Fatalf("experiment %s not registered", id)
-			}
-			var buf bytes.Buffer
-			if err := e.Run(&buf, Options{Quick: true, SimWorkers: 4}); err != nil {
-				t.Fatal(err)
-			}
-			compareGolden(t, filepath.Join("testdata", id+"_quick.golden"), buf.Bytes())
-		})
-	}
-}
-
-// The whole quick suite under the parallel scheduler pins the same
-// quick_all bytes — `montblanc -quick -sim-workers 8 all` must be
-// indistinguishable from the sequential run.
-func TestQuickSuiteGoldenParallelScheduler(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full quick suite in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("full quick suite under -race: scheduler equivalence is covered by the simmpi suite there")
-	}
-	var buf bytes.Buffer
-	if err := RunAllParallel(&buf, Options{Quick: true, SimWorkers: 8}, 4); err != nil {
-		t.Fatal(err)
-	}
-	compareGolden(t, filepath.Join("testdata", "quick_all.golden"), buf.Bytes())
-}
-
 func compareGolden(t *testing.T, path string, got []byte) {
 	t.Helper()
 	if *updateGolden {

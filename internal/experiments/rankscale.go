@@ -13,10 +13,7 @@ import (
 // Mont-Blanc prototype evaluation (arXiv:1508.05075) and the ThunderX2
 // cluster study (arXiv:2007.04868) both measure at hundreds-to-
 // thousands of cores. The event-heap scheduler makes these rank counts
-// affordable to simulate — commit cost is O(log R) per event — and the
-// conservative-parallel scheduler (Options.SimWorkers > 1) shards the
-// event heaps so the O(10k)-rank points also use multiple host cores,
-// byte-identically.
+// affordable to simulate: commit cost is O(log R) per event.
 
 func init() {
 	// The Title is part of the pinned quick_all golden; the full
@@ -53,7 +50,6 @@ func ScaleRanksData(o Options) ([]cluster.SpeedupPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.SimWorkers = o.SimWorkers
 	return specfem.StrongScaling(c, cores, cfg)
 }
 

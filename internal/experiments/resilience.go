@@ -46,12 +46,12 @@ func resilienceConfig(o Options) core.ResilienceConfig {
 	if o.Quick {
 		return core.ResilienceConfig{
 			Nodes: 4, WorkFlops: 4e9, CheckpointBytes: 32 << 20,
-			HaloBytes: 64 << 10, Efficiency: 0.5, SimWorkers: o.SimWorkers,
+			HaloBytes: 64 << 10, Efficiency: 0.5,
 		}
 	}
 	return core.ResilienceConfig{
 		Nodes: 8, WorkFlops: 4e10, CheckpointBytes: 512 << 20,
-		HaloBytes: 256 << 10, Efficiency: 0.5, SimWorkers: o.SimWorkers,
+		HaloBytes: 256 << 10, Efficiency: 0.5,
 	}
 }
 

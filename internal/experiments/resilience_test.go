@@ -31,24 +31,6 @@ func TestResilienceQuickOutputGolden(t *testing.T) {
 	}
 }
 
-// Fault-injected experiments under the conservative-parallel scheduler
-// pin the same bytes: crashes and degradations are ordinary events.
-func TestResilienceQuickOutputGoldenParallelScheduler(t *testing.T) {
-	for _, id := range []string{"resilience-sweep", "resilience-daly"} {
-		t.Run(id, func(t *testing.T) {
-			e, ok := Find(id)
-			if !ok {
-				t.Fatalf("experiment %s not registered", id)
-			}
-			var buf bytes.Buffer
-			if err := e.Run(&buf, Options{Quick: true, SimWorkers: 4}); err != nil {
-				t.Fatal(err)
-			}
-			compareGolden(t, filepath.Join("testdata", id+"_quick.golden"), buf.Bytes())
-		})
-	}
-}
-
 // A user-supplied schedule replaces the built-in failure grid, and its
 // pinned checkpoint interval replaces the interval grid.
 func TestResilienceSweepHonorsUserFault(t *testing.T) {

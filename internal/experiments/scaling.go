@@ -43,7 +43,6 @@ func Fig3aData(o Options) ([]cluster.SpeedupPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.SimWorkers = o.SimWorkers
 	var cfg linpack.ScalingConfig
 	cores := []int{8, 16, 32, 48, 64, 80, 96}
 	if o.Quick {
@@ -72,7 +71,6 @@ func Fig3bData(o Options) ([]cluster.SpeedupPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.SimWorkers = o.SimWorkers
 	var cfg specfem.ScalingConfig
 	cores := []int{4, 8, 16, 32, 64, 128, 192}
 	if o.Quick {
@@ -100,7 +98,6 @@ func Fig3cData(o Options) ([]cluster.SpeedupPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.SimWorkers = o.SimWorkers
 	cfg := bigdft.ScalingConfig{Seed: o.Seed}
 	cores := []int{1, 2, 4, 8, 12, 16, 24, 32, 36}
 	if o.Quick {
@@ -128,7 +125,6 @@ func Fig4Data(o Options) (*trace.Trace, trace.CongestionReport, error) {
 	if err != nil {
 		return nil, trace.CongestionReport{}, err
 	}
-	c.SimWorkers = o.SimWorkers
 	cfg := bigdft.ScalingConfig{Seed: o.Seed}
 	if o.Quick {
 		cfg.Iters = 3

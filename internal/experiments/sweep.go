@@ -64,7 +64,7 @@ func sweepRef(w io.Writer, s *core.Sweep) int {
 // go through the options' resolver, so request-scoped inline specs
 // (Options.Specs) join the sweep without touching the global registry.
 func sweepPlatforms(o Options) ([]*platform.Platform, error) {
-	_, specs, err := o.resolve(true)
+	specs, err := o.resolve(true)
 	if err != nil {
 		return nil, err
 	}

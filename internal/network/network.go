@@ -13,8 +13,6 @@ package network
 import (
 	"fmt"
 	"math"
-
-	"montblanc/internal/topo"
 )
 
 // Link is one direction of a cable or backplane port.
@@ -42,10 +40,9 @@ type Link struct {
 // latency-only fault) and ExtraLatency is added per traversal. The
 // window that applies to a message is chosen by its transfer *start*
 // time — a pure function of prior traffic, so degraded runs stay
-// byte-identical under the sequential and parallel schedulers.
-// Degradations only ever slow a link down, which keeps the parallel
-// scheduler's lookahead (a lower bound on cross-node latency)
-// conservative; Degrade rejects windows that would speed one up.
+// byte-identical run to run. A degradation is a fault: it only ever
+// slows a link down, and Degrade rejects windows that would speed one
+// up.
 type Degradation struct {
 	Start, End      float64
 	BandwidthFactor float64
@@ -197,9 +194,6 @@ type Network struct {
 	NumNodes int
 	route    func(src, dst int) []*Link
 	links    []*Link
-
-	interconnect *topo.Object
-	lookahead    float64
 }
 
 // New creates a network over numNodes nodes. route must return the link
@@ -216,49 +210,6 @@ type Network struct {
 func New(numNodes int, links []*Link, route func(src, dst int) []*Link) *Network {
 	return &Network{NumNodes: numNodes, route: route, links: links}
 }
-
-// SetInterconnect attaches the interconnect topology tree describing
-// this network's fabric and derives the conservative lookahead from it
-// (topo.Object.MinCrossLatency): the minimum one-way latency any
-// message between distinct nodes pays. The Star and Tree builders call
-// it; custom networks may either build their own tree or call
-// SetLookahead directly. An unreachable bound (fewer than two
-// machines) leaves the lookahead at zero, meaning unknown.
-func (n *Network) SetInterconnect(root *topo.Object) error {
-	if err := root.Validate(); err != nil {
-		return err
-	}
-	n.interconnect = root
-	if la := root.MinCrossLatency(); !math.IsInf(la, 1) {
-		n.lookahead = la
-	}
-	return nil
-}
-
-// Interconnect returns the fabric topology tree, or nil when the
-// network was built without one.
-func (n *Network) Interconnect() *topo.Object { return n.interconnect }
-
-// SetLookahead overrides the minimum cross-node latency bound in
-// seconds. Only needed for custom route functions without an
-// interconnect tree; a bound larger than the true minimum breaks the
-// parallel scheduler's determinism guarantee, so derive it from the
-// slowest-case route, never guess. A custom network advertising a
-// lookahead must also make route(src, src) safe for concurrent calls
-// (return immutable per-node paths, as the builders do): the parallel
-// scheduler delivers same-node messages from multiple shards at once.
-func (n *Network) SetLookahead(seconds float64) {
-	if seconds < 0 {
-		seconds = 0
-	}
-	n.lookahead = seconds
-}
-
-// Lookahead returns the minimum one-way latency between distinct
-// nodes in seconds, or zero when unknown. A conservative parallel
-// scheduler may commit events closer than this bound apart without
-// observing a not-yet-sent message.
-func (n *Network) Lookahead() float64 { return n.lookahead }
 
 // Result describes one message delivery.
 type Result struct {
@@ -398,29 +349,15 @@ func Star(nodes int) *Network {
 		loop[i] = NewLink(fmt.Sprintf("node%d-loop", i), LoopbackBandwidth, LoopbackLatency, 0, 0)
 		all = append(all, up[i], down[i], loop[i])
 	}
-	// Cross-node routes share a reused path buffer (valid until the next
-	// route call, see New); loopback routes are immutable per-node
-	// slices so concurrent same-node deliveries from parallel scheduler
-	// shards never touch shared route state.
+	// Every route is built in one reused path buffer, valid until the
+	// next route call (see New).
 	path := make([]*Link, 0, 2)
-	loopPath := loopPaths(loop)
-	n := New(nodes, all, func(src, dst int) []*Link {
+	return New(nodes, all, func(src, dst int) []*Link {
 		if src == dst {
-			return loopPath[src]
+			return append(path[:0], loop[src])
 		}
 		return append(path[:0], up[src], down[dst])
 	})
-	// Interconnect tree: one switch, every node one GigE hop away.
-	// Loopback links are intra-node and do not appear: the lookahead
-	// bounds traffic between *distinct* nodes only.
-	sw := topo.NewSwitch(0, 0)
-	for i := 0; i < nodes; i++ {
-		sw.Add(topo.NewFabricMachine(i, GigELatency))
-	}
-	if err := n.SetInterconnect(topo.NewCluster().Add(sw)); err != nil {
-		panic("network: invalid Star interconnect: " + err.Error())
-	}
-	return n
 }
 
 // Tree builds a two-level switch hierarchy: nodes attach to leaf
@@ -453,14 +390,11 @@ func Tree(nodes, leafSize int) *Network {
 		all = append(all, leafUp[s], leafDown[s])
 	}
 	leafOf := func(node int) int { return node / leafSize }
-	// Cross-node routes share a reused path buffer (see New); loopback
-	// routes are immutable per-node slices, safe under concurrent
-	// same-node deliveries (as in Star).
+	// Every route is built in one reused path buffer (see New).
 	path := make([]*Link, 0, 4)
-	loopPath := loopPaths(loop)
-	n := New(nodes, all, func(src, dst int) []*Link {
+	return New(nodes, all, func(src, dst int) []*Link {
 		if src == dst {
-			return loopPath[src]
+			return append(path[:0], loop[src])
 		}
 		ls, ld := leafOf(src), leafOf(dst)
 		if ls == ld {
@@ -468,33 +402,6 @@ func Tree(nodes, leafSize int) *Network {
 		}
 		return append(path[:0], up[src], leafUp[ls], leafDown[ld], down[dst])
 	})
-	// Interconnect tree mirroring the route structure: leaf switches one
-	// GigE uplink from the root, nodes one GigE hop from their leaf.
-	root := topo.NewSwitch(0, 0)
-	for s := 0; s < nLeaves; s++ {
-		leaf := topo.NewSwitch(1+s, GigELatency)
-		for i := s * leafSize; i < nodes && i < (s+1)*leafSize; i++ {
-			leaf.Add(topo.NewFabricMachine(i, GigELatency))
-		}
-		root.Add(leaf)
-	}
-	if err := n.SetInterconnect(topo.NewCluster().Add(root)); err != nil {
-		panic("network: invalid Tree interconnect: " + err.Error())
-	}
-	return n
-}
-
-// loopPaths builds one immutable single-link route per node. Returning
-// these from route(src, src) instead of the shared scratch buffer is
-// what lets the parallel scheduler's shards deliver intra-node messages
-// concurrently: each shard then only ever mutates its own nodes' loop
-// links, never shared route state.
-func loopPaths(loop []*Link) [][]*Link {
-	paths := make([][]*Link, len(loop))
-	for i, l := range loop {
-		paths[i] = []*Link{l}
-	}
-	return paths
 }
 
 // InfiniteBuffers disables buffer overruns on every link — the ablation

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"montblanc/internal/cache"
 	"montblanc/internal/mem"
 	"montblanc/internal/topo"
 	"montblanc/internal/units"
@@ -33,6 +34,18 @@ func TestValidateCatchesErrors(t *testing.T) {
 	p3.MemBandwidth = 0
 	if err := p3.Validate(); err == nil {
 		t.Error("zero bandwidth accepted")
+	}
+	// A level smaller than its line holds no line at all; the engine
+	// would panic on the first access. Platform files and inline specs
+	// reach the simulator through Spec.Validate, so check that path.
+	s, ok := LookupSpec("Snowball")
+	if !ok {
+		t.Fatal("Snowball spec not registered")
+	}
+	s.Caches = append([]cache.Config(nil), s.Caches...)
+	s.Caches[0].Size = s.Caches[0].LineSize / 2
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), s.Caches[0].Name) {
+		t.Errorf("L1 smaller than its line: err = %v, want a rejection naming %s", err, s.Caches[0].Name)
 	}
 }
 

@@ -7,8 +7,10 @@ package runner
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -134,7 +136,7 @@ func (p *Pool) Stream(tasks []Task, emit func(Result) bool) {
 				if stop.Load() {
 					continue
 				}
-				slots[i] <- runTask(tasks[i])
+				slots[i] <- Exec(tasks[i])
 			}
 		}()
 	}
@@ -148,10 +150,22 @@ func (p *Pool) Stream(tasks []Task, emit func(Result) bool) {
 	wg.Wait()
 }
 
-func runTask(t Task) Result {
+// PanicError is the error of a task whose Run panicked.
+type PanicError struct {
+	ID    string // the task that panicked
+	Value any    // the panic value
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("%s panicked: %v", e.ID, e.Value) }
+
+// Exec runs one task into a private buffer and times it. A panic in
+// Run fails that task alone: it becomes the Result's *PanicError, and
+// the caller's goroutine carries on.
+func Exec(t Task) Result {
 	var buf bytes.Buffer
 	start := time.Now()
-	err := t.Run(&buf)
+	err := call(t, &buf)
 	return Result{
 		ID:       t.ID,
 		Title:    t.Title,
@@ -159,4 +173,14 @@ func runTask(t Task) Result {
 		Duration: time.Since(start),
 		Err:      err,
 	}
+}
+
+// call runs t, recovering a panic into a *PanicError.
+func call(t Task, w io.Writer) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{ID: t.ID, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return t.Run(w)
 }

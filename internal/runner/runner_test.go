@@ -203,6 +203,40 @@ func TestWeightsDoNotAffectResultOrder(t *testing.T) {
 	}
 }
 
+// A panicking task fails alone: its result carries a *PanicError that
+// names it, and every other task still runs and reports.
+func TestPanickingTaskIsolated(t *testing.T) {
+	ok := func(id string) Task {
+		return Task{ID: id, Run: func(w io.Writer) error {
+			fmt.Fprint(w, id)
+			return nil
+		}}
+	}
+	tasks := []Task{ok("a"), {ID: "boom", Run: func(w io.Writer) error {
+		fmt.Fprint(w, "partial")
+		panic("kaboom")
+	}}, ok("c"), ok("d")}
+	for _, workers := range []int{1, 3} {
+		p := Pool{Workers: workers}
+		results := p.Run(tasks)
+		if len(results) != len(tasks) {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(results), len(tasks))
+		}
+		var pe *PanicError
+		if !errors.As(results[1].Err, &pe) || pe.ID != "boom" || pe.Value != "kaboom" {
+			t.Errorf("workers=%d: panicking task err = %v, want a PanicError for boom", workers, results[1].Err)
+		}
+		if msg := fmt.Sprint(results[1].Err); !strings.Contains(msg, "boom") || !strings.Contains(msg, "kaboom") {
+			t.Errorf("workers=%d: error %q does not name the task and the panic", workers, msg)
+		}
+		for _, i := range []int{0, 2, 3} {
+			if r := results[i]; r.Err != nil || r.Output != r.ID {
+				t.Errorf("workers=%d: task %s = (%q, %v), want its output and no error", workers, r.ID, r.Output, r.Err)
+			}
+		}
+	}
+}
+
 func TestRunNoTasks(t *testing.T) {
 	p := Pool{Workers: 4}
 	if results := p.Run(nil); len(results) != 0 {

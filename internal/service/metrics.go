@@ -86,10 +86,8 @@ type wireMetrics struct {
 	InflightRequests int64               `json:"inflight_requests"`
 	InflightRuns     int                 `json:"inflight_runs"`
 	Experiments      map[string]expStats `json:"experiments"`
-	// Sim is the process-wide DES scheduler aggregate (committed-event
-	// throughput, window count, mean lookahead, cross-shard-send
-	// ratio). A new field on the stable /metrics contract — existing
-	// names never change.
+	// Sim is the process-wide DES scheduler aggregate: runs, committed
+	// events, wall seconds and committed events per second.
 	Sim simmpi.EngineStats `json:"sim"`
 	// UptimeSeconds is wall-clock seconds since the server was built —
 	// together with the store section it distinguishes a warm restart

@@ -16,7 +16,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -214,9 +213,8 @@ type RunRequest struct {
 	// Experiments selects what to run: exact IDs, path.Match globs
 	// ("fig3*") or the keyword "all" — the same grammar as the CLI.
 	Experiments []string `json:"experiments"`
-	// Options are normalized on arrival (experiments.Options.Normalize):
-	// sim_workers is clamped and, as it cannot change output, left out
-	// of the cache key; a fault schedule changes output and is keyed.
+	// Options are normalized on arrival (experiments.Options.Normalize);
+	// a fault schedule changes output and is part of the cache key.
 	Options experiments.Options `json:"options"`
 	// Specs are request-scoped inline machine specs: resolvable (and
 	// able to shadow registered names) for this request only, never
@@ -396,8 +394,12 @@ func (s *Server) resolve(ctx context.Context, e experiments.Experiment, o experi
 	}
 	select {
 	case <-c.done:
-		if c.res.Err != nil && errors.Is(c.res.Err, errShuttingDown) {
+		var pe *runner.PanicError
+		switch {
+		case errors.Is(c.res.Err, errShuttingDown):
 			return runner.Result{}, false, errShuttingDown
+		case errors.As(c.res.Err, &pe):
+			return runner.Result{}, false, pe // a defect, not a result: 500
 		}
 		return c.res, false, nil
 	case <-ctx.Done():
@@ -415,7 +417,9 @@ func (s *Server) resolve(ctx context.Context, e experiments.Experiment, o experi
 
 // execute runs one simulation under the concurrency limit and stores
 // the result. It is the only place experiment code runs in the
-// service.
+// service. A panicking experiment yields a *runner.PanicError result
+// that is counted like any failed run but never stored: the next
+// request runs it again.
 func (s *Server) execute(e experiments.Experiment, o experiments.Options, key string, c *flightCall) runner.Result {
 	// Double-check the cache: this leader may have claimed the key in
 	// the window after a previous leader stored the result but before
@@ -434,17 +438,14 @@ func (s *Server) execute(e experiments.Experiment, o experiments.Options, key st
 		return runner.Result{ID: e.ID, Title: e.Title, Err: errShuttingDown}
 	}
 	defer func() { <-s.sem }()
-	var buf bytes.Buffer
-	start := time.Now()
-	err := e.Run(&buf, o)
-	res := runner.Result{
-		ID:       e.ID,
-		Title:    e.Title,
-		Output:   buf.String(),
-		Duration: time.Since(start),
-		Err:      err,
-	}
+	res := runner.Exec(runner.Task{ID: e.ID, Title: e.Title,
+		Run: func(w io.Writer) error { return e.Run(w, o) }})
 	s.met.recordRun(res)
+	var pe *runner.PanicError
+	if errors.As(res.Err, &pe) {
+		s.logf("montblanc serve: %v\n%s", pe, pe.Stack)
+		return res
+	}
 	s.cache.add(key, res)
 	s.diskPut(key, res)
 	return res

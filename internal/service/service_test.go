@@ -452,19 +452,17 @@ func TestListEndpointsAndHealth(t *testing.T) {
 	}
 }
 
-// --- sim_workers option ---------------------------------------------
+// --- removed and panicking inputs ----------------------------------
 
-// sim_workers validates like the CLI flag (negative is a 400, absurd
-// values clamp to simmpi.MaxWorkers) and is deliberately NOT part of
-// the cache key: results are byte-identical at any worker count, so a
-// request differing only in sim_workers is a cache hit.
-func TestSimWorkersOption(t *testing.T) {
-	var last atomic.Int64
+// sim_workers selected a scheduler that no longer exists. The request
+// schema rejects unknown fields, so a client still sending it gets a
+// 400 bad_request naming the field, and nothing runs.
+func TestSimWorkersOptionRejected(t *testing.T) {
+	var runs atomic.Int64
 	exp := experiments.Experiment{
-		ID:    "toy",
-		Title: "records the sim worker option",
+		ID: "toy",
 		Run: func(w io.Writer, o experiments.Options) error {
-			last.Store(int64(o.SimWorkers))
+			runs.Add(1)
 			fmt.Fprintln(w, "done")
 			return nil
 		},
@@ -473,40 +471,65 @@ func TestSimWorkersOption(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	t.Run("negative-rejected", func(t *testing.T) {
-		resp, body := postRun(t, ts, `{"experiments":["toy"],"options":{"sim_workers":-2}}`)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	for _, v := range []string{"0", "4"} {
+		resp, body := postRun(t, ts, `{"experiments":["toy"],"options":{"sim_workers":`+v+`}}`)
+		var we wireError
+		if err := json.Unmarshal([]byte(body), &we); err != nil {
+			t.Fatalf("sim_workers=%s: body %q: %v", v, body, err)
 		}
-		if !strings.Contains(body, "sim_workers") {
-			t.Errorf("error body %q does not name sim_workers", body)
+		if resp.StatusCode != http.StatusBadRequest || we.Error.Code != "bad_request" ||
+			!strings.Contains(we.Error.Message, "sim_workers") {
+			t.Errorf("sim_workers=%s: status %d body %s, want 400 bad_request naming sim_workers",
+				v, resp.StatusCode, body)
 		}
-	})
-	t.Run("clamped", func(t *testing.T) {
-		resp, body := postRun(t, ts, `{"experiments":["toy"],"options":{"seed":1,"sim_workers":100000}}`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if n := runs.Load(); n != 0 {
+		t.Errorf("experiment ran %d times for rejected requests", n)
+	}
+}
+
+// A panicking experiment fails its requests with a 500, never the
+// server. Its result is not cached, so an identical request runs it
+// again; the panics count as runs and as per-experiment errors.
+func TestPanickingExperimentIsolated(t *testing.T) {
+	boom := experiments.Experiment{
+		ID: "boom",
+		Run: func(w io.Writer, o experiments.Options) error {
+			panic("kaboom")
+		},
+	}
+	fine := experiments.Experiment{
+		ID: "fine",
+		Run: func(w io.Writer, o experiments.Options) error {
+			fmt.Fprintln(w, "ok")
+			return nil
+		},
+	}
+	s := mustNew(t, Config{Match: fakeMatch(boom, fine)})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for i := 0; i < 2; i++ {
+		resp, body := postRun(t, ts, `{"experiments":["boom"],"options":{"quick":true}}`)
+		var we wireError
+		if err := json.Unmarshal([]byte(body), &we); err != nil {
+			t.Fatalf("request %d: body %q: %v", i, body, err)
 		}
-		if got := last.Load(); got != simmpi.MaxWorkers {
-			t.Errorf("experiment saw SimWorkers=%d, want clamp to %d", got, simmpi.MaxWorkers)
+		if resp.StatusCode != http.StatusInternalServerError || we.Error.Code != "internal" ||
+			!strings.Contains(we.Error.Message, "boom") || !strings.Contains(we.Error.Message, "kaboom") {
+			t.Errorf("request %d: status %d body %s, want 500 internal naming boom and the panic",
+				i, resp.StatusCode, body)
 		}
-	})
-	t.Run("excluded-from-cache-key", func(t *testing.T) {
-		resp, cold := postRun(t, ts, `{"experiments":["toy"],"options":{"seed":2,"sim_workers":2}}`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("cold status %d", resp.StatusCode)
-		}
-		resp2, warm := postRun(t, ts, `{"experiments":["toy"],"options":{"seed":2,"sim_workers":8}}`)
-		if resp2.StatusCode != http.StatusOK {
-			t.Fatalf("warm status %d", resp2.StatusCode)
-		}
-		if got := resp2.Header.Get("X-Montblanc-Cache"); got != "hits=1 misses=0" {
-			t.Errorf("cache header %q: sim_workers leaked into the cache key", got)
-		}
-		if cold != warm {
-			t.Errorf("cache hit not byte-identical across worker counts")
-		}
-	})
+	}
+	var m wireMetrics
+	getJSON(t, ts, "/metrics", &m)
+	if m.RunsTotal != 2 || m.CacheEntries != 0 || m.Experiments["boom"].Errors != 2 {
+		t.Errorf("metrics: runs_total %d, cache_entries %d, boom errors %d; want 2, 0, 2",
+			m.RunsTotal, m.CacheEntries, m.Experiments["boom"].Errors)
+	}
+	if resp, body := postRun(t, ts, `{"experiments":["fine"]}`); resp.StatusCode != http.StatusOK {
+		t.Errorf("after the panics: status %d body %s, want 200", resp.StatusCode, body)
+	}
 }
 
 // /metrics carries the DES scheduler aggregate under the "sim" key —
@@ -688,9 +711,9 @@ func TestBadFaultRejected(t *testing.T) {
 }
 
 // TestFaultIsCacheKeyMaterial: a fault schedule changes experiment
-// output, so unlike sim_workers it must be part of the content
-// address — a fault-injected request never replays a failure-free
-// entry, and repeating the same schedule is a pure hit.
+// output, so it must be part of the content address — a fault-injected
+// request never replays a failure-free entry, and repeating the same
+// schedule is a pure hit.
 func TestFaultIsCacheKeyMaterial(t *testing.T) {
 	var runs atomic.Int64
 	exp := experiments.Experiment{

@@ -54,51 +54,6 @@ func TestSendRecvAllocsPerOp(t *testing.T) {
 	}
 }
 
-// The sharded scheduler must hold the same amortized contract: shard
-// heaps, outboxes and window barriers reuse their backing arrays, so a
-// parallel run's per-op allocation stays within the sequential bound
-// (fixed per-run costs — goroutines, shard structs — amortize out over
-// a long ring exchange).
-func TestParallelAllocsPerOp(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are skewed under -race")
-	}
-	cfg := starConfig(8, 2)
-	cfg.Workers = 4
-	const rounds = 500
-	const opsPerRun = 8 * 2 * rounds // 8 ranks x (send + recv) x rounds
-	body := func(p *Proc) error {
-		next := (p.Rank() + 1) % p.Size()
-		prev := (p.Rank() - 1 + p.Size()) % p.Size()
-		for r := 0; r < rounds; r++ {
-			if err := p.Send(next, r, 1024); err != nil {
-				return err
-			}
-			if err := p.Recv(prev, r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	allocsPerRun := testing.AllocsPerRun(3, func() {
-		cfg.Net.Reset()
-		rep, err := Run(cfg, body)
-		if err != nil {
-			t.Error(err)
-		} else if rep.Sched.Workers != 4 {
-			t.Errorf("ran with %d workers, want 4", rep.Sched.Workers)
-		}
-	})
-	if t.Failed() {
-		t.FailNow()
-	}
-	perOp := allocsPerRun / opsPerRun
-	t.Logf("allocs: %.0f per run, %.4f per op", allocsPerRun, perOp)
-	if perOp > 1.0 {
-		t.Errorf("sharded hot path allocates %.2f per op, want <= 1 (tracing off)", perOp)
-	}
-}
-
 // A long incast queue (many sends parked for one slow receiver) must
 // not allocate per message beyond the amortized queue growth, and the
 // head-indexed mailbox must reuse its backing array across drains.

@@ -29,17 +29,6 @@ func (h *opHeap) push(o *op) {
 	h.up(o.heapIdx)
 }
 
-// peek returns the op with the smallest (ready, rank) without removing
-// it, or nil when the heap is empty. The parallel scheduler's window
-// loop peeks to decide whether the minimum is committable before the
-// window edge.
-func (h *opHeap) peek() *op {
-	if len(h.a) == 0 {
-		return nil
-	}
-	return h.a[0]
-}
-
 // pop removes and returns the op with the smallest (ready, rank), or
 // nil when the heap is empty.
 func (h *opHeap) pop() *op {

@@ -119,48 +119,6 @@ func (mb *mailbox) match(src, tag int) (msg, bool) {
 	return m, true
 }
 
-// xsend is one committed cross-node send awaiting delivery at a window
-// barrier of the parallel scheduler. The fields are copied out of the
-// sender's reusable op struct at commit time: the sender resumes
-// immediately and may overwrite its postBuf long before the barrier
-// runs.
-type xsend struct {
-	time  float64 // commit (= ready = post) time; becomes Comm.Sent
-	rank  int     // sender
-	dst   int
-	tag   int
-	bytes int
-}
-
-// outbox is a shard's dense FIFO of cross-node sends in shard commit
-// order, following the mailbox design: a head-indexed backing array,
-// reused across windows, so the steady state allocates nothing once it
-// has grown to the busiest window's traffic. The barrier drains the
-// shards' outboxes merged by (time, rank) — the global commit order —
-// because link reservations are order-sensitive.
-type outbox struct {
-	head int
-	a    []xsend
-}
-
-func (ob *outbox) push(x xsend) { ob.a = append(ob.a, x) }
-
-// peek returns the oldest undelivered send, or nil when drained.
-func (ob *outbox) peek() *xsend {
-	if ob.head == len(ob.a) {
-		return nil
-	}
-	return &ob.a[ob.head]
-}
-
-func (ob *outbox) pop() { ob.head++ }
-
-// reset empties the outbox for the next window, keeping the array.
-func (ob *outbox) reset() {
-	ob.head = 0
-	ob.a = ob.a[:0]
-}
-
 // retire marks the drained queue at position i reusable. FIFO per key
 // survives recycling: a retired queue is empty, so a later message for
 // its old key starting a fresh queue cannot reorder anything.

@@ -38,11 +38,6 @@ import (
 // follows common MPI defaults of the era.
 const EagerThreshold = 64 << 10
 
-// MaxWorkers bounds Config.Workers: shards beyond it cost barrier
-// synchronization without buying parallelism on any plausible host.
-// Absurd requests are clamped here rather than rejected.
-const MaxWorkers = 64
-
 // Outage marks a node unavailable over [Start, End) of virtual time: a
 // crash at Start followed by a restart at End. While the node is down
 // its ranks are frozen — local work in progress resumes after the
@@ -54,9 +49,8 @@ const MaxWorkers = 64
 //
 // Determinism: an outage changes only how a rank's local clock
 // advances — a pure function of (the rank's node, the rank's program)
-// — so the sequential and conservative-parallel schedulers commit
-// byte-identical runs with no new synchronization. Warps only ever
-// move clocks forward, which keeps the lookahead bound conservative.
+// — so it never creates or reorders events, and a fault-injected run
+// is as byte-identical run to run as a failure-free one.
 type Outage struct {
 	Node       int
 	Start, End float64
@@ -92,17 +86,6 @@ type Config struct {
 	// never affects results, only allocation behaviour; zero (or
 	// tracing off) means no preallocation.
 	TraceHint int
-
-	// Workers selects the scheduler. At <= 1 (the default) events
-	// commit on the sequential reference scheduler in global
-	// (ready, rank) order. Above 1 the conservative parallel scheduler
-	// shards nodes across up to Workers goroutines committing in
-	// lookahead-bounded windows (see parallel.go and SIMMPI.md);
-	// values above MaxWorkers are clamped, and the engine falls back
-	// to the sequential path when the network reports no lookahead or
-	// the job is too small to shard. Output is byte-identical at every
-	// value — Workers trades wall-clock only.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -117,9 +100,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CopyBandwidth <= 0 {
 		c.CopyBandwidth = 600e6
-	}
-	if c.Workers > MaxWorkers {
-		c.Workers = MaxWorkers
 	}
 	return c
 }
@@ -136,9 +116,6 @@ func (c Config) Validate() error {
 	if need := (c.Ranks + c.RanksPerNode - 1) / c.RanksPerNode; need > c.Net.NumNodes {
 		return fmt.Errorf("simmpi: %d ranks at %d per node need %d nodes, network has %d",
 			c.Ranks, c.RanksPerNode, need, c.Net.NumNodes)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("simmpi: negative worker count %d", c.Workers)
 	}
 	for i, o := range c.Outages {
 		switch {
@@ -167,28 +144,19 @@ type Report struct {
 }
 
 // FaultStats summarizes what the injected node outages did to a run.
-// Like the rest of the report it is byte-identical at any worker
-// count: freezes are a pure function of each rank's program and its
-// node's outage windows.
+// Like the rest of the report it is byte-identical run to run: freezes
+// are a pure function of each rank's program and its node's outage
+// windows.
 type FaultStats struct {
 	DownSeconds float64 // total rank-seconds frozen inside outage windows
 	Interrupts  uint64  // rank-freeze events (one per outage a rank hit)
 }
 
-// SchedStats describes one run from the scheduler's point of view:
-// the observability the speedup curve is explained with. Every field
-// except Workers, Windows and Wall is invariant in the worker count —
-// cross-node sends go through the window barrier at any shard layout,
-// so the cross-send ratio measured sequentially predicts the parallel
-// barrier traffic.
+// SchedStats describes one run from the scheduler's point of view.
+// Events is a pure function of the program; Wall is host time.
 type SchedStats struct {
-	Workers    int     // scheduler shards used (1 = sequential reference)
-	Lookahead  float64 // seconds: the network's min cross-node latency (0 = unknown)
-	Windows    uint64  // commit windows barriered (0 on the sequential path)
-	Events     uint64  // operations committed
-	LocalSends uint64  // intra-node sends, committed shard-locally
-	CrossSends uint64  // cross-node sends, exchanged at window barriers
-	Wall       float64 // host seconds spent inside the run
+	Events uint64  // operations committed
+	Wall   float64 // host seconds spent inside the run
 }
 
 type opKind int
@@ -504,13 +472,14 @@ func Run(cfg Config, body func(*Proc) error) (*Report, error) {
 	return run(cfg, body, hooks{})
 }
 
-// newWorld builds the state both schedulers share: the ranks,
-// mailboxes, the pending table and the interned trace labels.
+// newWorld builds the run's state: the ranks, mailboxes, the pending
+// table, the event heap and the interned trace labels.
 func newWorld(cfg Config, body func(*Proc) error, h hooks) *world {
 	w := &world{
 		cfg:     cfg,
 		mail:    make([]mailbox, cfg.Ranks),
 		pending: make([]*op, cfg.Ranks),
+		heap:    opHeap{a: make([]*op, 0, cfg.Ranks)},
 		hooks:   h,
 	}
 	if len(cfg.Outages) > 0 {
@@ -534,7 +503,7 @@ func newWorld(cfg Config, body func(*Proc) error, h hooks) *world {
 }
 
 // spawnProcs creates one Proc per rank with body as its coroutine. A
-// rank runs only while its scheduler resumes it, and runs nothing until
+// rank runs only while the scheduler resumes it, and runs nothing until
 // the first resume.
 func (w *world) spawnProcs(body func(*Proc) error) {
 	cfg := w.cfg
@@ -576,10 +545,10 @@ func (p *Proc) call(body func(*Proc) error) (err error) {
 	return body(p)
 }
 
-// stopRanks unwinds every rank still suspended in post. Both schedulers
-// defer it, so no return path — success, deadlock or network error —
-// leaves a rank's coroutine behind; it costs nothing for ranks whose
-// body has returned.
+// stopRanks unwinds every rank still suspended in post. run defers it,
+// so no return path — success, deadlock or network error — leaves a
+// rank's coroutine behind; it costs nothing for ranks whose body has
+// returned.
 func (w *world) stopRanks() {
 	for _, p := range w.procs {
 		p.stop()
@@ -650,25 +619,6 @@ func mergeTrace(cfg Config, procs []*Proc, comms []trace.Comm) *trace.Trace {
 	return tr
 }
 
-// shardCount returns how many scheduler shards a run will use: Workers
-// bounded by the node count, collapsing to the sequential path when
-// parallelism cannot help (one worker, one node) or cannot be proven
-// exact (no lookahead from the network, scheduler observation hooks).
-func shardCount(cfg Config, h hooks) int {
-	if cfg.Workers <= 1 || h.pick != nil || h.onCommit != nil {
-		return 1
-	}
-	if !(cfg.Net.Lookahead() > 0) {
-		return 1
-	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	workers := cfg.Workers
-	if workers > nodes {
-		workers = nodes
-	}
-	return workers
-}
-
 // run is Run with scheduler hooks (production callers pass the zero
 // value via Run; tests use the hooks to compare pickers and observe
 // commit order).
@@ -677,21 +627,17 @@ func run(cfg Config, body func(*Proc) error, h hooks) (*Report, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if workers := shardCount(cfg, h); workers > 1 {
-		return runParallel(cfg, body, workers)
-	}
 	start := nowMonotonic()
 	w := newWorld(cfg, body, h)
 	defer w.stopRanks()
-	w.heap.a = make([]*op, 0, cfg.Ranks)
 	for r := range w.procs {
-		w.step(r, &w.heap) // every rank to its first declaration
+		w.step(r) // every rank to its first declaration
 	}
 
 	endTimes := make([]float64, cfg.Ranks)
 	rankErrs := make([]error, cfg.Ranks)
 	live := cfg.Ranks
-	stats := SchedStats{Workers: 1, Lookahead: cfg.Net.Lookahead()}
+	var stats SchedStats
 
 	for live > 0 {
 		// Commit the executable op with the smallest (ready, rank).
@@ -709,11 +655,6 @@ func run(cfg Config, body func(*Proc) error, h hooks) (*Report, error) {
 		}
 		switch best.kind {
 		case opSend:
-			if w.node(best.rank) == w.node(best.dst) {
-				stats.LocalSends++
-			} else {
-				stats.CrossSends++
-			}
 			res, err := w.deliver(best)
 			if err != nil {
 				return nil, err
@@ -728,18 +669,18 @@ func run(cfg Config, body func(*Proc) error, h hooks) (*Report, error) {
 			}
 			// A parked recv may now be satisfiable.
 			if ro := w.pending[best.dst]; ro != nil && ro.kind == opRecv && !ro.matched {
-				w.tryMatch(ro, &w.heap)
+				w.tryMatch(ro)
 			}
 			overhead := cfg.SendOverhead + float64(best.bytes)/cfg.CopyBandwidth
 			w.procs[best.rank].res = resumeMsg{time: best.time + overhead}
-			w.step(best.rank, &w.heap)
+			w.step(best.rank)
 		case opRecv:
 			copyCost := float64(best.matchedMsg.bytes) / cfg.CopyBandwidth
 			w.procs[best.rank].res = resumeMsg{
 				time:    best.ready + copyCost,
 				dropped: best.matchedMsg.dropped,
 			}
-			w.step(best.rank, &w.heap)
+			w.step(best.rank)
 		case opExit:
 			live--
 			endTimes[best.rank] = best.time
@@ -778,27 +719,26 @@ func rankError(errs []error) error {
 
 // step resumes rank r until it declares its next operation, and makes
 // that operation pending: sends and exits are executable at once, recvs
-// once a message matches. Executable ops go on h, the heap of whichever
-// scheduler (or shard) owns the rank.
-func (w *world) step(r int, h *opHeap) {
+// once a message matches.
+func (w *world) step(r int) {
 	o := w.procs[r].resume()
 	w.pending[r] = o
 	switch o.kind {
 	case opSend, opExit:
 		o.ready = o.time
-		w.enqueue(o, h)
+		w.enqueue(o)
 	case opRecv:
 		o.ready = math.Inf(1)
-		w.tryMatch(o, h)
+		w.tryMatch(o)
 	}
 }
 
-// enqueue makes an executable op eligible for commit on heap h.
-func (w *world) enqueue(o *op, h *opHeap) {
+// enqueue makes an executable op eligible for commit.
+func (w *world) enqueue(o *op) {
 	if w.hooks.pick != nil {
 		return // the reference picker scans pending directly
 	}
-	h.push(o)
+	w.heap.push(o)
 }
 
 // pick returns the executable pending op with the smallest
@@ -818,8 +758,8 @@ func (w *world) deliver(o *op) (network.Result, error) {
 }
 
 // tryMatch completes a pending recv against the mailbox if possible,
-// making it executable on heap h.
-func (w *world) tryMatch(o *op, h *opHeap) {
+// making it executable.
+func (w *world) tryMatch(o *op) {
 	m, ok := w.mail[o.rank].match(o.src, o.tag)
 	if !ok {
 		return
@@ -827,7 +767,7 @@ func (w *world) tryMatch(o *op, h *opHeap) {
 	o.matched = true
 	o.matchedMsg = m
 	o.ready = math.Max(o.time, m.arrival)
-	w.enqueue(o, h)
+	w.enqueue(o)
 }
 
 // describe renders the op for diagnostics.

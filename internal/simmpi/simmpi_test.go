@@ -2,6 +2,7 @@ package simmpi
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -66,22 +67,100 @@ func TestComputeFlops(t *testing.T) {
 	}
 }
 
+// An analytic oracle for point-to-point timing on an idle fabric. On
+// Star(2) a message crosses two GigE hops (node->switch, switch->node),
+// each costing its latency plus bytes/bandwidth, store-and-forward. A
+// rendezvous message (above EagerThreshold) first pays a request and
+// clear-to-send handshake: two latencies per hop. The sender resumes
+// after SendOverhead plus its memcpy at CopyBandwidth; the receiver
+// completes a copy at CopyBandwidth after the last byte arrives. Every
+// rank's finish time must equal the closed form to rounding.
 func TestSendRecvTiming(t *testing.T) {
-	rep, err := Run(starConfig(2, 1), func(p *Proc) error {
-		if p.Rank() == 0 {
-			return p.Send(1, 7, 125000) // 1ms serialization per link
+	const (
+		hops          = 2
+		sendOverhead  = 3e-6
+		copyBandwidth = 400e6
+		tol           = 1e-12
+	)
+	// oneWay is the network time of one message, post to last byte.
+	oneWay := func(bytes int) float64 {
+		a := hops * (network.GigELatency + float64(bytes)/network.GigEBandwidth)
+		if bytes > EagerThreshold {
+			a += hops * 2 * network.GigELatency
 		}
-		return p.Recv(0, 7)
-	})
-	if err != nil {
-		t.Fatal(err)
+		return a
 	}
-	// Two GigE hops: 2*(50us + 1ms) = 2.1ms at least.
-	if rep.Seconds < 0.0021 {
-		t.Errorf("makespan = %v, want >= 2.1ms", rep.Seconds)
-	}
-	if rep.Seconds > 0.01 {
-		t.Errorf("makespan = %v, unreasonably slow", rep.Seconds)
+	for _, tc := range []struct {
+		name   string
+		bytes  int
+		rounds int // 0: one send from rank 0 to rank 1; else a ping-pong
+	}{
+		{"eager-empty", 0, 0},
+		{"eager-1B", 1, 0},
+		{"eager-1KiB", 1 << 10, 0},
+		{"eager-1ms-per-hop", 125000, 0},
+		{"eager-at-threshold", EagerThreshold, 0},
+		{"rendezvous-above-threshold", EagerThreshold + 1, 0},
+		{"rendezvous-256KiB", 256 << 10, 0},
+		{"rendezvous-4MiB", 4 << 20, 0},
+		{"pingpong-10x4KiB", 4 << 10, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := starConfig(2, 1)
+			cfg.SendOverhead = sendOverhead
+			cfg.CopyBandwidth = copyBandwidth
+			rep, err := Run(cfg, func(p *Proc) error {
+				peer := 1 - p.Rank()
+				if tc.rounds == 0 {
+					if p.Rank() == 0 {
+						return p.Send(peer, 7, tc.bytes)
+					}
+					return p.Recv(peer, 7)
+				}
+				for i := 0; i < tc.rounds; i++ {
+					if p.Rank() == 0 {
+						if err := p.Send(peer, i, tc.bytes); err != nil {
+							return err
+						}
+						if err := p.Recv(peer, i); err != nil {
+							return err
+						}
+						continue
+					}
+					if err := p.Recv(peer, i); err != nil {
+						return err
+					}
+					if err := p.Send(peer, i, tc.bytes); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := oneWay(tc.bytes)
+			copyCost := float64(tc.bytes) / copyBandwidth
+			post := sendOverhead + copyCost
+			var want [2]float64
+			if tc.rounds == 0 {
+				want = [2]float64{post, a + copyCost}
+			} else {
+				// Each round trip is two one-way trips and two receive
+				// copies; rank 1 ends on its last send.
+				round := 2 * (a + copyCost)
+				n := float64(tc.rounds)
+				want = [2]float64{n * round, (n-1)*round + a + copyCost + post}
+			}
+			for r, w := range want {
+				if got := rep.RankSeconds[r]; math.Abs(got-w) > tol*w {
+					t.Errorf("rank %d finished at %.17g s, closed form %.17g s", r, got, w)
+				}
+			}
+			if rep.Drops != 0 {
+				t.Errorf("idle fabric dropped %d messages", rep.Drops)
+			}
+		})
 	}
 }
 
@@ -179,20 +258,16 @@ func TestDeadlockReleasesRanks(t *testing.T) {
 			}
 		}},
 	} {
-		for _, workers := range []int{0, 4} {
-			base := runtime.NumGoroutine()
-			cfg := starConfig(ranks, 2)
-			cfg.Workers = workers
-			if _, err := Run(cfg, tc.body); err == nil || !strings.Contains(err.Error(), "deadlock") {
-				t.Fatalf("%s workers=%d: err = %v, want deadlock", tc.name, workers, err)
-			}
-			n := runtime.NumGoroutine()
-			for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-				runtime.Gosched()
-			}
-			if n > base {
-				t.Errorf("%s workers=%d: %d goroutines after the run, %d before", tc.name, workers, n, base)
-			}
+		base := runtime.NumGoroutine()
+		if _, err := Run(starConfig(ranks, 2), tc.body); err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("%s: err = %v, want deadlock", tc.name, err)
+		}
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			runtime.Gosched()
+		}
+		if n > base {
+			t.Errorf("%s: %d goroutines after the run, %d before", tc.name, n, base)
 		}
 	}
 }
@@ -222,12 +297,8 @@ func TestRankErrorPropagates(t *testing.T) {
 			return nil
 		}},
 	} {
-		for _, workers := range []int{0, 4} {
-			cfg := starConfig(8, 2)
-			cfg.Workers = workers
-			if _, err := Run(cfg, tc.body); !errors.Is(err, boom) {
-				t.Errorf("%s workers=%d: err = %v, want boom", tc.name, workers, err)
-			}
+		if _, err := Run(starConfig(8, 2), tc.body); !errors.Is(err, boom) {
+			t.Errorf("%s: err = %v, want boom", tc.name, err)
 		}
 	}
 }

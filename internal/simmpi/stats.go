@@ -17,12 +17,10 @@ func nowMonotonic() float64 { return time.Since(engineStart).Seconds() }
 
 // engineTotals aggregates SchedStats across every Run in the process,
 // lock-free so concurrent simulations (the runner pool, the service)
-// account without contention. Float sums are stored as IEEE bits and
-// updated by CAS.
+// account without contention. The wall-time sum is stored as IEEE bits
+// and updated by CAS.
 var engineTotals struct {
-	runs, events, windows      atomic.Uint64
-	localSends, crossSends     atomic.Uint64
-	wallBits, lookaheadSumBits atomic.Uint64
+	runs, events, wallBits atomic.Uint64
 }
 
 func addFloatBits(a *atomic.Uint64, v float64) {
@@ -39,27 +37,17 @@ func addFloatBits(a *atomic.Uint64, v float64) {
 func recordEngineRun(st SchedStats) {
 	engineTotals.runs.Add(1)
 	engineTotals.events.Add(st.Events)
-	engineTotals.windows.Add(st.Windows)
-	engineTotals.localSends.Add(st.LocalSends)
-	engineTotals.crossSends.Add(st.CrossSends)
 	addFloatBits(&engineTotals.wallBits, st.Wall)
-	addFloatBits(&engineTotals.lookaheadSumBits, st.Lookahead)
 }
 
 // EngineStats is the process-wide scheduler aggregate: every completed
-// Run since process start, with the derived rates the speedup curve is
-// read against. Rendered by the CLI under -time and by the service's
-// /metrics document.
+// Run since process start, with the committed-event rate. Rendered by
+// the CLI under -time and by the service's /metrics document.
 type EngineStats struct {
-	Runs          uint64  `json:"runs"`
-	Events        uint64  `json:"events"`
-	Windows       uint64  `json:"windows"`
-	LocalSends    uint64  `json:"local_sends"`
-	CrossSends    uint64  `json:"cross_sends"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	EventsPerSec  float64 `json:"events_per_second"`
-	MeanLookahead float64 `json:"mean_lookahead_seconds"`
-	CrossRatio    float64 `json:"cross_send_ratio"`
+	Runs         uint64  `json:"runs"`
+	Events       uint64  `json:"events"`
+	WallSeconds  float64 `json:"wall_seconds"`
+	EventsPerSec float64 `json:"events_per_second"`
 }
 
 // Engine returns a snapshot of the process-wide scheduler totals.
@@ -67,19 +55,10 @@ func Engine() EngineStats {
 	s := EngineStats{
 		Runs:        engineTotals.runs.Load(),
 		Events:      engineTotals.events.Load(),
-		Windows:     engineTotals.windows.Load(),
-		LocalSends:  engineTotals.localSends.Load(),
-		CrossSends:  engineTotals.crossSends.Load(),
 		WallSeconds: math.Float64frombits(engineTotals.wallBits.Load()),
 	}
 	if s.WallSeconds > 0 {
 		s.EventsPerSec = float64(s.Events) / s.WallSeconds
-	}
-	if s.Runs > 0 {
-		s.MeanLookahead = math.Float64frombits(engineTotals.lookaheadSumBits.Load()) / float64(s.Runs)
-	}
-	if sends := s.LocalSends + s.CrossSends; sends > 0 {
-		s.CrossRatio = float64(s.CrossSends) / float64(sends)
 	}
 	return s
 }

@@ -5,7 +5,6 @@ package topo
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"montblanc/internal/units"
@@ -21,15 +20,6 @@ const (
 	Cache
 	Core
 	PU // processing unit (hardware thread)
-
-	// Interconnect-level kinds: a Cluster roots a tree of Switches
-	// whose leaves are the Machines of a fabric, mirroring how hwloc
-	// models the network side of a system. Network builders construct
-	// this tree so latency-derived quantities (e.g. the conservative
-	// scheduler's lookahead) are reported by the topology instead of
-	// hard-coded per builder.
-	Cluster
-	Switch
 )
 
 // String returns the hwloc-style name of the kind.
@@ -45,10 +35,6 @@ func (k Kind) String() string {
 		return "Core"
 	case PU:
 		return "PU"
-	case Cluster:
-		return "Cluster"
-	case Switch:
-		return "Switch"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -61,12 +47,6 @@ type Object struct {
 	Size     int64 // bytes: RAM for Machine, capacity for Cache
 	Level    int   // cache level (1..3) when Kind == Cache
 	Children []*Object
-
-	// LinkLatency is the one-way latency in seconds of the uplink
-	// connecting this object to its parent in an interconnect tree
-	// (a Machine's NIC link, a Switch's uplink). Zero for the root and
-	// for all intra-machine kinds.
-	LinkLatency float64
 }
 
 // Label returns the human-readable box label used in renderings.
@@ -82,10 +62,6 @@ func (o *Object) Label() string {
 		return fmt.Sprintf("Core P#%d", o.Index)
 	case PU:
 		return fmt.Sprintf("PU P#%d", o.Index)
-	case Cluster:
-		return "Cluster"
-	case Switch:
-		return fmt.Sprintf("Switch P#%d", o.Index)
 	default:
 		return o.Kind.String()
 	}
@@ -157,15 +133,9 @@ func (o *Object) Render() string {
 // Validate checks structural invariants of the topology tree:
 // machines at the root only, PUs as leaves only, cache levels
 // descending toward the leaves, and unique PU physical indices.
-// A Cluster root is validated as an interconnect tree instead:
-// Switches and Machines only, non-negative link latencies, at least
-// one Machine.
 func (o *Object) Validate() error {
-	if o.Kind == Cluster {
-		return o.validateInterconnect()
-	}
 	if o.Kind != Machine {
-		return fmt.Errorf("topo: root must be a Machine or Cluster, got %v", o.Kind)
+		return fmt.Errorf("topo: root must be a Machine, got %v", o.Kind)
 	}
 	seenPU := map[int]bool{}
 	var err error
@@ -213,87 +183,6 @@ func (o *Object) Validate() error {
 	return err
 }
 
-// validateInterconnect checks a Cluster-rooted interconnect tree:
-// internal objects are Switches, leaves are Machines, every uplink
-// latency is non-negative and at least one Machine is present.
-func (o *Object) validateInterconnect() error {
-	machines := 0
-	var err error
-	var rec func(obj *Object, depth int)
-	rec = func(obj *Object, depth int) {
-		if err != nil {
-			return
-		}
-		if obj.LinkLatency < 0 {
-			err = fmt.Errorf("topo: %s has negative link latency", obj.Label())
-			return
-		}
-		switch obj.Kind {
-		case Cluster:
-			if depth != 0 {
-				err = fmt.Errorf("topo: nested Cluster object")
-				return
-			}
-		case Switch:
-			// interior only; a port-empty switch is legal
-		case Machine:
-			machines++
-			if len(obj.Children) != 0 {
-				err = fmt.Errorf("topo: interconnect Machine P#%d has children", obj.Index)
-				return
-			}
-		default:
-			err = fmt.Errorf("topo: %v object inside an interconnect tree", obj.Kind)
-			return
-		}
-		for _, c := range obj.Children {
-			rec(c, depth+1)
-		}
-	}
-	rec(o, 0)
-	if err == nil && machines == 0 {
-		err = fmt.Errorf("topo: interconnect tree has no Machines")
-	}
-	return err
-}
-
-// MinCrossLatency returns the minimum one-way latency between two
-// distinct Machines of an interconnect tree: the cheapest uplink path
-// from one machine to the pair's lowest common ancestor plus the
-// downlink path to the other. This is the lookahead bound a
-// conservative parallel scheduler may use — no message between
-// distinct machines can arrive sooner. It returns +Inf when the tree
-// holds fewer than two Machines (nothing ever crosses).
-func (o *Object) MinCrossLatency() float64 {
-	inf := math.Inf(1)
-	best := inf
-	// minUp(v) = cheapest latency from any Machine in v's subtree up to
-	// v. At each interior node, the two cheapest child costs (from
-	// distinct children) form a candidate crossing pair.
-	var minUp func(obj *Object) float64
-	minUp = func(obj *Object) float64 {
-		if obj.Kind == Machine {
-			return 0
-		}
-		s1, s2 := inf, inf // two smallest child costs
-		for _, c := range obj.Children {
-			cost := minUp(c) + c.LinkLatency
-			switch {
-			case cost < s1:
-				s1, s2 = cost, s1
-			case cost < s2:
-				s2 = cost
-			}
-		}
-		if s1+s2 < best {
-			best = s1 + s2
-		}
-		return s1
-	}
-	minUp(o)
-	return best
-}
-
 // NewMachine returns a Machine root with the given RAM size in bytes.
 func NewMachine(ram int64) *Object { return &Object{Kind: Machine, Size: ram} }
 
@@ -310,19 +199,3 @@ func NewCore(idx int) *Object { return &Object{Kind: Core, Index: idx} }
 
 // NewPU returns a processing unit with physical index idx.
 func NewPU(idx int) *Object { return &Object{Kind: PU, Index: idx} }
-
-// NewCluster returns an interconnect tree root.
-func NewCluster() *Object { return &Object{Kind: Cluster} }
-
-// NewSwitch returns a Switch with physical index idx whose uplink to
-// its parent has the given one-way latency in seconds (zero when it
-// hangs directly off the Cluster root).
-func NewSwitch(idx int, uplinkLatency float64) *Object {
-	return &Object{Kind: Switch, Index: idx, LinkLatency: uplinkLatency}
-}
-
-// NewFabricMachine returns a Machine leaf of an interconnect tree: node
-// idx attached to its switch by a link of the given one-way latency.
-func NewFabricMachine(idx int, linkLatency float64) *Object {
-	return &Object{Kind: Machine, Index: idx, LinkLatency: linkLatency}
-}

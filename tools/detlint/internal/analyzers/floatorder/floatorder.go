@@ -4,9 +4,9 @@
 // IEEE-754 addition is not associative: (a+b)+c != a+(b+c) in the
 // last ulp, so a float sum folded in map-iteration order or raced
 // across goroutines can differ between byte-identical runs even when
-// every addend is identical. SIMMPI.md's equivalence argument — the
-// parallel scheduler groups operations exactly as the sequential path
-// does — only holds if no reduction reorders. Two shapes are flagged:
+// every addend is identical. The simulator's run-to-run byte identity
+// (SIMMPI.md) only holds if no reduction reorders. Two shapes are
+// flagged:
 // float compound assignment to an outer variable inside a map range,
 // and the same inside a `go func(){…}()` capturing a shared sum.
 package floatorder
