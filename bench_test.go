@@ -533,71 +533,6 @@ func BenchmarkSimMPIRankScaling(b *testing.B) {
 
 // --- membench batched cache engine --------------------------------------------
 
-// membenchLargeCfg is the hundreds-of-MB regime of the Mont-Blanc
-// follow-up studies (arXiv:1508.05075, arXiv:2007.04868): a 256 MiB
-// stride-1 sweep, far beyond every cache level in the registry.
-var membenchLargeCfg = membench.Config{ArrayBytes: 256 * units.MiB, Width: cpu.W64}
-
-// membenchLargePlatform builds the large-array runner: ThunderX2 (the
-// deepest hierarchy in the registry) behind a contiguous page mapping,
-// so the TLB model is live and translation really runs per page.
-func membenchLargePlatform() (*membench.Runner, error) {
-	return membench.NewRunner(platform.MustLookup("ThunderX2"), mem.NewContiguousMapper(0))
-}
-
-// membenchScalarBaseline measures the element-at-a-time reference path
-// once per process on the large-array configuration (same rationale as
-// sequentialBaseline: the baseline must not be re-paid per b.N
-// escalation).
-var membenchScalarBaseline = sync.OnceValues(func() (time.Duration, error) {
-	r, err := membenchLargePlatform()
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	_, err = r.RunScalar(membenchLargeCfg)
-	return time.Since(start), err
-})
-
-// BenchmarkMembenchLargeArray pins the batched engine's headline win: a
-// DRAM-resident 256 MiB sweep measured against the scalar reference
-// path (target >= 5x; measured ~10x). The allocs/run metric is the
-// constant per-Run overhead of a warm Runner (essentially the
-// papi.Counters snapshot) — memoization replays most passes, so the
-// honest per-executed-pass <= 1 contract is enforced by the
-// internal/membench AllocsPerRun guards on a below-the-gate config,
-// not derived from this figure.
-func BenchmarkMembenchLargeArray(b *testing.B) {
-	scalar, err := membenchScalarBaseline()
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := membenchLargePlatform()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := r.Run(membenchLargeCfg); err != nil { // prime runner scratch
-		b.Fatal(err)
-	}
-	allocsPerRun := testing.AllocsPerRun(2, func() {
-		if _, err := r.Run(membenchLargeCfg); err != nil {
-			b.Error(err)
-		}
-	})
-	var res membench.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err = r.Run(membenchLargeCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	perOp := b.Elapsed() / time.Duration(b.N)
-	b.ReportMetric(scalar.Seconds()/perOp.Seconds(), "speedup-vs-scalar")
-	b.ReportMetric(allocsPerRun, "allocs/run")
-	b.ReportMetric(res.Bandwidth/1e9, "model-GB/s")
-}
-
 // BenchmarkMembenchFig3 regenerates the §V.A locality profile (the
 // size x stride sweep behind the figure-scale membench results) on the
 // Snowball at quick-suite sizes: the fixed cost every locality-style

@@ -312,14 +312,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	// A single experiment named exactly keeps the historical raw output
-	// (no section header), written straight to stdout as it renders.
+	// (no section header), written straight to stdout as it renders. A
+	// panic fails it like any error: exit 1 with a *runner.PanicError.
 	if len(selected) == 1 && fs.NArg() == 1 && fs.Arg(0) == selected[0].ID {
-		e := selected[0]
-		start := time.Now()
-		err := e.Run(stdout, opts)
-		results = []runner.Result{{ID: e.ID, Title: e.Title, Duration: time.Since(start), Err: err}}
-		if err != nil {
-			fmt.Fprintln(stderr, "montblanc:", err)
+		r := runner.ExecTo(selected[0].Task(opts), stdout)
+		results = []runner.Result{r}
+		if r.Err != nil {
+			fmt.Fprintln(stderr, "montblanc:", r.Err)
 			return 1
 		}
 		return 0

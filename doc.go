@@ -50,16 +50,17 @@
 //
 // The memory side (internal/cache behind internal/mem) mirrors that
 // design: strided sweeps run on a batched engine (Hierarchy.AccessRun —
-// translation once per page, set machinery once per line, steady
-// passes memoized once the replacement state provably reaches a fixed
-// point) with the element-at-a-time path retained as the bit-exact
-// reference, pinned by equivalence property suites and AllocsPerRun
-// guards. The scale-membench experiment and the BenchmarkMembench*
-// family cover the related-work working sets (hundreds of MB) the
-// scalar simulator could not afford; `montblanc -cpuprofile` /
-// `-memprofile` wrap any run in runtime/pprof collectors.
-// internal/cache/CACHE.md documents the engine and when memoization is
-// legal.
+// translation once per page, set machinery once per line — and
+// Hierarchy.AccessPass, which certifies a pass steady from a per-set
+// census of its hits and misses so that the passes after it are
+// replayed, not simulated) with the element-at-a-time path retained as
+// the bit-exact reference, pinned by equivalence property suites and
+// AllocsPerRun guards. The scale-membench experiment and the
+// BenchmarkMembench* family cover the related-work working sets
+// (hundreds of MB) the scalar simulator could not afford;
+// `montblanc -cpuprofile` / `-memprofile` wrap any run in runtime/pprof
+// collectors. internal/cache/CACHE.md documents the engine and proves
+// the certificate.
 //
 // Experiments are also served: `montblanc serve` (internal/service)
 // exposes the whole registry over HTTP/JSON with a content-addressed

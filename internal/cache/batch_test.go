@@ -338,8 +338,9 @@ func TestFixedPointReplayIsExact(t *testing.T) {
 
 func statesEq(a, b []uint64) bool { return slices.Equal(a, b) }
 
-// StateWords matches the AppendState encoding length and the encoding
-// excludes counters: resetting stats must not move the state.
+// The AppendState encoding has two words per line and three per TLB
+// slot, and it excludes counters: resetting stats must not move the
+// state.
 func TestStateEncodingShape(t *testing.T) {
 	hc := hierCfg{
 		levels: []Config{
@@ -350,8 +351,8 @@ func TestStateEncodingShape(t *testing.T) {
 		tlbEntries: 4, tlbPenalty: 30, mapper: 1,
 	}
 	h := hc.build(t)
-	if got, want := len(h.AppendState(nil)), h.StateWords(); got != want {
-		t.Fatalf("encoded %d words, StateWords says %d", got, want)
+	if got, want := len(h.AppendState(nil)), stateWords(h); got != want {
+		t.Fatalf("encoded %d words, want %d", got, want)
 	}
 	h.AccessRun(0, 16, 3000, true)
 	before := h.AppendState(nil)

@@ -9,7 +9,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"montblanc/internal/mem"
 	"montblanc/internal/units"
@@ -91,6 +90,14 @@ const (
 	maxWays = 1 << (16 - rankShift)
 )
 
+// A census word counts one set's lookups since the census was last
+// settled: lookups in the high half, hits in the low half. Zero means
+// the set was not looked up.
+const (
+	censusLookup = 1 << 32
+	censusHit    = 1
+)
+
 // Cache is one simulated level.
 type Cache struct {
 	cfg       Config
@@ -100,6 +107,15 @@ type Cache struct {
 	tags      []uint64
 	state     []uint16 // per line: rank<<rankShift | validBit | dirtyBit
 	stats     Stats
+
+	// The census behind the steady-pass certificate: a word per set and
+	// the first nTouched entries of touched, the sets whose word is not
+	// zero. Only AccessPass counts (it sets counting and allocates both
+	// on its first call), and it settles the census before it returns.
+	counting bool
+	census   []uint64
+	touched  []uint32
+	nTouched int
 }
 
 // newCache allocates a validated level.
@@ -130,17 +146,22 @@ func (c *Cache) Stats() Stats { return c.stats }
 // access looks up the line holding pa and makes it its set's most
 // recently used line, filling it on a miss. The victim is the last
 // invalid way if the set has one, else the least recently used way. It
-// returns the index of the line now holding pa and whether it hit.
+// returns the index of the line now holding pa and whether it hit, and
+// counts the lookup in the census while counting.
 func (c *Cache) access(pa uint64, write bool) (line int, hit bool) {
 	c.stats.Accesses++
 	assoc := c.cfg.Associativity
-	base := int((pa>>c.lineShift)&c.setMask) * assoc
+	set := int((pa >> c.lineShift) & c.setMask)
+	base := set * assoc
 	tag := pa >> (c.lineShift + c.setBits)
 	tags := c.tags[base : base+assoc]
 	state := c.state[base : base+assoc]
 	for w, t := range tags {
 		if t == tag && state[w]&validBit != 0 {
 			c.stats.Hits++
+			if c.counting {
+				c.count(set, censusLookup+censusHit)
+			}
 			if write {
 				state[w] |= dirtyBit
 			}
@@ -149,6 +170,9 @@ func (c *Cache) access(pa uint64, write bool) (line int, hit bool) {
 		}
 	}
 	c.stats.Misses++
+	if c.counting {
+		c.count(set, censusLookup)
+	}
 	fill := uint16(validBit)
 	if write {
 		fill |= dirtyBit
@@ -201,6 +225,35 @@ func promote(state []uint16, w int) {
 	state[w] = s&flagMask | top
 }
 
+// count adds one lookup of set to the census.
+func (c *Cache) count(set int, n uint64) {
+	w := c.census[set]
+	if w == 0 {
+		c.touched[c.nTouched] = uint32(set)
+		c.nTouched++
+	}
+	c.census[set] = w + n
+}
+
+// settle clears the census and reports whether every set it counted
+// either hit on every lookup, or missed on every lookup with more
+// lookups than ways and a multiple of the ways: the per-level part of
+// the steady-pass certificate (see AccessPass).
+func (c *Cache) settle() bool {
+	steady := true
+	ways := uint64(c.cfg.Associativity)
+	for _, set := range c.touched[:c.nTouched] {
+		w := c.census[set]
+		c.census[set] = 0
+		lookups, hits := w/censusLookup, w%censusLookup
+		if hits != lookups && (hits != 0 || lookups <= ways || lookups%ways != 0) {
+			steady = false
+		}
+	}
+	c.nTouched = 0
+	return steady
+}
+
 // hitRun bulk-accounts n guaranteed hits on the resident line at index
 // idx. It is exactly equivalent to n consecutive access calls on
 // addresses within that line immediately after the call that touched
@@ -242,6 +295,12 @@ type Hierarchy struct {
 	tlb    *mem.TLB
 	levels []*Cache
 	mem    *Memory
+
+	// The page segments AccessRun translated (the TLB's lookups), the
+	// physical page of the last one, and whether every page lay above
+	// the one before. AccessPass resets them and reads them.
+	pages, lastPage uint64
+	pagesAscend     bool
 }
 
 // NewHierarchy builds a hierarchy from level configs (ordered L1 first),
@@ -375,6 +434,12 @@ func (h *Hierarchy) AccessRun(va uint64, strideBytes, count int, write bool) Run
 				}
 			}
 			pa, tcyc = h.tlb.TranslateRun(vaj, inPage)
+			page := pa / mem.PageSize
+			if h.pages > 0 && page <= h.lastPage {
+				h.pagesAscend = false
+			}
+			h.lastPage = page
+			h.pages++
 		} else {
 			pa = vaj
 		}
@@ -426,6 +491,77 @@ func (h *Hierarchy) AccessRun(va uint64, strideBytes, count int, write bool) Run
 	return rr
 }
 
+// AccessPass is AccessRun for one pass of a periodic sweep. It also
+// reports whether the pass earned the steady-pass certificate: proof
+// that the same call, made again from the state this one left, gives
+// the same RunResult and counter movement and leaves that state
+// exactly as it is, AppendState included — so every further pass can
+// be replayed from counters (AddStats) instead of simulated. The
+// certificate comes from a census of the pass's lookups per set at
+// every level (the bulk-accounted same-line and same-page hits are not
+// lookups) and is granted only when
+//
+//  1. every set of every level either hit on every lookup, or missed on
+//     every lookup with more lookups than ways and a multiple of the
+//     ways;
+//  2. the TLB did the same over its page lookups;
+//  3. the pass wrote nothing back; and
+//  4. the stride is not negative, the sweep does not wrap around the
+//     address space, and each page's physical page lies above the
+//     previous page's, so every line occurs once per pass.
+//
+// CACHE.md gives the proof. A pass that fails a condition is not
+// certified, steady or not. The census costs one counter update per
+// lookup and one visit per touched set; AccessRun takes none.
+func (h *Hierarchy) AccessPass(va uint64, strideBytes, count int, write bool) (RunResult, bool) {
+	if count <= 0 || strideBytes < 0 {
+		return h.AccessRun(va, strideBytes, count, write), false
+	}
+	writebacks := h.writebacks()
+	var tlbMisses uint64
+	if h.tlb != nil {
+		_, tlbMisses = h.tlb.Stats()
+	}
+	for _, c := range h.levels {
+		if c.census == nil {
+			sets := len(c.tags) / c.cfg.Associativity
+			c.census, c.touched = make([]uint64, sets), make([]uint32, sets)
+		}
+		c.counting = true
+	}
+	h.pages, h.pagesAscend = 0, true
+	rr := h.AccessRun(va, strideBytes, count, write)
+	// Conditions 3 and 4. The sweep must not wrap around the address
+	// space either, and as no set looks up more than count times, count
+	// must fit a census word's half.
+	hi, last := bits.Mul64(uint64(count-1), uint64(strideBytes))
+	steady := h.writebacks() == writebacks && h.pagesAscend && hi == 0 && va+last >= va &&
+		uint64(count) < censusLookup
+	for _, c := range h.levels {
+		c.counting = false
+		if !c.settle() { // condition 1
+			steady = false
+		}
+	}
+	if h.tlb != nil { // condition 2: every page lookup hit, or every one missed
+		_, m := h.tlb.Stats()
+		if misses, ways := m-tlbMisses, uint64(h.tlb.Entries); misses != 0 &&
+			(misses != h.pages || h.pages <= ways || h.pages%ways != 0) {
+			steady = false
+		}
+	}
+	return rr, steady
+}
+
+// writebacks sums the write-backs of every level.
+func (h *Hierarchy) writebacks() uint64 {
+	var n uint64
+	for _, c := range h.levels {
+		n += c.stats.Writebacks
+	}
+	return n
+}
+
 // Level returns cache level i (0 = L1). It panics on out-of-range i.
 func (h *Hierarchy) Level(i int) *Cache { return h.levels[i] }
 
@@ -475,8 +611,8 @@ func (h *Hierarchy) TLBStats() (hits, misses uint64, present bool) {
 
 // HierarchyStats is a combined snapshot of every counter in a
 // hierarchy: per-level cache Stats (L1 first), the DRAM backstop, and
-// the TLB. It is the unit of periodic-pass memoization: the counter
-// movement of one verified-steady pass, replayed multiplicatively.
+// the TLB. It is the unit of periodic-pass replay: the counter
+// movement of one certified pass, replayed multiplicatively.
 type HierarchyStats struct {
 	Levels    []Stats
 	Memory    Stats
@@ -530,11 +666,10 @@ func subStats(a, b Stats) Stats {
 }
 
 // AddStats bulk-advances every counter by d, times-fold. It exists for
-// verified periodic-pass replay (see CACHE.md): once a pass is proven
-// to leave the hierarchy's canonical state (AppendState) at a fixed
-// point, further identical passes move only the counters, by exactly d
+// periodic-pass replay (see CACHE.md): once AccessPass certifies a
+// pass, further identical passes move only the counters, by exactly d
 // each — replaying them is legal and exact. Replacement state is not
-// touched: a replayed pass leaves it where the verified pass did.
+// touched: a replayed pass leaves it where the certified pass did.
 func (h *Hierarchy) AddStats(d *HierarchyStats, times uint64) {
 	for i, l := range h.levels {
 		if i >= len(d.Levels) {
@@ -563,13 +698,10 @@ func (h *Hierarchy) AddStats(d *HierarchyStats, times uint64) {
 // order, the encoding is the tag and the stored state word (recency
 // rank within the set, validity, dirtiness), which is all the
 // replacement machinery's decisions depend on. Way order is part of the
-// encoding — conservative, since victim selection scans ways in order.
-// Ranks are relative, so a periodic pass over a fixed working set
-// reaches a detectable fixed point. Counters are excluded: state
-// equality is about future behaviour, not history. The cost is one
-// linear copy of StateWords words.
+// encoding. Counters are excluded: state equality is about future
+// behaviour, not history. The equivalence suites compare it; a
+// certified pass (AccessPass) leaves it unchanged.
 func (h *Hierarchy) AppendState(dst []uint64) []uint64 {
-	dst = slices.Grow(dst, h.StateWords())
 	for _, l := range h.levels {
 		for i, tag := range l.tags {
 			dst = append(dst, tag, uint64(l.state[i]))
@@ -579,18 +711,4 @@ func (h *Hierarchy) AppendState(dst []uint64) []uint64 {
 		dst = h.tlb.AppendState(dst)
 	}
 	return dst
-}
-
-// StateWords returns the length of the AppendState encoding, the unit
-// callers weigh a pass against when deciding whether fixed-point
-// detection is worth its snapshot cost.
-func (h *Hierarchy) StateWords() int {
-	n := 0
-	for _, l := range h.levels {
-		n += 2 * len(l.tags)
-	}
-	if h.tlb != nil {
-		n += h.tlb.StateWords()
-	}
-	return n
 }

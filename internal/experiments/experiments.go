@@ -10,7 +10,6 @@ import (
 	"path"
 	"runtime"
 	"sort"
-	"time"
 
 	"montblanc/internal/fault"
 	"montblanc/internal/platform"
@@ -119,8 +118,8 @@ func Match(args ...string) ([]Experiment, error) {
 	return out, nil
 }
 
-// task adapts an experiment to the runner.
-func (e Experiment) task(o Options) runner.Task {
+// Task adapts an experiment to the runner.
+func (e Experiment) Task(o Options) runner.Task {
 	return runner.Task{
 		ID:     e.ID,
 		Title:  e.Title,
@@ -136,7 +135,7 @@ func (e Experiment) task(o Options) runner.Task {
 func Results(es []Experiment, o Options, workers int) []runner.Result {
 	tasks := make([]runner.Task, len(es))
 	for i, e := range es {
-		tasks[i] = e.task(o)
+		tasks[i] = e.Task(o)
 	}
 	p := runner.Pool{Workers: workers}
 	return p.Run(tasks)
@@ -198,7 +197,7 @@ func Stream(w io.Writer, es []Experiment, o Options, workers int) ([]runner.Resu
 	}
 	tasks := make([]runner.Task, len(es))
 	for i, e := range es {
-		tasks[i] = e.task(o)
+		tasks[i] = e.Task(o)
 	}
 	p := runner.Pool{Workers: workers}
 	results := make([]runner.Result, 0, len(tasks))
@@ -214,22 +213,18 @@ func Stream(w io.Writer, es []Experiment, o Options, workers int) ([]runner.Resu
 // streamSequential is the one-worker path: experiments write to w
 // directly as they render (no per-task buffer), so output appears
 // progressively *within* an experiment, like the historical loop.
-// Same bytes as the pooled path, just sooner.
+// Same bytes as the pooled path, just sooner, and the same recover: a
+// panicking experiment fails with a *runner.PanicError.
 func streamSequential(w io.Writer, es []Experiment, o Options) ([]runner.Result, error) {
 	results := make([]runner.Result, 0, len(es))
 	for _, e := range es {
 		if _, err := fmt.Fprintf(w, sectionHeader, e.ID, e.Title); err != nil {
 			return results, fmt.Errorf("experiments: writing %s section: %w", e.ID, err)
 		}
-		//detlint:allow wallclock -- wall-clock telemetry: Duration feeds -time/-json reporting, never the experiment bytes
-		start := time.Now()
-		err := e.Run(w, o)
-		results = append(results, runner.Result{
-			//detlint:allow wallclock -- wall-clock telemetry: Duration feeds -time/-json reporting, never the experiment bytes
-			ID: e.ID, Title: e.Title, Duration: time.Since(start), Err: err,
-		})
-		if err != nil {
-			return results, fmt.Errorf("experiments: %s: %w", e.ID, err)
+		r := runner.ExecTo(e.Task(o), w)
+		results = append(results, r)
+		if r.Err != nil {
+			return results, fmt.Errorf("experiments: %s: %w", e.ID, r.Err)
 		}
 		if _, err := fmt.Fprintln(w); err != nil {
 			return results, fmt.Errorf("experiments: writing %s section: %w", e.ID, err)

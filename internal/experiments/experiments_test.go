@@ -3,8 +3,12 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+
+	"montblanc/internal/runner"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -192,6 +196,36 @@ func TestWriterErrorStopsSuite(t *testing.T) {
 		if len(results) >= len(All()) {
 			t.Errorf("workers=%d: all %d experiments emitted despite a dead writer",
 				workers, len(results))
+		}
+	}
+}
+
+// A panicking experiment fails alone with a *runner.PanicError naming
+// it, on the one-worker path that writes straight to w as well as on
+// the pooled one; the sections before it are emitted and the process
+// carries on.
+func TestPanickingExperimentStream(t *testing.T) {
+	ok := Experiment{ID: "a-ok", Title: "fine", Run: func(w io.Writer, _ Options) error {
+		fmt.Fprint(w, "fine")
+		return nil
+	}}
+	boom := Experiment{ID: "boom", Title: "panics", Run: func(w io.Writer, _ Options) error {
+		fmt.Fprint(w, "partial")
+		panic("kaboom")
+	}}
+	for _, workers := range []int{1, 2} {
+		var buf bytes.Buffer
+		results, err := Stream(&buf, []Experiment{ok, boom}, Options{}, workers)
+		var pe *runner.PanicError
+		if !errors.As(err, &pe) || pe.ID != "boom" || pe.Value != "kaboom" {
+			t.Fatalf("workers=%d: err = %v, want a PanicError for boom", workers, err)
+		}
+		if len(results) != 2 || results[0].Err != nil || !errors.As(results[1].Err, &pe) {
+			t.Errorf("workers=%d: results %+v, want a-ok then the panic", workers, results)
+		}
+		want := "==== a-ok: fine ====\nfine\n==== boom: panics ====\npartial"
+		if got := buf.String(); got != want {
+			t.Errorf("workers=%d: output %q, want %q", workers, got, want)
 		}
 	}
 }

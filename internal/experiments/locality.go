@@ -32,8 +32,12 @@ func localitySizes(quick bool) []int {
 
 var localityStrides = []int{1, 2, 4, 8, 16}
 
+// localityPlatforms are the paper's two §V.A machines.
+var localityPlatforms = []string{"Snowball", "XeonX5550"}
+
 func runLocality(w io.Writer, o Options) error {
-	for _, p := range []*platform.Platform{platform.MustLookup("Snowball"), platform.MustLookup("XeonX5550")} {
+	for _, name := range localityPlatforms {
+		p := platform.MustLookup(name)
 		profile, err := membench.LocalityProfile(p, localitySizes(o.Quick), localityStrides)
 		if err != nil {
 			return err

@@ -103,8 +103,8 @@ func TestTLBAddStats(t *testing.T) {
 // encoding, while counters do not appear in it.
 func TestTLBAppendState(t *testing.T) {
 	tlb := NewTLB(3, 10, NewContiguousMapper(0))
-	if got, want := len(tlb.AppendState(nil)), tlb.StateWords(); got != want {
-		t.Fatalf("encoded %d words, StateWords says %d", got, want)
+	if got, want := len(tlb.AppendState(nil)), 3*tlb.Entries; got != want {
+		t.Fatalf("encoded %d words, want 3 per entry: %d", got, want)
 	}
 	tlb.Translate(0)
 	tlb.Translate(PageSize)

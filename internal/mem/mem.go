@@ -292,9 +292,6 @@ func (t *TLB) AppendState(dst []uint64) []uint64 {
 	return dst
 }
 
-// StateWords returns the length of the AppendState encoding.
-func (t *TLB) StateWords() int { return 3 * len(t.slots) }
-
 // String describes the TLB configuration.
 func (t *TLB) String() string {
 	if !t.enabled {

@@ -7,15 +7,15 @@
 // Figure 6.
 //
 // A measurement is a run of identical passes over the array, simulated
-// on the batched cache engine. Once a pass maps the hierarchy's
-// replacement state onto itself, every later pass would repeat it, so
-// Runner.Run replays its counters instead of simulating the rest; see
+// on the batched cache engine. Once the engine certifies a pass as
+// steady (cache.Hierarchy.AccessPass: from a per-set census of its hits
+// and misses, every later pass would repeat it exactly), Runner.Run
+// replays that pass's counters instead of simulating the rest; see
 // internal/cache/CACHE.md.
 package membench
 
 import (
 	"fmt"
-	"slices"
 
 	"montblanc/internal/cache"
 	"montblanc/internal/cpu"
@@ -74,29 +74,26 @@ type Result struct {
 	Counters  papi.Counters
 
 	// SimulatedPasses counts the passes the engine executed and
-	// ReplayedPasses those a fixed-point pass stood in for; they sum to
-	// WarmPasses+MeasurePasses. RunScalar replays none.
+	// ReplayedPasses those a certified pass stood in for; they sum to
+	// WarmPasses+MeasurePasses.
 	SimulatedPasses, ReplayedPasses int
 }
 
 // Runner performs measurements against one platform with one page
 // mapping, modelling a single process whose malloc/free keeps returning
 // the same physical pages (§V.A.1). Measurements run on the batched
-// cache engine (cache.Hierarchy.AccessRun) with periodic-pass
-// memoization: every simulated pass, warm or measured, is a fixed-point
-// candidate whose counter delta and aggregates stand in for every
-// measured pass still to run. RunScalar retains the element-at-a-time
-// reference path, and the two are pinned exactly equivalent by the
-// property suite in equivalence_test.go. See internal/cache/CACHE.md.
+// cache engine with periodic-pass replay: every simulated pass, warm or
+// measured, that the engine certifies as steady stands in for every
+// pass still to run. The property suite in equivalence_test.go pins Run
+// exactly equivalent to an element-at-a-time reference. See
+// internal/cache/CACHE.md.
 type Runner struct {
 	plat *platform.Platform
 	hier *cache.Hierarchy
 
-	// Memoization scratch, reused across passes and Runs so the steady
-	// state allocates nothing: two canonical-state snapshots for
-	// fixed-point detection, sized to StateWords on first use, and
-	// three counter snapshots for delta capture and replay.
-	statePrev, stateCur             []uint64
+	// Replay scratch, reused across passes and Runs so the steady state
+	// allocates nothing: the counters before and after a pass and the
+	// certified pass's delta.
 	statsPre, statsPost, statsDelta cache.HierarchyStats
 }
 
@@ -115,85 +112,25 @@ func NewRunner(p *platform.Platform, m mem.Mapper) (*Runner, error) {
 func (r *Runner) Hierarchy() *cache.Hierarchy { return r.hier }
 
 // Run measures one configuration and returns the result. It drives the
-// batched engine: translation once per page, set machinery once per
-// line, and — once a pass, warm or measured, is detected to leave the
-// hierarchy's canonical state at a fixed point — the warm passes left
-// skipped and the measured passes left replayed as counter deltas
-// instead of being re-simulated. Results are exactly those of
-// RunScalar; Result.SimulatedPasses says how many passes ran.
-func (r *Runner) Run(cfg Config) (Result, error) { return r.run(cfg, false) }
-
-// RunScalar is the reference implementation: one Hierarchy.Access per
-// element, no batching, no memoization. It exists to pin the batched
-// engine — the equivalence suite asserts identical cycles, per-level
-// Stats and papi counters against it — and as the baseline the
-// BenchmarkMembench* family measures speedups over.
-func (r *Runner) RunScalar(cfg Config) (Result, error) { return r.run(cfg, true) }
-
-// statesEqual compares two canonical-state encodings.
-func statesEqual(a, b []uint64) bool { return slices.Equal(a, b) }
-
-// memoGateFactor weighs simulated L1 lines against state words: Run
-// takes fixed-point snapshots only when a pass touches at least
-// StateWords/memoGateFactor L1 lines. A snapshot (copy plus compare)
-// costs about 2 ns per word and a pass that large 45-170 ns per line,
-// so at the gate one snapshot costs at most about 1.4 passes.
-// internal/cache/CACHE.md records the factor sweep behind the choice.
-const memoGateFactor = 32
-
-// memoizes reports whether Run takes fixed-point snapshots for cfg.
-func (r *Runner) memoizes(cfg Config) bool {
-	cfg = cfg.withDefaults()
-	strideBytes := cfg.StrideElems * cfg.Width.Bytes()
-	count := (cfg.ArrayBytes/cfg.Width.Bytes() + cfg.StrideElems - 1) / cfg.StrideElems
-	lines := min(count, (count-1)*strideBytes/r.plat.L1().LineSize+1)
-	return lines*memoGateFactor >= r.hier.StateWords()
-}
-
-func (r *Runner) run(cfg Config, scalar bool) (Result, error) {
+// batched engine — translation once per page, set machinery once per
+// line — and, once a pass, warm or measured, is certified steady,
+// skips the warm passes left and replays the measured passes left as
+// counter deltas instead of simulating them. Result.SimulatedPasses
+// says how many passes ran.
+func (r *Runner) Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	elemBytes := cfg.Width.Bytes()
-	n := cfg.ArrayBytes / elemBytes
 	stride := cfg.StrideElems
 	strideBytes := stride * elemBytes
-	count := (n + stride - 1) / stride // accesses per pass
+	count := (cfg.ArrayBytes/elemBytes + stride - 1) / stride // accesses per pass
 
 	// Issue cost per access from the core model: the unrolled loop body
 	// amortizes loop overhead but may spill registers.
 	issuePerAccess := r.plat.CPU.IterationCost(cfg.Width, cfg.Unroll) / float64(cfg.Unroll)
-	l1Hit := r.hier.L1HitLatency()
 
-	pass := func() cache.RunResult {
-		if scalar {
-			var rr cache.RunResult
-			for i := 0; i < n; i += stride {
-				va := uint64(i * elemBytes)
-				lat := r.hier.Access(va, false)
-				rr.Accesses++
-				rr.Latency += uint64(lat)
-				if lat > l1Hit {
-					rr.Extra += uint64(lat - l1Hit)
-				}
-			}
-			return rr
-		}
-		return r.hier.AccessRun(0, strideBytes, count, false)
-	}
-	passCycles := func(rr cache.RunResult) float64 {
-		return float64(rr.Accesses)*issuePerAccess + r.plat.CPU.StallCyclesTotal(rr.Extra)
-	}
-
-	memo := !scalar && r.memoizes(cfg)
-	if memo {
-		if words := r.hier.StateWords(); cap(r.stateCur) < words {
-			r.statePrev = make([]uint64, 0, words)
-			r.stateCur = make([]uint64, 0, words)
-		}
-		r.stateCur = r.hier.AppendState(r.stateCur[:0])
-	}
 	passes := cfg.WarmPasses + cfg.MeasurePasses
 	var totalCycles float64
 	var totalAccesses uint64
@@ -203,31 +140,24 @@ func (r *Runner) run(cfg Config, scalar bool) (Result, error) {
 		if p == cfg.WarmPasses {
 			r.hier.ResetStats()
 		}
-		// Every pass but the last is a fixed-point candidate.
-		candidate := memo && p < passes-1
-		if candidate {
+		last := p == passes-1
+		if !last {
 			r.hier.ReadStats(&r.statsPre)
 		}
-		rr := pass()
+		rr, steady := r.hier.AccessPass(0, strideBytes, count, false)
 		simulated++
-		cyc := passCycles(rr)
+		cyc := float64(rr.Accesses)*issuePerAccess + r.plat.CPU.StallCyclesTotal(rr.Extra)
 		if measured {
 			totalCycles += cyc
 			totalAccesses += rr.Accesses
 		}
-		if !candidate {
+		if last || !steady {
 			continue
 		}
-		r.statePrev, r.stateCur = r.stateCur, r.statePrev
-		r.stateCur = r.hier.AppendState(r.stateCur[:0])
-		if !statesEqual(r.statePrev, r.stateCur) {
-			continue
-		}
-		// Pass p mapped the canonical state onto itself, so every later
-		// pass starts from the state p started from and repeats it
-		// exactly. Warm passes left only move state and are skipped;
-		// each measured pass left replays p's counter delta and adds
-		// p's cycles and accesses, in pass order.
+		// Pass p is certified: every later pass repeats it exactly from
+		// the state it left. Warm passes left only move state and are
+		// skipped; each measured pass left replays p's counter delta and
+		// adds p's cycles and accesses, in pass order.
 		r.hier.ReadStats(&r.statsPost)
 		r.statsDelta.Delta(&r.statsPost, &r.statsPre)
 		replay := cfg.MeasurePasses

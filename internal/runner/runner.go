@@ -164,12 +164,20 @@ func (e *PanicError) Error() string { return fmt.Sprintf("%s panicked: %v", e.ID
 // the caller's goroutine carries on.
 func Exec(t Task) Result {
 	var buf bytes.Buffer
+	r := ExecTo(t, &buf)
+	r.Output = buf.String()
+	return r
+}
+
+// ExecTo is Exec writing straight to w instead of a private buffer, so
+// the output appears as the task renders it; the Result's Output stays
+// empty. A panic fails the task alone, as in Exec.
+func ExecTo(t Task, w io.Writer) Result {
 	start := time.Now()
-	err := call(t, &buf)
+	err := call(t, w)
 	return Result{
 		ID:       t.ID,
 		Title:    t.Title,
-		Output:   buf.String(),
 		Duration: time.Since(start),
 		Err:      err,
 	}
