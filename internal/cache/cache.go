@@ -116,6 +116,12 @@ type Cache struct {
 	census   []uint64
 	touched  []uint32
 	nTouched int
+
+	// deferring is set by AccessPass when every set that has missed
+	// Associativity times in the pass is certain to miss on each later
+	// lookup (see access). It ends when the census settles, or at once
+	// if the pass's pages stop ascending (undefer).
+	deferring bool
 }
 
 // newCache allocates a validated level.
@@ -146,8 +152,18 @@ func (c *Cache) Stats() Stats { return c.stats }
 // access looks up the line holding pa and makes it its set's most
 // recently used line, filling it on a miss. The victim is the last
 // invalid way if the set has one, else the least recently used way. It
-// returns the index of the line now holding pa and whether it hit, and
-// counts the lookup in the census while counting.
+// returns the index of the line now holding pa and whether it hit.
+// While counting it reads the set's census word once, before the set
+// scan, and adds the lookup to it, listing the set in touched on its
+// first lookup.
+//
+// While deferring, a set that has missed assoc times in the pass takes
+// a deferred miss instead: the lookup is a certain miss (CACHE.md,
+// "Deferred misses"), so only the victim's tag and flags are written.
+// The set's stored ranks stay those it had when it began deferring,
+// and the victim of its t-th deferred miss is the way that held rank
+// t mod assoc then — t is the census's misses less assoc. settle and
+// undefer write the true ranks back.
 func (c *Cache) access(pa uint64, write bool) (line int, hit bool) {
 	c.stats.Accesses++
 	assoc := c.cfg.Associativity
@@ -156,11 +172,41 @@ func (c *Cache) access(pa uint64, write bool) (line int, hit bool) {
 	tag := pa >> (c.lineShift + c.setBits)
 	tags := c.tags[base : base+assoc]
 	state := c.state[base : base+assoc]
+	counting := c.counting
+	var n uint64 // the set's census word, while counting
+	if counting {
+		n = c.census[set]
+		if n == 0 {
+			c.touched[c.nTouched] = uint32(set)
+			c.nTouched++
+		}
+		if misses := n/censusLookup - n%censusLookup; c.deferring && misses >= uint64(assoc) {
+			r := misses // the victim's rank: misses mod assoc, without a division for power-of-two ways
+			if assoc&(assoc-1) == 0 {
+				r &= uint64(assoc - 1)
+			} else {
+				r %= uint64(assoc)
+			}
+			victim := uint16(r) << rankShift
+			for w, s := range state {
+				if s&^flagMask == victim {
+					c.census[set] = n + censusLookup
+					c.stats.Misses++
+					if s&dirtyBit != 0 {
+						c.stats.Writebacks++
+					}
+					tags[w] = tag
+					state[w] = victim | validBit
+					return base + w, false
+				}
+			}
+		}
+	}
 	for w, t := range tags {
 		if t == tag && state[w]&validBit != 0 {
 			c.stats.Hits++
-			if c.counting {
-				c.count(set, censusLookup+censusHit)
+			if counting {
+				c.census[set] = n + censusLookup + censusHit
 			}
 			if write {
 				state[w] |= dirtyBit
@@ -170,8 +216,8 @@ func (c *Cache) access(pa uint64, write bool) (line int, hit bool) {
 		}
 	}
 	c.stats.Misses++
-	if c.counting {
-		c.count(set, censusLookup)
+	if counting {
+		c.census[set] = n + censusLookup
 	}
 	fill := uint16(validBit)
 	if write {
@@ -198,13 +244,17 @@ func (c *Cache) access(pa uint64, write bool) (line int, hit bool) {
 		state[lru] = uint16(assoc-1)<<rankShift | fill
 		return base + lru, false
 	}
-	// The set is not full: undo the move and fill the last invalid way.
-	for w := range state {
-		state[w] += rankOne
+	// The set is not full: fill its last invalid way and promote it.
+	// That undoes the move, except for the ways more recent than the
+	// filled one, which the promotion moves down one rank anyway.
+	newer := (state[invalid] + rankOne) | flagMask // its word before the move, flags set
+	for w, s := range state {
+		if s+rankOne <= newer {
+			state[w] = s + rankOne
+		}
 	}
 	tags[invalid] = tag
-	state[invalid] |= fill // invalid lines are never dirty
-	promote(state, invalid)
+	state[invalid] = uint16(assoc-1)<<rankShift | fill // invalid lines are never dirty
 	return base + invalid, false
 }
 
@@ -225,33 +275,57 @@ func promote(state []uint16, w int) {
 	state[w] = s&flagMask | top
 }
 
-// count adds one lookup of set to the census.
-func (c *Cache) count(set int, n uint64) {
-	w := c.census[set]
-	if w == 0 {
-		c.touched[c.nTouched] = uint32(set)
-		c.nTouched++
-	}
-	c.census[set] = w + n
-}
-
-// settle clears the census and reports whether every set it counted
-// either hit on every lookup, or missed on every lookup with more
-// lookups than ways and a multiple of the ways: the per-level part of
-// the steady-pass certificate (see AccessPass).
-func (c *Cache) settle() bool {
-	steady := true
+// settle ends the pass's census and deferral. It reports whether every
+// set it counted either hit on every lookup, or missed on every lookup
+// with more lookups than ways and a multiple of the ways — the
+// per-level part of the steady-pass certificate — and whether every
+// set looked up at most ways lines, the settling forecast's condition
+// on its level (see AccessPass).
+func (c *Cache) settle() (steady, fits bool) {
+	deferred := c.deferring
+	c.deferring = false
+	steady, fits = true, true
 	ways := uint64(c.cfg.Associativity)
 	for _, set := range c.touched[:c.nTouched] {
-		w := c.census[set]
+		n := c.census[set]
 		c.census[set] = 0
-		lookups, hits := w/censusLookup, w%censusLookup
+		if deferred {
+			c.rerank(int(set), n)
+		}
+		lookups, hits := n/censusLookup, n%censusLookup
 		if hits != lookups && (hits != 0 || lookups <= ways || lookups%ways != 0) {
 			steady = false
 		}
+		if lookups > ways {
+			fits = false
+		}
 	}
 	c.nTouched = 0
-	return steady
+	return steady, fits
+}
+
+// rerank writes back the true ranks of set, whose census word is n,
+// after deferred misses. d deferred misses each evict the least recent
+// way, so together they move every way down d ranks, cyclically: the
+// way that held rank r when the set began deferring holds rank
+// (r - d) mod ways. d mod ways equals the set's misses mod ways.
+func (c *Cache) rerank(set int, n uint64) {
+	ways := c.cfg.Associativity
+	misses := n/censusLookup - n%censusLookup
+	if misses <= uint64(ways) {
+		return
+	}
+	d := uint16(misses % uint64(ways))
+	if d == 0 {
+		return
+	}
+	for w, s := range c.state[set*ways : (set+1)*ways] {
+		r := s >> rankShift
+		if r < d {
+			r += uint16(ways)
+		}
+		c.state[set*ways+w] = (r-d)<<rankShift | s&flagMask
+	}
 }
 
 // hitRun bulk-accounts n guaranteed hits on the resident line at index
@@ -301,6 +375,9 @@ type Hierarchy struct {
 	// the one before. AccessPass resets them and reads them.
 	pages, lastPage uint64
 	pagesAscend     bool
+
+	// before holds the counters at the start of an AccessPass.
+	before HierarchyStats
 }
 
 // NewHierarchy builds a hierarchy from level configs (ordered L1 first),
@@ -435,8 +512,9 @@ func (h *Hierarchy) AccessRun(va uint64, strideBytes, count int, write bool) Run
 			}
 			pa, tcyc = h.tlb.TranslateRun(vaj, inPage)
 			page := pa / mem.PageSize
-			if h.pages > 0 && page <= h.lastPage {
+			if h.pages > 0 && page <= h.lastPage && h.pagesAscend {
 				h.pagesAscend = false
+				h.undefer()
 			}
 			h.lastPage = page
 			h.pages++
@@ -491,15 +569,25 @@ func (h *Hierarchy) AccessRun(va uint64, strideBytes, count int, write bool) Run
 	return rr
 }
 
-// AccessPass is AccessRun for one pass of a periodic sweep. It also
-// reports whether the pass earned the steady-pass certificate: proof
-// that the same call, made again from the state this one left, gives
-// the same RunResult and counter movement and leaves that state
-// exactly as it is, AppendState included — so every further pass can
-// be replayed from counters (AddStats) instead of simulated. The
-// certificate comes from a census of the pass's lookups per set at
-// every level (the bulk-accounted same-line and same-page hits are not
-// lookups) and is granted only when
+// Replay is what every later pass of a periodic sweep does, once
+// AccessPass has proved it: the RunResult each such pass returns and
+// the movement of every counter it makes. Passes replayed with AddStats
+// leave the state where simulating them would.
+type Replay struct {
+	Result RunResult
+	Delta  HierarchyStats
+}
+
+// AccessPass is AccessRun for one pass of a periodic sweep. When the
+// pass proves what the same call, made again and again from the state
+// it leaves, does, AccessPass sets *next to that later pass and returns
+// true; every later pass then repeats *next exactly and leaves the
+// state, AppendState included, as it is. Two rules prove it, both from
+// a census of the pass's lookups per set at every level (the
+// bulk-accounted same-line and same-page hits are not lookups), and
+// CACHE.md gives the proofs.
+//
+// The steady-pass certificate: the pass repeats itself when
 //
 //  1. every set of every level either hit on every lookup, or missed on
 //     every lookup with more lookups than ways and a multiple of the
@@ -510,56 +598,120 @@ func (h *Hierarchy) AccessRun(va uint64, strideBytes, count int, write bool) Run
 //     address space, and each page's physical page lies above the
 //     previous page's, so every line occurs once per pass.
 //
-// CACHE.md gives the proof. A pass that fails a condition is not
-// certified, steady or not. The census costs one counter update per
-// lookup and one visit per touched set; AccessRun takes none.
-func (h *Hierarchy) AccessPass(va uint64, strideBytes, count int, write bool) (RunResult, bool) {
+// The settling forecast: when conditions 3 and 4 hold, every level
+// above some level L meets condition 1, every set of L looked up at
+// most ways lines, and the TLB meets condition 2 or saw at most Entries
+// pages, then the next pass hits at L on every lookup, looks nothing up
+// below L and changes no state; forecast writes that pass.
+//
+// A load pass that meets condition 4 also defers its misses: at a
+// level whose line is no longer than a page or than the line of any
+// level above, a set that has missed ways times in the pass misses on
+// every later lookup, so those lookups skip the set scan (see
+// Cache.access). A pass that proves nothing is simulated again by the
+// caller. The census costs one counter update per lookup and one visit
+// per touched set; AccessRun takes none of this.
+func (h *Hierarchy) AccessPass(va uint64, strideBytes, count int, write bool, next *Replay) (RunResult, bool) {
 	if count <= 0 || strideBytes < 0 {
 		return h.AccessRun(va, strideBytes, count, write), false
 	}
-	writebacks := h.writebacks()
-	var tlbMisses uint64
-	if h.tlb != nil {
-		_, tlbMisses = h.tlb.Stats()
-	}
+	// Condition 4 up front: the sweep must not wrap around the address
+	// space, and as no set looks up more than count times, count must
+	// fit a census word's half.
+	hi, last := bits.Mul64(uint64(count-1), uint64(strideBytes))
+	ascending := hi == 0 && va+last >= va && uint64(count) < censusLookup
+	h.ReadStats(&h.before)
+	lineCap := mem.PageSize
 	for _, c := range h.levels {
 		if c.census == nil {
 			sets := len(c.tags) / c.cfg.Associativity
 			c.census, c.touched = make([]uint64, sets), make([]uint32, sets)
 		}
 		c.counting = true
+		c.deferring = ascending && !write && c.cfg.LineSize <= lineCap
+		lineCap = min(lineCap, c.cfg.LineSize)
 	}
 	h.pages, h.pagesAscend = 0, true
 	rr := h.AccessRun(va, strideBytes, count, write)
-	// Conditions 3 and 4. The sweep must not wrap around the address
-	// space either, and as no set looks up more than count times, count
-	// must fit a census word's half.
-	hi, last := bits.Mul64(uint64(count-1), uint64(strideBytes))
-	steady := h.writebacks() == writebacks && h.pagesAscend && hi == 0 && va+last >= va &&
-		uint64(count) < censusLookup
-	for _, c := range h.levels {
+	d := &next.Delta
+	h.ReadStats(d)
+	d.sub(d, &h.before)
+	steady := ascending && h.pagesAscend // condition 4
+	for _, s := range d.Levels {
+		if s.Writebacks != 0 { // condition 3
+			steady = false
+		}
+	}
+	fill := -1 // the forecast's level L
+	for i, c := range h.levels {
 		c.counting = false
-		if !c.settle() { // condition 1
-			steady = false
+		levelSteady, fits := c.settle()
+		if steady && fits && fill < 0 {
+			fill = i
 		}
+		steady = steady && levelSteady // condition 1
 	}
+	tlbSteady, tlbFits := true, true
 	if h.tlb != nil { // condition 2: every page lookup hit, or every one missed
-		_, m := h.tlb.Stats()
-		if misses, ways := m-tlbMisses, uint64(h.tlb.Entries); misses != 0 &&
-			(misses != h.pages || h.pages <= ways || h.pages%ways != 0) {
-			steady = false
-		}
+		misses, ways := d.TLBMisses, uint64(h.tlb.Entries)
+		tlbSteady = misses == 0 || misses == h.pages && h.pages > ways && h.pages%ways == 0
+		tlbFits = h.pages <= ways
 	}
-	return rr, steady
+	switch {
+	case steady && tlbSteady:
+		next.Result = rr
+	case fill >= 0 && (tlbSteady || tlbFits):
+		h.forecast(rr.Accesses, fill, tlbSteady, next)
+	default:
+		return rr, false
+	}
+	return rr, true
 }
 
-// writebacks sums the write-backs of every level.
-func (h *Hierarchy) writebacks() uint64 {
-	var n uint64
-	for _, c := range h.levels {
-		n += c.stats.Writebacks
+// forecast turns next.Delta, the counter movement of a pass that
+// settles at level fill, into the next pass's: the levels above fill
+// repeat theirs, fill hits on every lookup, nothing below it is looked
+// up, and the TLB repeats its misses if it is steady or hits on every
+// page if it is not. Every access costs the L1 hit latency, every
+// lookup below the L1 down to fill its level's hit latency and every
+// TLB miss the miss penalty.
+func (h *Hierarchy) forecast(accesses uint64, fill int, tlbSteady bool, next *Replay) {
+	d := &next.Delta
+	var extra uint64
+	for i := 1; i <= fill; i++ {
+		extra += d.Levels[i].Accesses * uint64(h.levels[i].cfg.HitLatency)
 	}
-	return n
+	lookups := d.Levels[fill].Accesses
+	d.Levels[fill] = Stats{Accesses: lookups, Hits: lookups}
+	clear(d.Levels[fill+1:])
+	d.Memory = Stats{}
+	if h.tlb != nil {
+		if !tlbSteady {
+			d.TLBHits += d.TLBMisses
+			d.TLBMisses = 0
+		}
+		extra += d.TLBMisses * uint64(h.tlb.MissPenalty)
+	}
+	next.Result = RunResult{
+		Accesses: accesses,
+		Latency:  accesses*uint64(h.levels[0].cfg.HitLatency) + extra,
+		Extra:    extra,
+	}
+}
+
+// undefer ends deferral mid-pass, when the pass's pages stop
+// ascending: every level that defers writes back the true ranks of its
+// sets that deferred misses, and its census goes on counting.
+func (h *Hierarchy) undefer() {
+	for _, c := range h.levels {
+		if !c.deferring {
+			continue
+		}
+		for _, set := range c.touched[:c.nTouched] {
+			c.rerank(int(set), c.census[set])
+		}
+		c.deferring = false
+	}
 }
 
 // Level returns cache level i (0 = L1). It panics on out-of-range i.
@@ -580,6 +732,22 @@ func (h *Hierarchy) Flush() {
 	for _, l := range h.levels {
 		l.Flush()
 	}
+	if h.tlb != nil {
+		h.tlb.Flush()
+	}
+}
+
+// Reset restores exactly what NewHierarchy built: every tag and state
+// word cleared, every counter zero and the TLB flushed. The census
+// buffers stay allocated. The mapper behind the TLB keeps its mappings:
+// it is the caller's.
+func (h *Hierarchy) Reset() {
+	for _, c := range h.levels {
+		clear(c.tags)
+		clear(c.state)
+		c.stats = Stats{}
+	}
+	h.mem.stats = Stats{}
 	if h.tlb != nil {
 		h.tlb.Flush()
 	}

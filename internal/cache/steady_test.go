@@ -21,27 +21,30 @@ func stateWords(h *Hierarchy) int {
 	return n
 }
 
-// The closed-form LRU oracle the steady-pass certificate rests on: one
-// set swept cyclically by k distinct lines, k from 1 to 3×ways. After
-// the first pass every lookup hits when k <= ways and every lookup
-// misses when k > ways. The state after a pass repeats exactly when
-// k <= ways or k is a multiple of the ways; otherwise every line keeps
-// its rank but moves to the way that held the line k mod ways ranks
-// above it. AccessPass certifies exactly the passes whose outcome and
-// state both repeat.
+// The closed-form LRU oracle the steady-pass certificate and the
+// settling forecast rest on: one set swept cyclically by k distinct
+// lines, k from 1 to 3×ways. After the first pass every lookup hits
+// when k <= ways and every lookup misses when k > ways. The state after
+// a pass repeats exactly when k <= ways or k is a multiple of the ways;
+// otherwise every line keeps its rank but moves to the way that held
+// the line k mod ways ranks above it. AccessPass proves the next pass
+// exactly when it is known: a pass whose outcome and state both repeat
+// (certified), or the cold pass of k <= ways lines, whose next pass
+// hits (the settling forecast). Its k > ways passes defer all but the
+// first ways misses.
 func TestCyclicSweepLRUOracle(t *testing.T) {
 	const line = 64
 	for _, ways := range []int{1, 2, 3, 4, 8, 12, 16} {
 		for k := 1; k <= 3*ways; k++ {
-			// One set, built unvalidated like rankTwins so that 3 and 12
-			// ways (not powers of two) are covered too.
-			cfg := Config{Name: "L1", Level: 1, Size: ways * line, LineSize: line, Associativity: ways, HitLatency: 1}
-			h := &Hierarchy{levels: []*Cache{newCache(cfg)}, mem: &Memory{Latency: 10}}
+			h := oneSetHierarchy(ways, line)
 			ctx := fmt.Sprintf("%d ways, k=%d", ways, k)
 			var prev []uint64
+			var next Replay
+			var forecast Stats // the L1 movement the previous pass proved, if any
+			proved := false
 			for pass := 1; pass <= 4; pass++ {
 				before := h.Level(0).Stats()
-				_, steady := h.AccessPass(0, line, k, false)
+				_, ok := h.AccessPass(0, line, k, false, &next)
 				d := subStats(h.Level(0).Stats(), before)
 				hits := 0
 				if pass > 1 && k <= ways {
@@ -49,6 +52,9 @@ func TestCyclicSweepLRUOracle(t *testing.T) {
 				}
 				if d.Hits != uint64(hits) || d.Misses != uint64(k-hits) {
 					t.Fatalf("%s pass %d: %d hits, %d misses; want %d, %d", ctx, pass, d.Hits, d.Misses, hits, k-hits)
+				}
+				if proved && d != forecast {
+					t.Fatalf("%s pass %d: L1 moved by %+v, proved %+v", ctx, pass, d, forecast)
 				}
 				state := h.AppendState(nil)
 				if pass > 1 {
@@ -63,10 +69,55 @@ func TestCyclicSweepLRUOracle(t *testing.T) {
 						t.Fatalf("%s pass %d: state %v, want %v (previous %v)", ctx, pass, state, want, prev)
 					}
 				}
-				if want := (pass > 1 && k <= ways) || (k > ways && k%ways == 0); steady != want {
-					t.Fatalf("%s pass %d: certified %v, want %v", ctx, pass, steady, want)
+				if want := k <= ways || k%ways == 0; ok != want {
+					t.Fatalf("%s pass %d: proved %v, want %v", ctx, pass, ok, want)
 				}
+				proved, forecast = ok, next.Delta.Levels[0]
 				prev = state
+			}
+		}
+	}
+	t.Run("random full set", testDeferredMissesFromRandomSet)
+}
+
+// oneSetHierarchy builds an L1 of one set and no TLB, unvalidated like
+// rankTwins so that 3 and 12 ways (not powers of two) are covered too.
+func oneSetHierarchy(ways, line int) *Hierarchy {
+	cfg := Config{Name: "L1", Level: 1, Size: ways * line, LineSize: line, Associativity: ways, HitLatency: 1}
+	return &Hierarchy{levels: []*Cache{newCache(cfg)}, mem: &Memory{Latency: 10}}
+}
+
+// A pass of k = ways+1 … 3×ways ascending lines over one full set in a
+// random state — a random permutation of ranks, distinct random tags
+// that sometimes are lines of the pass, random dirty bits — defers
+// every miss after the first ways. Its hits, misses, write-backs and
+// AppendState, pass after pass, are the scalar loop's.
+func testDeferredMissesFromRandomSet(t *testing.T) {
+	const line = 64
+	rng := xrand.New(29)
+	for _, ways := range []int{1, 2, 3, 4, 8, 12, 16} {
+		for k := ways + 1; k <= 3*ways; k++ {
+			for draw := 0; draw < 8; draw++ {
+				pass, scalar := oneSetHierarchy(ways, line), oneSetHierarchy(ways, line)
+				ranks := rng.Perm(ways)
+				tags := rng.Perm(4 * ways)
+				for w := 0; w < ways; w++ {
+					s := uint16(ranks[w])<<rankShift | validBit
+					if rng.Uint64()%2 == 0 {
+						s |= dirtyBit
+					}
+					for _, h := range []*Hierarchy{pass, scalar} {
+						h.levels[0].tags[w] = uint64(tags[w])
+						h.levels[0].state[w] = s
+					}
+				}
+				ctx := fmt.Sprintf("%d ways, k=%d, draw %d", ways, k, draw)
+				var next Replay
+				for p := 1; p <= 3; p++ {
+					pass.AccessPass(0, line, k, false, &next)
+					scalarRun(scalar, segment{stride: line, count: k})
+					compareHierarchies(t, scalar, pass, fmt.Sprintf("%s pass %d", ctx, p))
+				}
 			}
 		}
 	}
@@ -147,7 +198,8 @@ func randomSteadyCase(rng *xrand.Rand) steadyCase {
 	return sc
 }
 
-// The certificate's soundness: whenever AccessPass certifies a pass,
+// The certificate's soundness: whenever AccessPass certifies a pass —
+// proves that the next pass repeats it —
 // a twin that simulates five more passes sees the certified pass's
 // RunResult and counter delta every time and ends in the state the
 // certified pass left, which is exactly what replaying the delta with
@@ -179,15 +231,18 @@ func TestCertifiedPassRepeats(t *testing.T) {
 		}
 		s := sc.pass
 		var before, after, delta, twinBefore, twinAfter, twinDelta HierarchyStats
+		var next Replay
 		for p := 0; p < 4; p++ {
 			h.ReadStats(&before)
-			rr, steady := h.AccessPass(s.va, s.stride, s.count, s.write)
+			rr, proved := h.AccessPass(s.va, s.stride, s.count, s.write, &next)
 			h.ReadStats(&after)
 			delta.Delta(&after, &before)
 			if twinRR := twin.AccessRun(s.va, s.stride, s.count, s.write); twinRR != rr {
 				t.Fatalf("case %d pass %d: twins diverge: %+v vs %+v", i, p, rr, twinRR)
 			}
-			if !steady {
+			// Certified: the pass AccessPass proved is this one. The
+			// settling forecast's other passes are TestSettlingPassForecast's.
+			if steady := proved && next.Result == rr && sameStats(&next.Delta, &delta); !steady {
 				continue
 			}
 			certified++
@@ -229,4 +284,117 @@ func sameStats(a, b *HierarchyStats) bool {
 		}
 	}
 	return a.Memory == b.Memory && a.TLBHits == b.TLBHits && a.TLBMisses == b.TLBMisses
+}
+
+// The settling forecast's soundness, and deferral's exactness: over the
+// random hierarchies of TestCertifiedPassRepeats (and 600 more), a TLB
+// that fills while the L1 thrashes and the L2 fills, an L2 whose lines
+// are twice the L1's, and the aliasing mapper above an L2, every
+// AccessPass leaves the counters and
+// state the scalar-equivalent AccessRun leaves on a twin, and whenever
+// it proves the next pass, the twin simulates that pass and four more:
+// each gives the proved RunResult and counter delta and leaves
+// AppendState as the proving pass left it, which is what replaying the
+// delta with AddStats gives.
+func TestSettlingPassForecast(t *testing.T) {
+	l1 := Config{Name: "L1", Level: 1, Size: 8192, LineSize: 32, Associativity: 2, HitLatency: 2}
+	cases := []steadyCase{{
+		// Every L1 set misses 8 lines in 2 ways, every L2 set fills 4
+		// lines in 8 ways and the TLB fills 8 pages in 32 entries: the
+		// next pass hits in the L2 and in the TLB.
+		hc: hierCfg{
+			levels:     []Config{l1, {Name: "L2", Level: 2, Size: 65536, LineSize: 32, Associativity: 8, HitLatency: 12}},
+			memLatency: 100,
+			tlbEntries: 32, tlbPenalty: 30, mapper: 1,
+		},
+		pass: segment{va: 0, stride: 4, count: 32 * 1024 / 4},
+	}}
+	mixed := hierCfg{
+		levels:     []Config{l1, {Name: "L2", Level: 2, Size: 65536, LineSize: 64, Associativity: 8, HitLatency: 12}},
+		memLatency: 100,
+	}
+	// The L2 looks up each of its lines twice per pass, the second time
+	// a hit: 8 lookups of 4 lines per set fit its 8 ways, and in a pass
+	// 8 times as long its sets miss 32 lines, where deferral must stay
+	// off.
+	cases = append(cases,
+		steadyCase{hc: mixed, pass: segment{va: 0, stride: 4, count: 32 * 1024 / 4}},
+		steadyCase{hc: mixed, pass: segment{va: 0, stride: 4, count: 256 * 1024 / 4}})
+	// TestCertifiedPassRepeats' aliasing mapper above an L2: every L1 set
+	// misses a, b, c, a in its 2 ways and every L2 set looks up at most 3
+	// lines, but the next L1 pass hits on the second a, so the L2 sees
+	// fewer lookups. Only condition 4 refuses the forecast.
+	cases = append(cases, steadyCase{
+		hc: hierCfg{
+			levels:     []Config{l1, {Name: "L2", Level: 2, Size: 65536, LineSize: 32, Associativity: 8, HitLatency: 12}},
+			memLatency: 100,
+			tlbEntries: 2, tlbPenalty: 30,
+		},
+		alias: true,
+		pass:  segment{va: 0, stride: 32, count: 4 * mem.PageSize / 32},
+	})
+	const forecastCases = 2 // the first cases, each forecast on its first pass
+	rng := xrand.New(23)
+	for i := 0; i < 1000; i++ {
+		cases = append(cases, randomSteadyCase(rng))
+	}
+	certified, forecasts := 0, 0
+	for i, sc := range cases {
+		h, twin := sc.build(t), sc.build(t)
+		for _, s := range sc.warm {
+			h.AccessRun(s.va, s.stride, s.count, s.write)
+			twin.AccessRun(s.va, s.stride, s.count, s.write)
+		}
+		s := sc.pass
+		var before, after, delta, twinBefore, twinAfter, twinDelta HierarchyStats
+		var next Replay
+		for p := 0; p < 4; p++ {
+			ctx := fmt.Sprintf("case %d (%+v, pass %+v) pass %d", i, sc.hc, s, p)
+			h.ReadStats(&before)
+			rr, proved := h.AccessPass(s.va, s.stride, s.count, s.write, &next)
+			h.ReadStats(&after)
+			delta.Delta(&after, &before)
+			if twinRR := twin.AccessRun(s.va, s.stride, s.count, s.write); twinRR != rr {
+				t.Fatalf("%s: twins diverge: %+v vs %+v", ctx, rr, twinRR)
+			}
+			compareHierarchies(t, twin, h, ctx)
+			if !proved {
+				if i < forecastCases {
+					t.Fatalf("%s: not proved", ctx)
+				}
+				continue
+			}
+			if next.Result == rr && sameStats(&next.Delta, &delta) {
+				certified++
+			} else {
+				forecasts++
+			}
+			if i < forecastCases && (p > 0 || next.Result == rr) {
+				t.Fatalf("%s: not forecast on the first pass", ctx)
+			}
+			state := h.AppendState(nil)
+			for extra := 1; extra <= 5; extra++ {
+				twin.ReadStats(&twinBefore)
+				got := twin.AccessRun(s.va, s.stride, s.count, s.write)
+				twin.ReadStats(&twinAfter)
+				twinDelta.Delta(&twinAfter, &twinBefore)
+				if got != next.Result {
+					t.Fatalf("%s: pass %d later gives %+v, proved %+v", ctx, extra, got, next.Result)
+				}
+				if !sameStats(&twinDelta, &next.Delta) {
+					t.Fatalf("%s: pass %d later moves counters by %+v, proved %+v", ctx, extra, twinDelta, next.Delta)
+				}
+				if !statesEq(twin.AppendState(nil), state) {
+					t.Fatalf("%s: pass %d later changes the state", ctx, extra)
+				}
+			}
+			h.AddStats(&next.Delta, 5)
+			compareHierarchies(t, twin, h, ctx+" after replay")
+			break
+		}
+	}
+	t.Logf("%d of %d cases proved the next pass: %d certified, %d forecast", certified+forecasts, len(cases), certified, forecasts)
+	if forecasts < len(cases)/5 {
+		t.Fatalf("only %d of %d cases forecast a pass; the suite tests too little", forecasts, len(cases))
+	}
 }

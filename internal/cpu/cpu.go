@@ -112,20 +112,51 @@ type Model struct {
 	OutOfOrder bool `json:"out_of_order"`
 }
 
-// Validate reports model configuration errors.
+// Bounds Validate puts on a core so that every membench measurement on
+// it has a finite, positive bandwidth: an access costs between
+// minLoadIssue and a few maxCycles cycles, and a clock between
+// minClockHz and maxClockHz turns any such cycle count into a finite,
+// positive time.
+const (
+	minClockHz, maxClockHz = 1, 1e12 // Hz
+	minLoadIssue           = 1e-3    // cycles per load
+	maxCycles              = 1e6     // cycles, or the spill factor
+	maxRegs                = 1 << 16
+)
+
+// Validate reports model configuration errors, naming the offending
+// field as spec files spell it. Besides signs, it bounds every quantity
+// the stride kernel's timing uses (see maxCycles).
 func (m *Model) Validate() error {
-	if m.ClockHz <= 0 {
-		return fmt.Errorf("cpu %s: non-positive clock", m.Name)
+	if !(m.ClockHz >= minClockHz && m.ClockHz <= maxClockHz) {
+		return fmt.Errorf("cpu %s: clock_hz %g outside [%g, %g]", m.Name, m.ClockHz, float64(minClockHz), float64(maxClockHz))
 	}
 	for i, c := range m.LoadIssue {
-		if c <= 0 {
-			return fmt.Errorf("cpu %s: LoadIssue[%d] = %f", m.Name, i, c)
+		if !(c >= minLoadIssue && c <= maxCycles) {
+			return fmt.Errorf("cpu %s: load_issue[%d] %g outside [%g, %g]", m.Name, i, c, minLoadIssue, float64(maxCycles))
 		}
 	}
-	if m.MissOverlap < 0 || m.MissOverlap > 1 {
-		return fmt.Errorf("cpu %s: MissOverlap %f out of [0,1]", m.Name, m.MissOverlap)
+	for _, f := range []struct {
+		name  string
+		value float64
+	}{
+		{"loop_overhead", m.LoopOverhead},
+		{"spill_cost", m.SpillCost},
+		{"spill_pipeline_factor", m.SpillPipelineFactor},
+	} {
+		if !(f.value >= 0 && f.value <= maxCycles) {
+			return fmt.Errorf("cpu %s: %s %g outside [0, %g]", m.Name, f.name, f.value, float64(maxCycles))
+		}
 	}
-	if m.FlopsPerCycleSP <= 0 || m.FlopsPerCycleDP <= 0 || m.IntIPC <= 0 {
+	for i, r := range m.Regs {
+		if r < 0 || r > maxRegs {
+			return fmt.Errorf("cpu %s: regs[%d] %d outside [0, %d]", m.Name, i, r, maxRegs)
+		}
+	}
+	if !(m.MissOverlap >= 0 && m.MissOverlap <= 1) {
+		return fmt.Errorf("cpu %s: miss_overlap %g outside [0, 1]", m.Name, m.MissOverlap)
+	}
+	if !(m.FlopsPerCycleSP > 0 && m.FlopsPerCycleDP > 0 && m.IntIPC > 0) {
 		return fmt.Errorf("cpu %s: non-positive throughput", m.Name)
 	}
 	return nil

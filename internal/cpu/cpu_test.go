@@ -1,12 +1,14 @@
 package cpu
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestModelsValidate(t *testing.T) {
-	for _, m := range []*Model{Nehalem(), A9500(), Tegra2()} {
+	for _, m := range []*Model{Nehalem(), A9500(), Tegra2(), CortexA15(), ThunderX2()} {
 		if err := m.Validate(); err != nil {
 			t.Errorf("%s: %v", m.Name, err)
 		}
@@ -33,6 +35,40 @@ func TestValidateRejectsBadModels(t *testing.T) {
 	bad4.FlopsPerCycleDP = 0
 	if err := bad4.Validate(); err == nil {
 		t.Error("zero DP throughput accepted")
+	}
+}
+
+// Every field the stride kernel's timing reads is checked for sign and
+// magnitude, so that a core Validate accepts gives a finite, positive
+// membench bandwidth: each rejected value names its field.
+func TestValidateRejectsEachField(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(m *Model)
+	}{
+		{"clock_hz", func(m *Model) { m.ClockHz = 0 }},
+		{"clock_hz", func(m *Model) { m.ClockHz = 1e308 }},
+		{"clock_hz", func(m *Model) { m.ClockHz = math.NaN() }},
+		{"load_issue[0]", func(m *Model) { m.LoadIssue[0] = -1 }},
+		{"load_issue[2]", func(m *Model) { m.LoadIssue[2] = 1e-300 }},
+		{"load_issue[1]", func(m *Model) { m.LoadIssue[1] = 1e300 }},
+		{"loop_overhead", func(m *Model) { m.LoopOverhead = -3 }},
+		{"loop_overhead", func(m *Model) { m.LoopOverhead = math.Inf(1) }},
+		{"spill_cost", func(m *Model) { m.SpillCost = -1 }},
+		{"spill_cost", func(m *Model) { m.SpillCost = 1e300 }},
+		{"spill_pipeline_factor", func(m *Model) { m.SpillPipelineFactor = -0.5 }},
+		{"spill_pipeline_factor", func(m *Model) { m.SpillPipelineFactor = 1e300 }},
+		{"regs[0]", func(m *Model) { m.Regs[0] = -1 }},
+		{"regs[2]", func(m *Model) { m.Regs[2] = 1 << 40 }},
+		{"miss_overlap", func(m *Model) { m.MissOverlap = -0.1 }},
+		{"miss_overlap", func(m *Model) { m.MissOverlap = math.NaN() }},
+	} {
+		m := A9500()
+		tc.set(m)
+		err := m.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate() = %v, want an error naming it", tc.field, err)
+		}
 	}
 }
 

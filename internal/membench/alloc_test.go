@@ -132,3 +132,34 @@ func TestMembenchScalarPassAllocsPerOp(t *testing.T) {
 		t.Errorf("scalar membench pass allocates %.2f per pass, want <= 1", perPass)
 	}
 }
+
+// The sweeps' cell: LocalityProfile and OptimizationGrid reset one
+// Runner before each cell instead of building a hierarchy per cell.
+// Reset clears the hierarchy in place and the Run replays from
+// Runner-owned scratch, so a reset-then-Run cell allocates only the
+// per-Run constant (the papi.Counters snapshot).
+func TestMembenchResetRunAllocsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	r, err := NewRunner(platform.MustLookup("XeonX5550"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{ArrayBytes: 256 * units.KiB, StrideElems: 2}
+	cell := func() {
+		r.hier.Reset()
+		if _, err := r.Run(cfg); err != nil {
+			t.Error(err)
+		}
+	}
+	cell() // prime the census and replay scratch
+	allocsPerRun := testing.AllocsPerRun(3, cell)
+	if t.Failed() {
+		t.FailNow()
+	}
+	t.Logf("allocs: %.0f per reset-then-Run cell", allocsPerRun)
+	if allocsPerRun > 16 {
+		t.Errorf("reset-then-Run cell allocates %.0f, want a small constant (<= 16)", allocsPerRun)
+	}
+}

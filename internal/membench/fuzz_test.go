@@ -40,13 +40,10 @@ func fuzzConfig(size uint16, stride uint8) Config {
 // on one contiguous-mapped Runner. Whatever hierarchy the spec
 // describes, the runs must not panic, must give a finite, positive
 // bandwidth, and must equal the element-at-a-time reference exactly,
-// AppendState included, which fuzzes the steady-pass certificate over
-// arbitrary hierarchies. The seed corpus is every built-in spec.
-//
-// The runs time the spec's hierarchy with the Snowball core: the core
-// timing model is not under test here, and Validate leaves its
-// magnitudes and some of its signs open (a 1e308 Hz clock overflows
-// the bandwidth, a negative loop overhead zeroes it).
+// AppendState included, which fuzzes the steady-pass certificate, the
+// settling forecast and deferred misses over arbitrary hierarchies, and
+// the bounds cpu.Model.Validate puts on the spec's own core. The seed
+// corpus is every built-in spec.
 func FuzzSpecMembench(f *testing.F) {
 	for i, name := range platform.Names() {
 		spec, ok := platform.LookupSpec(name)
@@ -59,7 +56,6 @@ func FuzzSpecMembench(f *testing.F) {
 		}
 		f.Add(data, uint16(4096*i+1000), uint8(i), uint16(60000-1000*i), uint8(64+7*i))
 	}
-	core := platform.MustLookup("Snowball").CPU
 	f.Fuzz(func(t *testing.T, data []byte, size1 uint16, stride1 uint8, size2 uint16, stride2 uint8) {
 		var spec platform.Spec
 		if err := json.Unmarshal(data, &spec); err != nil {
@@ -79,7 +75,6 @@ func FuzzSpecMembench(f *testing.F) {
 		if lines > fuzzMaxLines || p.TLBEntries > fuzzMaxTLB {
 			t.Skipf("%d lines, %d TLB entries: above the harness's resource bound", lines, p.TLBEntries)
 		}
-		p.CPU = core
 		// probe repeats batched's history, so each of its results is
 		// the one compareRuns pins to the reference.
 		var runners [3]*Runner

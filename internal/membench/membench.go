@@ -7,10 +7,11 @@
 // Figure 6.
 //
 // A measurement is a run of identical passes over the array, simulated
-// on the batched cache engine. Once the engine certifies a pass as
-// steady (cache.Hierarchy.AccessPass: from a per-set census of its hits
-// and misses, every later pass would repeat it exactly), Runner.Run
-// replays that pass's counters instead of simulating the rest; see
+// on the batched cache engine. Once a simulated pass proves what every
+// later pass does (cache.Hierarchy.AccessPass: from a per-set census of
+// its hits and misses, either the pass repeats itself or the next pass
+// hits at a level the pass filled), Runner.Run replays that later
+// pass's RunResult and counters instead of simulating the rest; see
 // internal/cache/CACHE.md.
 package membench
 
@@ -74,27 +75,26 @@ type Result struct {
 	Counters  papi.Counters
 
 	// SimulatedPasses counts the passes the engine executed and
-	// ReplayedPasses those a certified pass stood in for; they sum to
-	// WarmPasses+MeasurePasses.
+	// ReplayedPasses those it replayed or skipped once a pass proved
+	// them; they sum to WarmPasses+MeasurePasses.
 	SimulatedPasses, ReplayedPasses int
 }
 
 // Runner performs measurements against one platform with one page
 // mapping, modelling a single process whose malloc/free keeps returning
 // the same physical pages (§V.A.1). Measurements run on the batched
-// cache engine with periodic-pass replay: every simulated pass, warm or
-// measured, that the engine certifies as steady stands in for every
-// pass still to run. The property suite in equivalence_test.go pins Run
-// exactly equivalent to an element-at-a-time reference. See
-// internal/cache/CACHE.md.
+// cache engine with periodic-pass replay: once a simulated pass, warm
+// or measured, proves what every later pass does, that later pass
+// stands in for every pass still to run. The property suite in
+// equivalence_test.go pins Run exactly equivalent to an
+// element-at-a-time reference. See internal/cache/CACHE.md.
 type Runner struct {
 	plat *platform.Platform
 	hier *cache.Hierarchy
 
-	// Replay scratch, reused across passes and Runs so the steady state
-	// allocates nothing: the counters before and after a pass and the
-	// certified pass's delta.
-	statsPre, statsPost, statsDelta cache.HierarchyStats
+	// next is the pass to replay, reused across passes and Runs so the
+	// steady state allocates nothing.
+	next cache.Replay
 }
 
 // NewRunner creates a Runner for platform p with page mapper m (nil for
@@ -113,10 +113,10 @@ func (r *Runner) Hierarchy() *cache.Hierarchy { return r.hier }
 
 // Run measures one configuration and returns the result. It drives the
 // batched engine — translation once per page, set machinery once per
-// line — and, once a pass, warm or measured, is certified steady,
-// skips the warm passes left and replays the measured passes left as
-// counter deltas instead of simulating them. Result.SimulatedPasses
-// says how many passes ran.
+// line — and, once a pass, warm or measured, proves what every later
+// pass does, skips the warm passes left and replays the measured passes
+// left as that later pass's counter delta instead of simulating them.
+// Result.SimulatedPasses says how many passes ran.
 func (r *Runner) Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -131,6 +131,10 @@ func (r *Runner) Run(cfg Config) (Result, error) {
 	// amortizes loop overhead but may spill registers.
 	issuePerAccess := r.plat.CPU.IterationCost(cfg.Width, cfg.Unroll) / float64(cfg.Unroll)
 
+	cycles := func(rr cache.RunResult) float64 {
+		return float64(rr.Accesses)*issuePerAccess + r.plat.CPU.StallCyclesTotal(rr.Extra)
+	}
+
 	passes := cfg.WarmPasses + cfg.MeasurePasses
 	var totalCycles float64
 	var totalAccesses uint64
@@ -140,36 +144,30 @@ func (r *Runner) Run(cfg Config) (Result, error) {
 		if p == cfg.WarmPasses {
 			r.hier.ResetStats()
 		}
-		last := p == passes-1
-		if !last {
-			r.hier.ReadStats(&r.statsPre)
-		}
-		rr, steady := r.hier.AccessPass(0, strideBytes, count, false)
+		rr, proved := r.hier.AccessPass(0, strideBytes, count, false, &r.next)
 		simulated++
-		cyc := float64(rr.Accesses)*issuePerAccess + r.plat.CPU.StallCyclesTotal(rr.Extra)
 		if measured {
-			totalCycles += cyc
+			totalCycles += cycles(rr)
 			totalAccesses += rr.Accesses
 		}
-		if last || !steady {
+		if !proved || p == passes-1 {
 			continue
 		}
-		// Pass p is certified: every later pass repeats it exactly from
-		// the state it left. Warm passes left only move state and are
-		// skipped; each measured pass left replays p's counter delta and
-		// adds p's cycles and accesses, in pass order.
-		r.hier.ReadStats(&r.statsPost)
-		r.statsDelta.Delta(&r.statsPost, &r.statsPre)
+		// Every pass after p repeats r.next exactly and leaves the state
+		// as p left it. Warm passes left only move state and are
+		// skipped; each measured pass left replays r.next's counter
+		// delta and adds its cycles and accesses, in pass order.
 		replay := cfg.MeasurePasses
 		if measured {
 			replay = passes - 1 - p
 		} else {
 			r.hier.ResetStats()
 		}
-		r.hier.AddStats(&r.statsDelta, uint64(replay))
+		r.hier.AddStats(&r.next.Delta, uint64(replay))
+		cyc := cycles(r.next.Result)
 		for i := 0; i < replay; i++ {
 			totalCycles += cyc
-			totalAccesses += rr.Accesses
+			totalAccesses += r.next.Result.Accesses
 		}
 		break
 	}
@@ -268,12 +266,18 @@ type GridPoint struct {
 
 // OptimizationGrid measures the element-width x unroll grid of Figure 6
 // on platform p for the given array size (the paper uses 50 KB, stride
-// 1, unroll in {1, 8}).
+// 1, unroll in {1, 8}). Every cell starts from a fresh hierarchy: one
+// Runner, reset before each cell.
 func OptimizationGrid(p *platform.Platform, arrayBytes int, unrolls []int) ([]GridPoint, error) {
+	r, err := NewRunner(p, nil)
+	if err != nil {
+		return nil, err
+	}
 	var out []GridPoint
 	for _, w := range cpu.Widths() {
 		for _, u := range unrolls {
-			res, err := Run(p, nil, Config{
+			r.hier.Reset()
+			res, err := r.Run(Config{
 				ArrayBytes: arrayBytes,
 				Width:      w,
 				Unroll:     u,

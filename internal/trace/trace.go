@@ -8,8 +8,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -150,16 +152,16 @@ func (t *Trace) Merge(other *Trace) {
 }
 
 // Sort orders intervals by (start, rank) and comms by send time, making
-// traces deterministic regardless of collection order.
+// traces deterministic regardless of collection order. Both sorts are
+// stable and generic: no reflection moves the elements.
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Intervals, func(i, j int) bool {
-		a, b := t.Intervals[i], t.Intervals[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
+	slices.SortStableFunc(t.Intervals, func(a, b Interval) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return a.Rank < b.Rank
+		return cmp.Compare(a.Rank, b.Rank)
 	})
-	sort.SliceStable(t.Comms, func(i, j int) bool { return t.Comms[i].Sent < t.Comms[j].Sent })
+	slices.SortStableFunc(t.Comms, func(a, b Comm) int { return cmp.Compare(a.Sent, b.Sent) })
 }
 
 // Instance aggregates one collective instance across ranks.
