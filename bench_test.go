@@ -641,26 +641,9 @@ func lookupAllPlatforms() ([]*platform.Platform, error) {
 	return ps, nil
 }
 
-// sweepSequentialBaseline measures one single-worker cross-platform
-// sweep, once per process (same rationale as sequentialBaseline).
-var sweepSequentialBaseline = sync.OnceValues(func() (time.Duration, error) {
-	ps, err := lookupAllPlatforms()
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	_, err = core.RunSweep(ps, core.TableIIWorkloads(), 1)
-	return time.Since(start), err
-})
-
-// BenchmarkSweepParallel dispatches the N platforms x M workloads
-// matrix on a full worker pool and reports cell throughput plus the
-// wall-clock speedup over the measured single-worker baseline.
-func BenchmarkSweepParallel(b *testing.B) {
-	sequential, err := sweepSequentialBaseline()
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkSweep measures the N platforms x M workloads matrix and
+// reports cell throughput.
+func BenchmarkSweep(b *testing.B) {
 	ps, err := lookupAllPlatforms()
 	if err != nil {
 		b.Fatal(err)
@@ -669,7 +652,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	b.ResetTimer()
 	var s *core.Sweep
 	for i := 0; i < b.N; i++ {
-		s, err = core.RunSweep(ps, ws, runtime.GOMAXPROCS(0))
+		s, err = core.RunSweep(ps, ws)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -677,8 +660,6 @@ func BenchmarkSweepParallel(b *testing.B) {
 	perOp := b.Elapsed() / time.Duration(b.N)
 	cells := len(ps) * len(ws)
 	b.ReportMetric(float64(cells)/perOp.Seconds(), "cells/s")
-	b.ReportMetric(sequential.Seconds()/perOp.Seconds(), "speedup-vs-sequential")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 	snow, err := s.RefIndex("Snowball")
 	if err != nil {
 		b.Fatal(err)
@@ -764,12 +745,12 @@ func BenchmarkResilienceSweep(b *testing.B) {
 	var crashes uint64
 	var down float64
 	for i := 0; i < b.N; i++ {
-		rs, err := core.RunResilienceSweep(ps, cfg, runtime.GOMAXPROCS(0))
-		if err != nil {
-			b.Fatal(err)
-		}
 		crashes, down = 0, 0
-		for _, r := range rs {
+		for _, p := range ps {
+			r, err := core.RunResilienceProbe(p, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			crashes += r.Crashes
 			down += r.DownSeconds
 		}

@@ -19,8 +19,8 @@
 // platforms` and extensible at runtime from JSON files via `montblanc
 // -platform-file`. The sweep* experiment family runs the Table II
 // workload matrix and energy-to-solution comparison across every
-// registered platform, dispatching the N x M cells as weighted tasks
-// on the same runner; -platform restricts the sweep set. PLATFORMS.md
+// registered platform (Table II itself is the two-platform case of the
+// same sweep); -platform restricts the sweep set. PLATFORMS.md
 // documents every spec's calibration sources.
 //
 // Energy is state-resolved: internal/power models each machine as a

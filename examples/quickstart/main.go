@@ -20,7 +20,7 @@ func main() {
 	fmt.Println("  *", xeon)
 	fmt.Println()
 
-	rows, err := core.CompareAll(core.TableIIWorkloads(), snowball, xeon)
+	rows, err := core.TableII()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -61,7 +61,12 @@ func (c *Cluster) CoreFlops(doublePrecision bool, efficiency float64) float64 {
 
 // JobConfig parameterizes one MPI job.
 type JobConfig struct {
-	Ranks           int
+	Ranks int
+	// RanksPerNode places consecutive ranks this many to a node; 0 means
+	// one rank per core. The applications fill every core; the energy
+	// and resilience probes run one rank per node, so each rank owns a
+	// whole node's power profile and crash stream.
+	RanksPerNode    int
 	CoreFlopsPerSec float64 // per-rank compute rate (precision-specific)
 	CollectTrace    bool
 	// TraceHint is the expected number of trace intervals one rank
@@ -74,8 +79,18 @@ type JobConfig struct {
 	MemoryBytes int64
 	// Faults is an optional resolved fault schedule: its node outages
 	// feed the simulator and its link faults are applied to the fabric
-	// after the pre-run reset. Nil means a failure-free run.
+	// after the pre-run reset. It must have been resolved for exactly
+	// the cluster's node count. Nil means a failure-free run.
 	Faults *fault.Resolved
+}
+
+// ranksPerNode is the job's placement: RanksPerNode, or one rank per
+// core by default.
+func (c *Cluster) ranksPerNode(job JobConfig) int {
+	if job.RanksPerNode > 0 {
+		return job.RanksPerNode
+	}
+	return c.Node.Cores
 }
 
 // Validate checks the job against the cluster.
@@ -83,10 +98,20 @@ func (c *Cluster) Validate(job JobConfig) error {
 	if job.Ranks <= 0 {
 		return fmt.Errorf("cluster: job needs ranks, got %d", job.Ranks)
 	}
-	nodes := (job.Ranks + c.Node.Cores - 1) / c.Node.Cores
+	if job.RanksPerNode < 0 {
+		return fmt.Errorf("cluster: ranks per node must be >= 0, got %d", job.RanksPerNode)
+	}
+	rpn := c.ranksPerNode(job)
+	nodes := (job.Ranks + rpn - 1) / rpn
 	if nodes > c.Nodes {
 		return fmt.Errorf("cluster: %d ranks need %d nodes, %s has %d",
 			job.Ranks, nodes, c.Name, c.Nodes)
+	}
+	// A schedule resolved for another node count would put outages on
+	// nodes this cluster lacks, or leave some of its nodes without any.
+	if job.Faults != nil && job.Faults.Nodes != c.Nodes {
+		return fmt.Errorf("cluster: fault schedule resolved for %d nodes, %s has %d",
+			job.Faults.Nodes, c.Name, c.Nodes)
 	}
 	if job.MemoryBytes > 0 {
 		avail := int64(nodes) * c.Node.RAMBytes
@@ -111,7 +136,8 @@ func (c *Cluster) MinNodesFor(memoryBytes int64) int {
 	return n
 }
 
-// Run executes body as an MPI job on a freshly reset fabric.
+// Run executes body as an MPI job on a freshly reset fabric. It is the
+// one place a simulation is configured and a fault schedule applied.
 func (c *Cluster) Run(job JobConfig, body func(*simmpi.Proc) error) (*simmpi.Report, error) {
 	if err := c.Validate(job); err != nil {
 		return nil, err
@@ -120,7 +146,7 @@ func (c *Cluster) Run(job JobConfig, body func(*simmpi.Proc) error) (*simmpi.Rep
 	cfg := simmpi.Config{
 		Ranks:           job.Ranks,
 		Net:             c.Net,
-		RanksPerNode:    c.Node.Cores,
+		RanksPerNode:    c.ranksPerNode(job),
 		CoreFlopsPerSec: job.CoreFlopsPerSec,
 		CollectTrace:    job.CollectTrace,
 		TraceHint:       job.TraceHint,

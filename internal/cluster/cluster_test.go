@@ -47,6 +47,12 @@ func TestValidateJob(t *testing.T) {
 	if err := c.Validate(JobConfig{Ranks: 0}); err == nil {
 		t.Error("0 ranks accepted")
 	}
+	if err := c.Validate(JobConfig{Ranks: 8, RanksPerNode: 1}); err == nil {
+		t.Error("8 ranks at one per node accepted on 4 nodes")
+	}
+	if err := c.Validate(JobConfig{Ranks: 4, RanksPerNode: -1}); err == nil {
+		t.Error("negative ranks per node accepted")
+	}
 }
 
 // The paper's SPECFEM3D memory constraint: "one node does not have

@@ -7,16 +7,12 @@
 package core
 
 import (
-	"errors"
-	"fmt"
-
 	"montblanc/internal/apps/bigdft"
 	"montblanc/internal/apps/chess"
 	"montblanc/internal/apps/coremark"
 	"montblanc/internal/apps/linpack"
 	"montblanc/internal/apps/specfem"
 	"montblanc/internal/platform"
-	"montblanc/internal/power"
 )
 
 // Application is one entry of the Mont-Blanc portfolio (Table I).
@@ -56,13 +52,9 @@ const (
 
 // Workload is one benchmark of the single-node study.
 type Workload struct {
-	Name   string
-	Metric Metric
-	Unit   string
-	// Cost is a relative wall-clock weight hint used when workloads are
-	// dispatched as parallel sweep tasks (zero means 1); it never
-	// affects values or output order.
-	Cost    int
+	Name    string
+	Metric  Metric
+	Unit    string
 	Measure func(p *platform.Platform) (float64, error)
 }
 
@@ -71,31 +63,31 @@ type Workload struct {
 func TableIIWorkloads() []Workload {
 	return []Workload{
 		{
-			Name: "LINPACK", Metric: Rate, Unit: "MFLOPS", Cost: 2,
+			Name: "LINPACK", Metric: Rate, Unit: "MFLOPS",
 			Measure: func(p *platform.Platform) (float64, error) {
 				return linpack.Mflops(p), nil
 			},
 		},
 		{
-			Name: "CoreMark", Metric: Rate, Unit: "ops/s", Cost: 1,
+			Name: "CoreMark", Metric: Rate, Unit: "ops/s",
 			Measure: func(p *platform.Platform) (float64, error) {
 				return coremark.Score(p), nil
 			},
 		},
 		{
-			Name: "StockFish", Metric: Rate, Unit: "ops/s", Cost: 1,
+			Name: "StockFish", Metric: Rate, Unit: "ops/s",
 			Measure: func(p *platform.Platform) (float64, error) {
 				return chess.NodesPerSecond(p), nil
 			},
 		},
 		{
-			Name: "SPECFEM3D", Metric: Time, Unit: "s", Cost: 2,
+			Name: "SPECFEM3D", Metric: Time, Unit: "s",
 			Measure: func(p *platform.Platform) (float64, error) {
 				return specfem.SmallInstanceTime(p), nil
 			},
 		},
 		{
-			Name: "BigDFT", Metric: Time, Unit: "s", Cost: 2,
+			Name: "BigDFT", Metric: Time, Unit: "s",
 			Measure: func(p *platform.Platform) (float64, error) {
 				return bigdft.SmallInstanceTime(p), nil
 			},
@@ -120,50 +112,22 @@ type Comparison struct {
 	EnergyRatio float64
 }
 
-// Compare evaluates one workload on both platforms.
-func Compare(w Workload, candidate, reference *platform.Platform) (Comparison, error) {
-	cv, err := w.Measure(candidate)
+// TableII produces the paper's Table II: Snowball vs Xeon X5550 on the
+// five workloads, read off the two-platform sweep.
+func TableII() ([]Comparison, error) {
+	s, err := RunSweep([]*platform.Platform{
+		platform.MustLookup("Snowball"), platform.MustLookup("XeonX5550"),
+	}, TableIIWorkloads())
 	if err != nil {
-		return Comparison{}, fmt.Errorf("core: %s on %s: %w", w.Name, candidate.Name, err)
+		return nil, err
 	}
-	rv, err := w.Measure(reference)
-	if err != nil {
-		return Comparison{}, fmt.Errorf("core: %s on %s: %w", w.Name, reference.Name, err)
-	}
-	if cv <= 0 || rv <= 0 {
-		return Comparison{}, errors.New("core: non-positive measurement")
-	}
-	c := Comparison{
-		Workload: w.Name, Unit: w.Unit, Metric: w.Metric,
-		Candidate: cv, Reference: rv,
-	}
-	switch w.Metric {
-	case Rate:
-		c.Ratio = rv / cv
-		c.EnergyRatio = power.EnergyRatioByRate(candidate.Power, cv, reference.Power, rv)
-	case Time:
-		c.Ratio = cv / rv
-		c.EnergyRatio = power.EnergyRatioByTime(candidate.Power, cv, reference.Power, rv)
-	}
-	return c, nil
-}
-
-// CompareAll evaluates every workload, producing the full Table II.
-func CompareAll(ws []Workload, candidate, reference *platform.Platform) ([]Comparison, error) {
-	out := make([]Comparison, 0, len(ws))
-	for _, w := range ws {
-		c, err := Compare(w, candidate, reference)
-		if err != nil {
-			return nil, err
+	out := make([]Comparison, len(s.Workloads))
+	for wi, w := range s.Workloads {
+		out[wi] = Comparison{
+			Workload: w.Name, Unit: w.Unit, Metric: w.Metric,
+			Candidate: s.Values[wi][0], Reference: s.Values[wi][1],
+			Ratio: s.Ratio(wi, 0, 1), EnergyRatio: s.EnergyRatio(wi, 0, 1),
 		}
-		out = append(out, c)
 	}
 	return out, nil
-}
-
-// TableII produces the paper's Table II: Snowball vs Xeon X5550 on the
-// five workloads.
-func TableII() ([]Comparison, error) {
-	return CompareAll(TableIIWorkloads(),
-		platform.MustLookup("Snowball"), platform.MustLookup("XeonX5550"))
 }

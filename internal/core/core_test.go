@@ -120,7 +120,8 @@ func TestCompareRejectsBadWorkload(t *testing.T) {
 		Name: "broken", Metric: Rate, Unit: "x",
 		Measure: func(*platform.Platform) (float64, error) { return 0, nil },
 	}
-	if _, err := Compare(bad, platform.Snowball(), platform.XeonX5550()); err == nil {
+	ps := []*platform.Platform{platform.Snowball(), platform.XeonX5550()}
+	if _, err := RunSweep(ps, []Workload{bad}); err == nil {
 		t.Error("non-positive measurement accepted")
 	}
 }
@@ -135,11 +136,11 @@ func TestCompareTimeMetricOrientation(t *testing.T) {
 			return 10, nil
 		},
 	}
-	c, err := Compare(w, platform.Snowball(), platform.XeonX5550())
+	s, err := RunSweep([]*platform.Platform{platform.Snowball(), platform.XeonX5550()}, []Workload{w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Ratio != 10 {
-		t.Errorf("time ratio = %v, want 10 (candidate slower)", c.Ratio)
+	if r := s.Ratio(0, 0, 1); r != 10 {
+		t.Errorf("time ratio = %v, want 10 (candidate slower)", r)
 	}
 }

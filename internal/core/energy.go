@@ -3,12 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 
+	"montblanc/internal/cluster"
 	"montblanc/internal/network"
 	"montblanc/internal/platform"
 	"montblanc/internal/power"
-	"montblanc/internal/runner"
 	"montblanc/internal/simmpi"
 	"montblanc/internal/trace"
 )
@@ -94,14 +93,12 @@ func RunPhaseProbe(p *platform.Platform, cfg PhaseProbeConfig) (PhaseEnergy, err
 	}
 	n := cfg.Nodes
 	sweepSeconds := cfg.SweepBytes / p.MemBandwidth
-	sim := simmpi.Config{
+	rep, err := probeCluster(p, n).Run(cluster.JobConfig{
 		Ranks:           n,
-		Net:             network.Star(n),
 		RanksPerNode:    1,
 		CoreFlopsPerSec: p.SustainedFlops(true, cfg.Efficiency),
 		CollectTrace:    true,
-	}
-	rep, err := simmpi.Run(sim, func(pr *simmpi.Proc) error {
+	}, func(pr *simmpi.Proc) error {
 		right := (pr.Rank() + 1) % n
 		left := (pr.Rank() + n - 1) % n
 		flops := cfg.FlopsPerIter
@@ -132,38 +129,15 @@ func RunPhaseProbe(p *platform.Platform, cfg PhaseProbeConfig) (PhaseEnergy, err
 	}, nil
 }
 
-// RunPhaseSweep runs the phase probe on every platform, dispatching the
-// per-platform jobs as weighted tasks on the parallel runner. Each
-// result lands in its own slot, so output is identical for any worker
-// count (<= 0 means GOMAXPROCS).
-func RunPhaseSweep(ps []*platform.Platform, cfg PhaseProbeConfig, workers int) ([]PhaseEnergy, error) {
-	if len(ps) == 0 {
-		return nil, errors.New("core: phase sweep needs at least one platform")
+// probeCluster is the machine both probes run on: n nodes of p on one
+// GbE switch.
+func probeCluster(p *platform.Platform, n int) *cluster.Cluster {
+	return &cluster.Cluster{
+		Name:  fmt.Sprintf("%s-star-%d", p.Name, n),
+		Node:  p,
+		Nodes: n,
+		Net:   network.Star(n),
 	}
-	out := make([]PhaseEnergy, len(ps))
-	tasks := make([]runner.Task, len(ps))
-	for i, p := range ps {
-		i, p := i, p
-		tasks[i] = runner.Task{
-			ID:    "energy-phases/" + p.Name,
-			Title: fmt.Sprintf("phase probe on %s", p.Name),
-			Run: func(io.Writer) error {
-				pe, err := RunPhaseProbe(p, cfg)
-				if err != nil {
-					return err
-				}
-				out[i] = pe
-				return nil
-			},
-		}
-	}
-	pool := runner.Pool{Workers: workers}
-	for _, r := range pool.Run(tasks) {
-		if r.Err != nil {
-			return nil, fmt.Errorf("core: %s: %w", r.ID, r.Err)
-		}
-	}
-	return out, nil
 }
 
 // PhaseStates lists the accounting states in the order the energy-phase

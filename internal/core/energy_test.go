@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -88,40 +87,6 @@ func TestPhaseProbeRejectsTinyJobs(t *testing.T) {
 	if _, err := RunPhaseProbe(platform.MustLookup("Snowball"),
 		PhaseProbeConfig{Nodes: 1}); err == nil {
 		t.Error("single-node probe did not error")
-	}
-}
-
-// The phase sweep must produce identical results for any worker count:
-// the per-platform jobs land in indexed slots and the simulator is
-// deterministic.
-func TestPhaseSweepDeterministicAcrossWorkers(t *testing.T) {
-	ps := make([]*platform.Platform, 0, len(platform.Names()))
-	for _, n := range platform.Names() {
-		ps = append(ps, platform.MustLookup(n))
-	}
-	cfg := quickProbe()
-	base, err := RunPhaseSweep(ps, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for workers := 2; workers <= 8; workers++ {
-		got, err := RunPhaseSweep(ps, cfg, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range base {
-			if got[i].Seconds != base[i].Seconds ||
-				!reflect.DeepEqual(got[i].Breakdown, base[i].Breakdown) {
-				t.Fatalf("workers=%d: platform %s differs from sequential",
-					workers, ps[i].Name)
-			}
-		}
-	}
-}
-
-func TestPhaseSweepNeedsPlatforms(t *testing.T) {
-	if _, err := RunPhaseSweep(nil, PhaseProbeConfig{}, 1); err == nil {
-		t.Error("empty phase sweep did not error")
 	}
 }
 

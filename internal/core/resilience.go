@@ -3,13 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
+	"montblanc/internal/cluster"
 	"montblanc/internal/fault"
-	"montblanc/internal/network"
 	"montblanc/internal/platform"
-	"montblanc/internal/runner"
 	"montblanc/internal/simmpi"
 	"montblanc/internal/trace"
 )
@@ -138,10 +136,6 @@ func RunResilienceProbe(p *platform.Platform, cfg ResilienceConfig) (ResilienceR
 	if cfg.Nodes < 2 {
 		return ResilienceResult{}, errors.New("core: resilience probe needs at least 2 nodes")
 	}
-	if cfg.Faults != nil && cfg.Faults.Nodes != cfg.Nodes {
-		return ResilienceResult{}, fmt.Errorf("core: fault schedule resolved for %d nodes, probe has %d",
-			cfg.Faults.Nodes, cfg.Nodes)
-	}
 	n := cfg.Nodes
 	rate := p.SustainedFlops(true, cfg.Efficiency)
 	workSeconds := cfg.WorkFlops / rate
@@ -152,21 +146,13 @@ func RunResilienceProbe(p *platform.Platform, cfg ResilienceConfig) (ResilienceR
 	ckpt := cfg.CheckpointBytes / p.MemBandwidth
 	restart := ckpt // the restart reads the image back through DRAM
 
-	net := network.Star(n)
-	sim := simmpi.Config{
+	rep, err := probeCluster(p, n).Run(cluster.JobConfig{
 		Ranks:           n,
-		Net:             net,
 		RanksPerNode:    1,
 		CoreFlopsPerSec: rate,
 		CollectTrace:    true,
-	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Apply(net); err != nil {
-			return ResilienceResult{}, err
-		}
-		sim.Outages = cfg.Faults.Outages
-	}
-	rep, err := simmpi.Run(sim, func(pr *simmpi.Proc) error {
+		Faults:          cfg.Faults,
+	}, func(pr *simmpi.Proc) error {
 		right := (pr.Rank() + 1) % n
 		left := (pr.Rank() + n - 1) % n
 		// One rank per node, so this rank's crash times are its node's
@@ -226,38 +212,4 @@ func RunResilienceProbe(p *platform.Platform, cfg ResilienceConfig) (ResilienceR
 		Crashes:           rep.Faults.Interrupts,
 		DownSeconds:       rep.Faults.DownSeconds,
 	}, nil
-}
-
-// RunResilienceSweep runs the resilience probe on every platform,
-// dispatching the per-platform jobs as weighted tasks on the parallel
-// runner. Each result lands in its own slot, so output is identical
-// for any worker count (<= 0 means GOMAXPROCS).
-func RunResilienceSweep(ps []*platform.Platform, cfg ResilienceConfig, workers int) ([]ResilienceResult, error) {
-	if len(ps) == 0 {
-		return nil, errors.New("core: resilience sweep needs at least one platform")
-	}
-	out := make([]ResilienceResult, len(ps))
-	tasks := make([]runner.Task, len(ps))
-	for i, p := range ps {
-		i, p := i, p
-		tasks[i] = runner.Task{
-			ID:    "resilience/" + p.Name,
-			Title: fmt.Sprintf("resilience probe on %s", p.Name),
-			Run: func(io.Writer) error {
-				rr, err := RunResilienceProbe(p, cfg)
-				if err != nil {
-					return err
-				}
-				out[i] = rr
-				return nil
-			},
-		}
-	}
-	pool := runner.Pool{Workers: workers}
-	for _, r := range pool.Run(tasks) {
-		if r.Err != nil {
-			return nil, fmt.Errorf("core: %s: %w", r.ID, r.Err)
-		}
-	}
-	return out, nil
 }

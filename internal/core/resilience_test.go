@@ -152,36 +152,6 @@ func TestResilienceProbeRejectsTinyJobs(t *testing.T) {
 	}
 }
 
-func TestResilienceSweepDeterministicAcrossWorkers(t *testing.T) {
-	ps := make([]*platform.Platform, 0, len(platform.Names()))
-	for _, n := range platform.Names() {
-		ps = append(ps, platform.MustLookup(n))
-	}
-	cfg := quickResilience()
-	cfg.Faults = resolveFor(t, &fault.Spec{Seed: 9, MTBFSeconds: 30, HorizonSeconds: 300}, cfg.Nodes, 0)
-	base, err := RunResilienceSweep(ps, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for workers := 2; workers <= 4; workers++ {
-		got, err := RunResilienceSweep(ps, cfg, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range base {
-			if got[i].Seconds != base[i].Seconds || !reflect.DeepEqual(got[i].Breakdown, base[i].Breakdown) {
-				t.Fatalf("workers=%d: platform %s differs from sequential", workers, ps[i].Name)
-			}
-		}
-	}
-}
-
-func TestResilienceSweepNeedsPlatforms(t *testing.T) {
-	if _, err := RunResilienceSweep(nil, ResilienceConfig{}, 1); err == nil {
-		t.Fatal("empty resilience sweep did not error")
-	}
-}
-
 // Shorter checkpoint intervals mean more checkpoint I/O; under a fixed
 // crash load, longer intervals mean more lost work per crash. Both
 // extremes must cost more than a middle interval on a schedule dense

@@ -3,12 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"montblanc/internal/platform"
 	"montblanc/internal/power"
-	"montblanc/internal/runner"
 )
 
 // Sweep is the cross-platform measurement matrix: every workload
@@ -23,11 +21,8 @@ type Sweep struct {
 	Values [][]float64
 }
 
-// RunSweep measures every workload on every platform, dispatching the
-// N x M cells as weighted tasks on the parallel runner (heavier
-// workloads first, LPT). Each cell writes to its own matrix slot, so
-// results are identical for any worker count (<= 0 means GOMAXPROCS).
-func RunSweep(ps []*platform.Platform, ws []Workload, workers int) (*Sweep, error) {
+// RunSweep measures every workload on every platform, row by row.
+func RunSweep(ps []*platform.Platform, ws []Workload) (*Sweep, error) {
 	if len(ps) == 0 {
 		return nil, errors.New("core: sweep needs at least one platform")
 	}
@@ -35,36 +30,17 @@ func RunSweep(ps []*platform.Platform, ws []Workload, workers int) (*Sweep, erro
 		return nil, errors.New("core: sweep needs at least one workload")
 	}
 	values := make([][]float64, len(ws))
-	for i := range values {
-		values[i] = make([]float64, len(ps))
-	}
-	tasks := make([]runner.Task, 0, len(ws)*len(ps))
-	for wi := range ws {
-		for pi := range ps {
-			wi, pi := wi, pi
-			w, p := ws[wi], ps[pi]
-			tasks = append(tasks, runner.Task{
-				ID:     w.Name + "/" + p.Name,
-				Title:  fmt.Sprintf("%s on %s", w.Name, p.Name),
-				Weight: w.Cost,
-				Run: func(io.Writer) error {
-					v, err := w.Measure(p)
-					if err != nil {
-						return err
-					}
-					if v <= 0 {
-						return fmt.Errorf("non-positive measurement %g", v)
-					}
-					values[wi][pi] = v
-					return nil
-				},
-			})
-		}
-	}
-	pool := runner.Pool{Workers: workers}
-	for _, r := range pool.Run(tasks) {
-		if r.Err != nil {
-			return nil, fmt.Errorf("core: sweep %s: %w", r.ID, r.Err)
+	for wi, w := range ws {
+		values[wi] = make([]float64, len(ps))
+		for pi, p := range ps {
+			v, err := w.Measure(p)
+			if err != nil {
+				return nil, fmt.Errorf("core: sweep %s/%s: %w", w.Name, p.Name, err)
+			}
+			if v <= 0 {
+				return nil, fmt.Errorf("core: sweep %s/%s: non-positive measurement %g", w.Name, p.Name, v)
+			}
+			values[wi][pi] = v
 		}
 	}
 	return &Sweep{Platforms: ps, Workloads: ws, Values: values}, nil

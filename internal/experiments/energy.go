@@ -45,9 +45,11 @@ func runEnergyPhases(w io.Writer, o Options) error {
 		return err
 	}
 	cfg := phaseProbeConfig(o)
-	pes, err := core.RunPhaseSweep(ps, cfg, 0)
-	if err != nil {
-		return err
+	pes := make([]core.PhaseEnergy, len(ps))
+	for i, p := range ps {
+		if pes[i], err = core.RunPhaseProbe(p, cfg); err != nil {
+			return err
+		}
 	}
 	fmt.Fprintf(w, "Phase-resolved energy accounting across %d platforms (power profiles, PLATFORMS.md)\n",
 		len(pes))

@@ -8,7 +8,6 @@ import (
 	"montblanc/internal/fault"
 	"montblanc/internal/platform"
 	"montblanc/internal/report"
-	"montblanc/internal/runner"
 )
 
 // The resilience* experiment family prices failures: the paper's
@@ -156,15 +155,15 @@ func runResilienceSweep(w io.Writer, o Options) error {
 			c := cfg
 			c.IntervalSeconds = interval
 			c.Faults = fc.resolved
-			rrs, err := core.RunResilienceSweep(ps, c, 0)
-			if err != nil {
-				return err
-			}
 			label := fmt.Sprintf("%s tau=%gs", fc.label, interval)
-			tRow := make([]interface{}, len(rrs))
-			eRow := make([]interface{}, len(rrs))
-			cRow := make([]interface{}, len(rrs))
-			for i, rr := range rrs {
+			tRow := make([]interface{}, len(ps))
+			eRow := make([]interface{}, len(ps))
+			cRow := make([]interface{}, len(ps))
+			for i, p := range ps {
+				rr, err := core.RunResilienceProbe(p, c)
+				if err != nil {
+					return err
+				}
 				tRow[i] = rr.Seconds
 				eRow[i] = rr.Breakdown.Total
 				cRow[i] = rr.Crashes
@@ -228,36 +227,16 @@ func runResilienceDaly(w io.Writer, o Options) error {
 		taus[i] = tau
 	}
 
-	// One weighted task per platform covers its whole multiplier column;
-	// results land in indexed slots, identical at any worker count.
 	results := make([][]core.ResilienceResult, len(ps))
-	tasks := make([]runner.Task, len(ps))
 	for i, p := range ps {
-		i, p := i, p
-		tasks[i] = runner.Task{
-			ID:    "resilience-daly/" + p.Name,
-			Title: fmt.Sprintf("Daly scan on %s", p.Name),
-			Run: func(io.Writer) error {
-				col := make([]core.ResilienceResult, len(multipliers))
-				for j, mult := range multipliers {
-					c := cfg
-					c.IntervalSeconds = mult * taus[i]
-					c.Faults = resolved
-					rr, err := core.RunResilienceProbe(p, c)
-					if err != nil {
-						return err
-					}
-					col[j] = rr
-				}
-				results[i] = col
-				return nil
-			},
-		}
-	}
-	pool := runner.Pool{}
-	for _, r := range pool.Run(tasks) {
-		if r.Err != nil {
-			return r.Err
+		results[i] = make([]core.ResilienceResult, len(multipliers))
+		for j, mult := range multipliers {
+			c := cfg
+			c.IntervalSeconds = mult * taus[i]
+			c.Faults = resolved
+			if results[i][j], err = core.RunResilienceProbe(p, c); err != nil {
+				return err
+			}
 		}
 	}
 

@@ -17,8 +17,8 @@ import (
 // across machine generations (Tibidabo Tegra2 through Mont-Blanc
 // Exynos prototypes to a ThunderX2-class server node, plus any machine
 // registered from a user spec file via `montblanc -platform-file`).
-// The N platforms x M workloads cells are dispatched as weighted tasks
-// on the parallel runner; output is identical for any worker count.
+// The N platforms x M workloads cells are measured in order inside the
+// experiment; experiments themselves run in parallel on the runner.
 func init() {
 	register(Experiment{
 		ID:    "sweep-matrix",
@@ -77,14 +77,13 @@ func sweepPlatforms(o Options) ([]*platform.Platform, error) {
 	return ps, nil
 }
 
-// sweepData runs the workload matrix for the option-selected platforms
-// on a full worker pool.
+// sweepData runs the workload matrix for the option-selected platforms.
 func sweepData(o Options) (*core.Sweep, error) {
 	ps, err := sweepPlatforms(o)
 	if err != nil {
 		return nil, err
 	}
-	return core.RunSweep(ps, core.TableIIWorkloads(), 0)
+	return core.RunSweep(ps, core.TableIIWorkloads())
 }
 
 // workloadLabel names a matrix row, e.g. "LINPACK (MFLOPS)".

@@ -15,8 +15,8 @@
 //
 // FAULT.md documents the schema, the recovery protocol the resilience
 // experiments model on top, and the exactness argument for why
-// fault-injected runs stay byte-identical at any scheduler worker
-// count.
+// fault-injected runs stay byte-identical run to run.
+// cluster.Cluster.Run is the one place a resolved schedule is applied.
 package fault
 
 import (

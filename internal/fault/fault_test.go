@@ -275,24 +275,6 @@ func TestIntervalHelpersHostileInputs(t *testing.T) {
 	}
 }
 
-func TestPolicyValidate(t *testing.T) {
-	good := Policy{IntervalSeconds: 600, CheckpointSeconds: 30, RestartSeconds: 60}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Policy{
-		{IntervalSeconds: 0},
-		{IntervalSeconds: math.NaN()},
-		{IntervalSeconds: 600, CheckpointSeconds: -1},
-		{IntervalSeconds: 600, RestartSeconds: math.Inf(1)},
-	}
-	for _, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Fatalf("policy %+v accepted", p)
-		}
-	}
-}
-
 func TestLoadSpecFileMissing(t *testing.T) {
 	if _, err := LoadSpecFile("/nonexistent/fault.json"); err == nil {
 		t.Fatal("missing file accepted")

@@ -5,31 +5,6 @@ import (
 	"math"
 )
 
-// Policy is a checkpoint/restart policy: how often an application
-// checkpoints and what one checkpoint and one restart cost. The
-// resilience probe charges both costs to the memory power state
-// (checkpoint images stream through DRAM to node-local storage), so
-// phase-resolved energy accounting prices the policy for free.
-type Policy struct {
-	IntervalSeconds   float64 // tau: useful work between checkpoints (> 0)
-	CheckpointSeconds float64 // C: cost of writing one checkpoint
-	RestartSeconds    float64 // R: cost of reading one back after a crash
-}
-
-// Validate reports why the policy is unusable, if it is.
-func (p Policy) Validate() error {
-	if math.IsNaN(p.IntervalSeconds) || math.IsInf(p.IntervalSeconds, 0) || p.IntervalSeconds <= 0 {
-		return fmt.Errorf("fault: checkpoint interval must be > 0 seconds, got %v", p.IntervalSeconds)
-	}
-	if err := finiteNonNeg("checkpoint cost", p.CheckpointSeconds); err != nil {
-		return err
-	}
-	if err := finiteNonNeg("restart cost", p.RestartSeconds); err != nil {
-		return err
-	}
-	return nil
-}
-
 // checkArgs validates the (C, MTBF) pair shared by the interval
 // optimizers. The MTBF here is the one the application sees — for a
 // coordinated job that is the SYSTEM MTBF (per-node MTBF / nodes),

@@ -23,8 +23,7 @@ var errNotExist = errors.New("file does not exist")
 //     unsynced rename back or forward by a seeded coin flip, the two
 //     outcomes POSIX allows after losing the directory update.
 //
-// It exists for the chaos property suite, but is exported (with
-// ChaosFS) so future sharding/replication work can reuse the model.
+// It exists for the chaos property suite.
 type MemFS struct {
 	mu    sync.Mutex
 	clock int64 // logical mtime counter: deterministic ordering

@@ -3,8 +3,8 @@
 // ([12], [13]). It stores per-rank state intervals and point-to-point
 // communication records, renders ASCII Gantt charts reminiscent of
 // Paraver timelines, and implements the Figure 4 analysis: finding
-// all_to_all_v instances whose duration is abnormally long ("delayed")
-// and classifying whether all ranks or only part of them were hit.
+// all_to_all_v instances delayed by switch-dropped messages and
+// classifying whether all ranks or only part of them were hit.
 package trace
 
 import (
@@ -14,8 +14,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-
-	"montblanc/internal/stats"
 )
 
 // Kind classifies a state interval.
@@ -177,9 +175,6 @@ type Instance struct {
 	DroppedComms int
 }
 
-// MaxDuration returns the slowest rank's time in the collective.
-func (in Instance) MaxDuration() float64 { return stats.Max(in.Durations) }
-
 // Collectives groups collective intervals whose name starts with prefix
 // by instance name, ordered by start time.
 func (t *Trace) Collectives(prefix string) []Instance {
@@ -217,65 +212,6 @@ func (t *Trace) Collectives(prefix string) []Instance {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// DelayReport summarizes the Figure 4 analysis of one collective type.
-type DelayReport struct {
-	Collective string
-	Instances  int
-	// Delayed counts instances where at least one rank exceeded
-	// Factor x Baseline.
-	Delayed int
-	// FullyDelayed counts instances where >= 80% of ranks exceeded it
-	// ("in some cases all the nodes are delayed").
-	FullyDelayed int
-	// PartiallyDelayed counts delayed instances that are not fully
-	// delayed ("in other, only part of them suffers").
-	PartiallyDelayed int
-	Baseline         float64 // median rank-duration across all instances
-	Factor           float64
-	WorstRatio       float64 // worst duration / baseline
-}
-
-// AnalyzeCollectives computes a DelayReport for collectives with the
-// given name prefix, flagging durations above factor x the median
-// rank-duration as delayed.
-func AnalyzeCollectives(t *Trace, prefix string, factor float64) DelayReport {
-	rep := DelayReport{Collective: prefix, Factor: factor}
-	instances := t.Collectives(prefix)
-	rep.Instances = len(instances)
-	var all []float64
-	for _, in := range instances {
-		all = append(all, in.Durations...)
-	}
-	if len(all) == 0 {
-		return rep
-	}
-	rep.Baseline = stats.Median(all)
-	if rep.Baseline <= 0 {
-		return rep
-	}
-	for _, in := range instances {
-		delayed := 0
-		for _, d := range in.Durations {
-			if ratio := d / rep.Baseline; ratio > rep.WorstRatio {
-				rep.WorstRatio = ratio
-			}
-			if d > factor*rep.Baseline {
-				delayed++
-			}
-		}
-		if delayed == 0 {
-			continue
-		}
-		rep.Delayed++
-		if float64(delayed) >= 0.8*float64(in.Ranks) {
-			rep.FullyDelayed++
-		} else {
-			rep.PartiallyDelayed++
-		}
-	}
-	return rep
 }
 
 // CongestionReport is the retransmission-based Figure 4 analysis: which

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -78,8 +79,8 @@ func TestCollectivesGrouping(t *testing.T) {
 			t.Errorf("instance %d ranks = %d", i, in.Ranks)
 		}
 	}
-	if insts[1].MaxDuration() != 6 {
-		t.Errorf("instance 1 max duration = %v", insts[1].MaxDuration())
+	if m := slices.Max(insts[1].Durations); m != 6 {
+		t.Errorf("instance 1 max duration = %v", m)
 	}
 	// Ordered by start.
 	if insts[0].Start > insts[1].Start || insts[1].Start > insts[2].Start {
@@ -87,33 +88,9 @@ func TestCollectivesGrouping(t *testing.T) {
 	}
 }
 
-func TestAnalyzeCollectivesFigure4(t *testing.T) {
-	tr := buildCollectiveTrace()
-	rep := AnalyzeCollectives(tr, "alltoallv", 3)
-	if rep.Instances != 3 {
-		t.Errorf("instances = %d", rep.Instances)
-	}
-	// Baseline is the median duration: mostly 1.0.
-	if rep.Baseline != 1 {
-		t.Errorf("baseline = %v, want 1", rep.Baseline)
-	}
-	if rep.Delayed != 2 {
-		t.Errorf("delayed = %d, want 2", rep.Delayed)
-	}
-	if rep.FullyDelayed != 1 {
-		t.Errorf("fully delayed = %d, want 1 (all nodes)", rep.FullyDelayed)
-	}
-	if rep.PartiallyDelayed != 1 {
-		t.Errorf("partially delayed = %d, want 1 (only part)", rep.PartiallyDelayed)
-	}
-	if rep.WorstRatio != 8 {
-		t.Errorf("worst ratio = %v, want 8", rep.WorstRatio)
-	}
-}
-
 func TestAnalyzeEmptyTrace(t *testing.T) {
-	rep := AnalyzeCollectives(New(2), "alltoallv", 3)
-	if rep.Instances != 0 || rep.Delayed != 0 || rep.Baseline != 0 {
+	rep := AnalyzeCongestion(New(2), "alltoallv")
+	if rep != (CongestionReport{Collective: "alltoallv"}) {
 		t.Errorf("empty analysis = %+v", rep)
 	}
 }
