@@ -41,11 +41,13 @@ import (
 func BenchmarkFig1Top500Fit(b *testing.B) {
 	var year float64
 	for i := 0; i < b.N; i++ {
-		y, err := top500.ProjectedExaflopYear()
+		trend, err := top500.FitTop()
 		if err != nil {
 			b.Fatal(err)
 		}
-		year = y
+		if year, err = trend.YearReaching(top500.ExaflopGF); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(year, "exaflop-year")
 }

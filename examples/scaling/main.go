@@ -23,7 +23,7 @@ func main() {
 	fmt.Printf("Cluster: %s (%d Tegra2 nodes, %d cores, %d GbE switches tier)\n\n",
 		tibidabo.Name, tibidabo.Nodes, tibidabo.Cores(), 2)
 
-	fmt.Println("LINPACK (block LU, pipelined panel broadcast):")
+	fmt.Println("LINPACK (block LU, scatter + ring allgather panel broadcast):")
 	lin, err := linpack.StrongScaling(tibidabo, []int{8, 32, 96},
 		linpack.ScalingConfig{N: 8192, NB: 64})
 	if err != nil {

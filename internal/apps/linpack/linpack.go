@@ -201,8 +201,9 @@ func (c ScalingConfig) withDefaults() ScalingConfig {
 
 // TimeDistributed simulates an HPL-style distributed LU on the cluster:
 // column panels are block-cyclic over ranks; each step factors a panel
-// on its owner, broadcasts it (pipelined ring, as HPL does), and updates
-// the trailing matrix in parallel. It returns the simulated report.
+// on its owner, broadcasts it (BcastLarge: binomial scatter, then ring
+// allgather), and updates the trailing matrix in parallel. It returns
+// the simulated report.
 func TimeDistributed(c *cluster.Cluster, ranks int, cfg ScalingConfig) (*simmpi.Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.N%cfg.NB != 0 {

@@ -50,9 +50,6 @@ func Tibidabo(nodes int) (*Cluster, error) {
 // Cores returns the total core count.
 func (c *Cluster) Cores() int { return c.Nodes * c.Node.Cores }
 
-// TotalRAM returns the aggregate memory in bytes.
-func (c *Cluster) TotalRAM() int64 { return int64(c.Nodes) * c.Node.RAMBytes }
-
 // CoreFlops returns the sustained per-core floating-point rate at the
 // given precision and kernel efficiency.
 func (c *Cluster) CoreFlops(doublePrecision bool, efficiency float64) float64 {
@@ -123,19 +120,6 @@ func (c *Cluster) Validate(job JobConfig) error {
 	return nil
 }
 
-// MinNodesFor returns the smallest node count whose aggregate RAM fits
-// the footprint.
-func (c *Cluster) MinNodesFor(memoryBytes int64) int {
-	if memoryBytes <= 0 {
-		return 1
-	}
-	n := int((memoryBytes + c.Node.RAMBytes - 1) / c.Node.RAMBytes)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // Run executes body as an MPI job on a freshly reset fabric. It is the
 // one place a simulation is configured and a fault schedule applied.
 func (c *Cluster) Run(job JobConfig, body func(*simmpi.Proc) error) (*simmpi.Report, error) {
@@ -158,20 +142,6 @@ func (c *Cluster) Run(job JobConfig, body func(*simmpi.Proc) error) (*simmpi.Rep
 		cfg.Outages = job.Faults.Outages
 	}
 	return simmpi.Run(cfg, body)
-}
-
-// NodesFor returns how many nodes a job with the given rank count spans.
-func (c *Cluster) NodesFor(ranks int) int {
-	return (ranks + c.Node.Cores - 1) / c.Node.Cores
-}
-
-// JobEnergy returns the energy in joules consumed by a completed job:
-// the spanned nodes at full node power for the job's duration. The
-// paper's §IV caution lives here — "the node power efficiency is likely
-// to be counterbalanced by the network inefficiency": congestion
-// stretches the makespan, and the nodes burn power throughout.
-func (c *Cluster) JobEnergy(rep *simmpi.Report, ranks int) float64 {
-	return float64(c.NodesFor(ranks)) * c.Node.Power.Compute * rep.Seconds
 }
 
 // SpeedupPoint is one point of a strong-scaling curve (Figure 3).

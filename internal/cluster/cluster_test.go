@@ -16,8 +16,8 @@ func TestTibidaboConstruction(t *testing.T) {
 	if c.Cores() != 32 {
 		t.Errorf("cores = %d, want 32", c.Cores())
 	}
-	if c.TotalRAM() != 16*units.GiB {
-		t.Errorf("RAM = %d", c.TotalRAM())
+	if ram := int64(c.Nodes) * c.Node.RAMBytes; ram != 16*units.GiB {
+		t.Errorf("RAM = %d", ram)
 	}
 	if _, err := Tibidabo(0); err == nil {
 		t.Error("zero nodes accepted")
@@ -67,12 +67,6 @@ func TestMemoryConstraintForcesTwoNodes(t *testing.T) {
 	}
 	if err := c.Validate(JobConfig{Ranks: 4, MemoryBytes: instance}); err != nil {
 		t.Errorf("4 ranks (2 nodes) should fit: %v", err)
-	}
-	if n := c.MinNodesFor(instance); n != 2 {
-		t.Errorf("MinNodesFor = %d, want 2", n)
-	}
-	if n := c.MinNodesFor(0); n != 1 {
-		t.Errorf("MinNodesFor(0) = %d, want 1", n)
 	}
 }
 

@@ -196,59 +196,15 @@ func (m *Model) SpillPenalty(w Width, unroll int) float64 {
 	return float64(excess) * m.SpillCost * widthScale * m.SpillPipelineFactor
 }
 
-// SpillAccesses returns the number of extra L1 accesses per iteration
-// due to spilling (a store and a reload per spilled value). This feeds
-// the PAPI cache-access counter in the magicfilter study (Figure 7).
-func (m *Model) SpillAccesses(live int) int {
-	// live counts values the loop body must keep simultaneously.
-	excess := live - m.Regs[0]
-	if excess <= 0 {
-		return 0
-	}
-	return 2 * excess
-}
-
-// StallCycles converts a cache access latency into pipeline stall
-// cycles, crediting the hierarchy's L1 hit latency as fully pipelined
-// and hiding MissOverlap of the remainder.
-func (m *Model) StallCycles(accessLatency, l1Hit int) float64 {
-	extra := float64(accessLatency - l1Hit)
-	if extra <= 0 {
-		return 0
-	}
-	return extra * (1 - m.MissOverlap)
-}
-
-// StallCyclesTotal is the aggregate counterpart of StallCycles for the
-// batched cache path: extraCycles is a pre-clamped sum of per-access
-// latency beyond the L1 hit cost (cache.RunResult.Extra), converted to
-// stall cycles in one step.
+// StallCyclesTotal converts cache latency into pipeline stall cycles:
+// extraCycles is a pre-clamped sum of per-access latency beyond the L1
+// hit cost (cache.RunResult.Extra), of which MissOverlap is hidden.
 func (m *Model) StallCyclesTotal(extraCycles uint64) float64 {
 	return float64(extraCycles) * (1 - m.MissOverlap)
 }
 
 // SecondsPerCycle returns the wall-clock duration of one cycle.
 func (m *Model) SecondsPerCycle() float64 { return 1 / m.ClockHz }
-
-// FlopsTime returns the time to execute `flops` floating-point
-// operations on one core at the given precision and efficiency
-// (efficiency in (0,1] accounts for non-peak kernels).
-func (m *Model) FlopsTime(flops float64, doublePrecision bool, efficiency float64) float64 {
-	if efficiency <= 0 || efficiency > 1 {
-		efficiency = 1
-	}
-	rate := m.FlopsPerCycleSP
-	if doublePrecision {
-		rate = m.FlopsPerCycleDP
-	}
-	return flops / (m.ClockHz * rate * efficiency)
-}
-
-// IntOpsTime returns the time to execute `ops` machine operations of
-// branchy integer code on one core.
-func (m *Model) IntOpsTime(ops float64) float64 {
-	return ops / (m.ClockHz * m.IntIPC)
-}
 
 // Nehalem returns the Intel Xeon X5550 core model (2.66 GHz Nehalem-EP;
 // the paper rounds to "2.6GHz"). SSE2: 128-bit loads at 1/cycle, 2 DP

@@ -159,30 +159,6 @@ func TestSpillPenaltyMonotoneInUnroll(t *testing.T) {
 	}
 }
 
-func TestSpillAccesses(t *testing.T) {
-	m := A9500()
-	if n := m.SpillAccesses(5); n != 0 {
-		t.Errorf("5 live values should fit, got %d accesses", n)
-	}
-	if n := m.SpillAccesses(12); n != 4 {
-		t.Errorf("12 live with 10 regs => 2 spills => 4 accesses, got %d", n)
-	}
-}
-
-func TestStallCycles(t *testing.T) {
-	m := Nehalem() // 85% overlap
-	if s := m.StallCycles(4, 4); s != 0 {
-		t.Errorf("hit latency must not stall, got %f", s)
-	}
-	if s := m.StallCycles(104, 4); s < 14.99 || s > 15.01 {
-		t.Errorf("stall = %f, want ~15 (100 extra * 0.15)", s)
-	}
-	a9 := A9500() // 45% overlap
-	if s := a9.StallCycles(104, 4); s < 54.99 || s > 55.01 {
-		t.Errorf("A9 stall = %f, want ~55", s)
-	}
-}
-
 // The DP/SP gap drives Table II's BigDFT row: the A9 must be far worse
 // at DP relative to SP than Nehalem is.
 func TestA9DoublePrecisionPenalty(t *testing.T) {
@@ -191,32 +167,6 @@ func TestA9DoublePrecisionPenalty(t *testing.T) {
 	xeonGap := xeon.FlopsPerCycleSP / xeon.FlopsPerCycleDP
 	if a9Gap <= xeonGap {
 		t.Errorf("A9 SP/DP gap %.2f should exceed Nehalem's %.2f", a9Gap, xeonGap)
-	}
-}
-
-func TestFlopsTime(t *testing.T) {
-	m := Nehalem()
-	tSP := m.FlopsTime(1e9, false, 1)
-	tDP := m.FlopsTime(1e9, true, 1)
-	if tDP <= tSP {
-		t.Error("DP must be slower than SP")
-	}
-	// Efficiency halves the rate -> doubles the time.
-	tHalf := m.FlopsTime(1e9, false, 0.5)
-	if tHalf <= tSP*1.9 || tHalf >= tSP*2.1 {
-		t.Errorf("efficiency scaling wrong: %v vs %v", tHalf, tSP)
-	}
-	// Bad efficiency values fall back to 1.
-	if m.FlopsTime(1e9, false, 0) != tSP {
-		t.Error("efficiency 0 should fall back to 1")
-	}
-}
-
-func TestIntOpsTime(t *testing.T) {
-	m := A9500()
-	want := 1e9 / (1e9 * m.IntIPC)
-	if got := m.IntOpsTime(1e9); got != want {
-		t.Errorf("IntOpsTime = %v, want %v", got, want)
 	}
 }
 

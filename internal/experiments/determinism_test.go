@@ -33,17 +33,17 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 }
 
-// Parallel RunAll must be byte-identical to the sequential run at any
+// RunAllParallel must be byte-identical to its one-worker run at any
 // worker count: each experiment renders into a private buffer and
 // sections are emitted in ID order.
 func TestRunAllParallelByteIdentical(t *testing.T) {
 	opts := Options{Quick: true}
 	var sequential bytes.Buffer
-	if err := RunAll(&sequential, opts); err != nil {
+	if err := RunAllParallel(&sequential, opts, 1); err != nil {
 		t.Fatal(err)
 	}
 	if sequential.Len() == 0 {
-		t.Fatal("sequential RunAll produced no output")
+		t.Fatal("one-worker RunAllParallel produced no output")
 	}
 	for workers := 1; workers <= 8; workers++ {
 		workers := workers
@@ -66,15 +66,17 @@ func TestResultsMatchRunAll(t *testing.T) {
 	opts := Options{Quick: true}
 	results := Results(All(), opts, 4)
 	var fromResults bytes.Buffer
-	if err := Write(&fromResults, results); err != nil {
-		t.Fatal(err)
+	for _, r := range results {
+		if err := emitSection(&fromResults, r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var fromRunAll bytes.Buffer
-	if err := RunAll(&fromRunAll, opts); err != nil {
+	if err := RunAllParallel(&fromRunAll, opts, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fromResults.Bytes(), fromRunAll.Bytes()) {
-		t.Error("Write(Results(...)) differs from RunAll")
+		t.Error("sections rendered from Results(...) differ from RunAllParallel")
 	}
 	for i, e := range All() {
 		if results[i].ID != e.ID || results[i].Title != e.Title {

@@ -141,9 +141,9 @@ func Results(es []Experiment, o Options, workers int) []runner.Result {
 	return p.Run(tasks)
 }
 
-// sectionHeader is the historical RunAll section banner; every path
-// that renders headed sections must use it so output stays
-// byte-identical across the buffered and direct-write paths.
+// sectionHeader is the section banner; every path that renders headed
+// sections must use it so output stays byte-identical across the
+// buffered and direct-write paths.
 const sectionHeader = "==== %s: %s ====\n"
 
 // emitSection writes one headed result section (banner, the rendered
@@ -165,17 +165,6 @@ func emitSection(w io.Writer, r runner.Result) error {
 	}
 	if _, err := fmt.Fprintln(w); err != nil {
 		return fmt.Errorf("experiments: writing %s section: %w", r.ID, err)
-	}
-	return nil
-}
-
-// Write renders headed result sections to w, stopping at the first
-// failed result.
-func Write(w io.Writer, results []runner.Result) error {
-	for _, r := range results {
-		if err := emitSection(w, r); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -233,16 +222,10 @@ func streamSequential(w io.Writer, es []Experiment, o Options) ([]runner.Result,
 	return results, nil
 }
 
-// RunAll executes every experiment and writes headed sections in ID
-// order. Output is byte-identical to the historical sequential loop.
-func RunAll(w io.Writer, o Options) error {
-	return RunAllParallel(w, o, 1)
-}
-
-// RunAllParallel is RunAll on `workers` concurrent workers (<= 0 means
-// GOMAXPROCS). Each experiment renders into its own buffer and
-// sections stream out in ID order, so output does not depend on the
-// worker count.
+// RunAllParallel executes every experiment on `workers` concurrent
+// workers (<= 0 means GOMAXPROCS) and writes headed sections in ID
+// order. With several workers each experiment renders into its own
+// buffer, so output does not depend on the worker count.
 func RunAllParallel(w io.Writer, o Options, workers int) error {
 	_, err := Stream(w, All(), o, workers)
 	return err

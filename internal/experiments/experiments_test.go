@@ -148,13 +148,13 @@ func TestPageAllocFindings(t *testing.T) {
 
 func TestRunAllQuick(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunAll(&buf, Options{Quick: true}); err != nil {
+	if err := RunAllParallel(&buf, Options{Quick: true}, 1); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, id := range []string{"fig1", "table2", "fig7"} {
 		if !strings.Contains(out, "==== "+id) {
-			t.Errorf("RunAll output missing %s", id)
+			t.Errorf("RunAllParallel output missing %s", id)
 		}
 	}
 }

@@ -57,7 +57,7 @@ func runFig3a(w io.Writer, o Options) error {
 	if err != nil {
 		return err
 	}
-	renderScaling(w, "Figure 3a: LINPACK on Tibidabo (block LU, pipelined panel bcast)", points)
+	renderScaling(w, "Figure 3a: LINPACK on Tibidabo (block LU, scatter + ring allgather panel bcast)", points)
 	last := points[len(points)-1]
 	fmt.Fprintf(w, "efficiency at %d cores: %.0f%% (paper: close to 80%%)\n",
 		last.Cores, last.Efficiency*100)

@@ -105,7 +105,7 @@ func runSweepMatrix(w io.Writer, o Options) error {
 		return err
 	}
 	ref := sweepRef(w, s)
-	fmt.Fprintf(w, "Table II workload matrix across %d platforms (%d cells via the parallel runner)\n",
+	fmt.Fprintf(w, "Table II workload matrix across %d platforms (%d cells)\n",
 		len(s.Platforms), len(s.Platforms)*len(s.Workloads))
 
 	values := &report.Matrix{

@@ -308,15 +308,3 @@ func (r *Resolved) NodeOutages(node int) []simmpi.Outage {
 	}
 	return out
 }
-
-// CrashesBefore counts outages beginning before t — the failures a run
-// of that length actually experienced.
-func (r *Resolved) CrashesBefore(t float64) int {
-	n := 0
-	for _, o := range r.Outages {
-		if o.Start < t {
-			n++
-		}
-	}
-	return n
-}

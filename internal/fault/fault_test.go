@@ -85,9 +85,6 @@ func TestResolveExplicitEvents(t *testing.T) {
 	if r.Outages[1].Node != 2 || r.Outages[1].Start != 100 || r.Outages[1].End != 120 {
 		t.Fatalf("second outage wrong: %+v", r.Outages[1])
 	}
-	if got := r.CrashesBefore(60); got != 1 {
-		t.Fatalf("CrashesBefore(60) = %d, want 1", got)
-	}
 	if got := r.NodeOutages(2); len(got) != 1 || got[0].Start != 100 {
 		t.Fatalf("NodeOutages(2) = %+v", got)
 	}

@@ -177,11 +177,6 @@ func Apply3D(dst, src []float64, n1, n2, n3 int) error {
 // pass: Taps multiply-accumulate pairs.
 func FlopsPerPoint() float64 { return 2 * Taps }
 
-// Flops3D returns the total flops of a full 3-D application.
-func Flops3D(n1, n2, n3 int) float64 {
-	return 3 * float64(n1*n2*n3) * FlopsPerPoint()
-}
-
 // VariantResult is one point of the Figure 7 sweep.
 type VariantResult struct {
 	Platform       string

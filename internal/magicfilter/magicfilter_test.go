@@ -178,12 +178,6 @@ func TestApply3DPreservesSource(t *testing.T) {
 	}
 }
 
-func TestFlops3D(t *testing.T) {
-	if f := Flops3D(10, 10, 10); f != 3*1000*32 {
-		t.Errorf("Flops3D = %v", f)
-	}
-}
-
 const sweepN = 4096
 
 // Figure 7's headline: the sweet spot is much narrower on Tegra2

@@ -129,29 +129,6 @@ func ColorOf(pa uint64, colors int) int {
 	return int((pa / PageSize) % uint64(colors))
 }
 
-// ColorSpread reports, for the first nPages pages of a virtual buffer,
-// how many pages land on each colour. A perfectly balanced spread means
-// no allocation-induced conflicts; heavy skew predicts conflict misses.
-func ColorSpread(m Mapper, nPages, colors int) []int {
-	counts := make([]int, colors)
-	for p := 0; p < nPages; p++ {
-		pa := m.Translate(uint64(p) * PageSize)
-		counts[ColorOf(pa, colors)]++
-	}
-	return counts
-}
-
-// MaxColorLoad returns the maximum per-colour page count in spread.
-func MaxColorLoad(spread []int) int {
-	m := 0
-	for _, c := range spread {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
 // TLB models a small fully-associative translation lookaside buffer with
 // LRU replacement. It charges MissPenalty cycles per miss and relies on
 // a Mapper for the actual translation.

@@ -82,6 +82,29 @@ func TestPageColors(t *testing.T) {
 	}
 }
 
+// ColorSpread reports, for the first nPages pages of a virtual buffer,
+// how many pages land on each colour. A perfectly balanced spread means
+// no allocation-induced conflicts; heavy skew predicts conflict misses.
+func ColorSpread(m Mapper, nPages, colors int) []int {
+	counts := make([]int, colors)
+	for p := 0; p < nPages; p++ {
+		pa := m.Translate(uint64(p) * PageSize)
+		counts[ColorOf(pa, colors)]++
+	}
+	return counts
+}
+
+// MaxColorLoad returns the maximum per-colour page count in spread.
+func MaxColorLoad(spread []int) int {
+	m := 0
+	for _, c := range spread {
+		if c > m {
+			m = c
+		}
+	}
+	return m
+}
+
 func TestColorSpreadContiguousIsBalanced(t *testing.T) {
 	m := NewContiguousMapper(0)
 	spread := ColorSpread(m, 8, 2)

@@ -1,6 +1,7 @@
 package membench
 
 import (
+	"slices"
 	"testing"
 
 	"montblanc/internal/cpu"
@@ -122,7 +123,7 @@ func TestPageAllocationRunToRunVariance(t *testing.T) {
 			cvRandom, cvContig)
 	}
 	// And random never beats contiguous meaningfully.
-	if stats.Max(random) > stats.Max(contig)*1.05 {
+	if slices.Max(random) > slices.Max(contig)*1.05 {
 		t.Error("random placement should not outperform contiguous")
 	}
 }

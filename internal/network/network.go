@@ -263,27 +263,23 @@ func (n *Network) SendOpts(t float64, src, dst, bytes int, o SendOptions) (Resul
 }
 
 // DegradeLink schedules a degradation window on the named link. The
-// builders name links after their endpoints ("node3->sw", "sw->node3",
-// "node3-loop", "leaf0->root", "root->leaf0"); LinkNames lists the
-// inventory. Naming a link the topology does not have is an error — a
-// fault schedule aimed at a missing edge is a configuration bug, not a
-// no-op.
+// builders name links after their endpoints: on a Star "node<i>->sw",
+// "sw->node<i>" and "node<i>-loop"; on a Tree "node<i>->leaf",
+// "leaf->node<i>", "node<i>-loop", "leaf<j>->root" and "root->leaf<j>".
+// Naming a link the topology does not have is an error — a fault
+// schedule aimed at a missing edge is a configuration bug, not a
+// no-op — and the error shows a real link name of this fabric.
 func (n *Network) DegradeLink(name string, d Degradation) error {
 	for _, l := range n.links {
 		if l.Name == name {
 			return l.Degrade(d)
 		}
 	}
-	return fmt.Errorf("network: no link named %q (see LinkNames)", name)
-}
-
-// LinkNames returns every link name in inventory order.
-func (n *Network) LinkNames() []string {
-	names := make([]string, len(n.links))
-	for i, l := range n.links {
-		names[i] = l.Name
+	if len(n.links) == 0 {
+		return fmt.Errorf("network: no link named %q: the fabric has no links", name)
 	}
-	return names
+	return fmt.Errorf("network: no link named %q; this fabric's links are named like %q",
+		name, n.links[0].Name)
 }
 
 // DegradedTransfers returns the total transfers that started inside a
@@ -318,7 +314,6 @@ func (n *Network) Reset() {
 // GigE characteristics used by the Tibidabo builders.
 const (
 	GigEBandwidth = 125e6 // bytes/s (1 Gb/s)
-	FastBandwidth = 12.5e6
 	// GigELatency is the per-hop latency including the slow TCP stack on
 	// the Tegra2 (the Tibidabo report measures ~50-100us MPI latency).
 	GigELatency = 50e-6

@@ -74,19 +74,6 @@ func (c Counters) Add(e Event, delta uint64) Counters {
 	return out
 }
 
-// Sub returns c - other, clamping at zero per event. Use it to obtain
-// the counts of a region between two snapshots.
-func (c Counters) Sub(other Counters) Counters {
-	out := make(Counters, len(c))
-	for k, v := range c {
-		o := other[k]
-		if v >= o {
-			out[k] = v - o
-		}
-	}
-	return out
-}
-
 // String renders the counters in a stable order.
 func (c Counters) String() string {
 	events := make([]Event, 0, len(c))

@@ -132,8 +132,8 @@ func TestUniformProfileReproducesConstantModelOnBuiltins(t *testing.T) {
 		}
 		uni := power.Uniform(s.powerName(), s.Watts)
 		for _, st := range power.States() {
-			if got, want := uni.EnergyIn(st, seconds), s.Watts*seconds; got != want {
-				t.Errorf("%s: uniform EnergyIn(%s) = %v, want %v", name, st, got, want)
+			if got := uni.Watts(st); got != s.Watts {
+				t.Errorf("%s: uniform Watts(%s) = %v, want %v", name, st, got, s.Watts)
 			}
 		}
 	}

@@ -53,16 +53,6 @@ func (r *Resolver) LookupSpec(name string) (Spec, bool) {
 	return LookupSpec(name)
 }
 
-// Lookup builds a fresh Platform for the named spec, extra specs
-// shadowing registered ones.
-func (r *Resolver) Lookup(name string) (*Platform, error) {
-	s, ok := r.LookupSpec(name)
-	if !ok {
-		return nil, fmt.Errorf("platform: unknown platform %q (available: %v)", name, r.Names())
-	}
-	return s.Build()
-}
-
 // Names returns every resolvable name — the union of the registry and
 // the extra specs — in sorted order, matching the contract of the
 // package-level Names.

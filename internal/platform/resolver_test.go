@@ -27,12 +27,16 @@ func TestResolverViewOfRegistry(t *testing.T) {
 	if got, want := len(r.Names()), len(Names()); got != want {
 		t.Fatalf("empty resolver sees %d names, registry has %d", got, want)
 	}
-	p, err := r.Lookup("Snowball")
+	s, ok := r.LookupSpec("Snowball")
+	if !ok {
+		t.Fatal("Snowball not resolvable")
+	}
+	p, err := s.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Name != "Snowball" {
-		t.Errorf("Lookup built %q", p.Name)
+		t.Errorf("LookupSpec then Build built %q", p.Name)
 	}
 	// The zero value behaves like the empty resolver.
 	var zero *Resolver
@@ -113,7 +117,7 @@ func TestResolverRejectsInvalidAndDuplicate(t *testing.T) {
 
 func TestResolverUnknownName(t *testing.T) {
 	r, _ := NewResolver(nil)
-	if _, err := r.Lookup("NoSuchMachine"); err == nil {
+	if _, ok := r.LookupSpec("NoSuchMachine"); ok {
 		t.Error("unknown name resolved")
 	}
 }

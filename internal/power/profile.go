@@ -93,12 +93,6 @@ func (p Profile) Watts(s State) float64 {
 // integration lives in trace.EnergyByState.
 func (p Profile) Energy(seconds float64) float64 { return p.Compute * seconds }
 
-// EnergyIn returns the joules drawn over the given seconds spent in
-// state s.
-func (p Profile) EnergyIn(s State, seconds float64) float64 {
-	return p.Watts(s) * seconds
-}
-
 // EnergyPerOp returns joules per unit of work given a rate in ops/s,
 // charged at the Compute envelope like Energy.
 func (p Profile) EnergyPerOp(opsPerSecond float64) float64 {
@@ -106,16 +100,6 @@ func (p Profile) EnergyPerOp(opsPerSecond float64) float64 {
 		return 0
 	}
 	return p.Compute / opsPerSecond
-}
-
-// Scale returns the profile with every state multiplied by f — e.g. the
-// per-core share of a node profile (f = 1/cores).
-func (p Profile) Scale(f float64) Profile {
-	p.Idle *= f
-	p.Compute *= f
-	p.Memory *= f
-	p.Comm *= f
-	return p
 }
 
 // Validate checks the profile: every state must draw positive power and

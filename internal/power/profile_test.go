@@ -19,14 +19,8 @@ func TestUniformIsTheConstantModel(t *testing.T) {
 			t.Errorf("Watts(%s) = %v, want 2.5", s, w)
 		}
 	}
-	// Whole-run accounting and per-state integration agree everywhere.
 	if e := p.Energy(10); e != 25 {
 		t.Errorf("Energy(10) = %v, want 25", e)
-	}
-	for _, s := range States() {
-		if e := p.EnergyIn(s, 10); e != 25 {
-			t.Errorf("EnergyIn(%s, 10) = %v, want 25", s, e)
-		}
 	}
 	if j := p.EnergyPerOp(2.5); j != 1 {
 		t.Errorf("EnergyPerOp = %v, want 1", j)
@@ -49,25 +43,8 @@ func TestProfileStates(t *testing.T) {
 	if e := tx2.Energy(2); e != 350 {
 		t.Errorf("Energy(2) = %v, want 350", e)
 	}
-	if e := tx2.EnergyIn(StateIdle, 2); e != 110 {
-		t.Errorf("EnergyIn(idle, 2) = %v, want 110", e)
-	}
 	if State(99).String() != "State(99)" {
 		t.Errorf("unknown state string = %q", State(99))
-	}
-}
-
-func TestProfileScale(t *testing.T) {
-	half := tx2.Scale(0.5)
-	if half.Idle != 27.5 || half.Compute != 87.5 || half.Memory != 75 || half.Comm != 47.5 {
-		t.Errorf("Scale(0.5) = %+v", half)
-	}
-	if half.Name != tx2.Name {
-		t.Errorf("Scale lost the name: %q", half.Name)
-	}
-	// Scale returns a copy; the receiver is untouched.
-	if tx2.Compute != 175 {
-		t.Errorf("Scale mutated receiver: %+v", tx2)
 	}
 }
 

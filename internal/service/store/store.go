@@ -108,9 +108,6 @@ func Open(fsys FS, dir string, maxBytes int64) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // validKey rejects keys that could escape the directory or collide
 // with the store's own suffixes. Cache keys are lowercase hex, but the
 // store accepts anything filename-shaped.
@@ -296,56 +293,40 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// encodeEntry frames payload with the v1 header.
-func encodeEntry(payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	var b bytes.Buffer
-	b.Grow(len(headerMagic) + 96 + len(payload))
-	fmt.Fprintf(&b, "%s\nsha256 %s\nbytes %d\n\n", headerMagic, hex.EncodeToString(sum[:]), len(payload))
-	b.Write(payload)
-	return b.Bytes()
+// maxHeaderLen bounds the v1 header: magic, digest, the longest
+// decimal length and the separators.
+const maxHeaderLen = len(headerMagic) + len("\nsha256 ") + 2*sha256.Size + len("\nbytes ") + 20 + len("\n\n")
+
+// appendHeader appends the one v1 header for a payload with the given
+// SHA-256 digest and length: lower-case hex, plain decimal.
+func appendHeader(dst []byte, sum [sha256.Size]byte, n int) []byte {
+	dst = append(dst, headerMagic+"\nsha256 "...)
+	dst = hex.AppendEncode(dst, sum[:])
+	dst = append(dst, "\nbytes "...)
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	return append(dst, "\n\n"...)
 }
 
-// decodeEntry validates a v1 entry and returns its payload. Any
-// deviation — bad magic, malformed header, length mismatch, checksum
-// mismatch — is an error; the caller quarantines.
+// encodeEntry frames payload with the v1 header.
+func encodeEntry(payload []byte) []byte {
+	b := appendHeader(make([]byte, 0, maxHeaderLen+len(payload)), sha256.Sum256(payload), len(payload))
+	return append(b, payload...)
+}
+
+// decodeEntry validates a v1 entry and returns its payload. The header
+// (up to the first blank line) must be byte-for-byte the one
+// encodeEntry writes for the payload that follows it, so any deviation
+// — bad magic, a malformed or non-canonical header, a length or
+// checksum mismatch — is an error; the caller quarantines.
 func decodeEntry(blob []byte) ([]byte, error) {
-	magic := headerMagic + "\n"
-	if len(blob) < len(magic) || string(blob[:len(magic)]) != magic {
-		return nil, fmt.Errorf("store: bad magic")
-	}
-	body := blob[len(magic):]
-	end := bytes.Index(body, []byte("\n\n"))
+	end := bytes.Index(blob, []byte("\n\n"))
 	if end < 0 {
 		return nil, fmt.Errorf("store: truncated header")
 	}
-	lines := strings.Split(string(body[:end]), "\n")
-	if len(lines) != 2 {
-		return nil, fmt.Errorf("store: header has %d fields, want 2", len(lines))
-	}
-	sumHex, ok := strings.CutPrefix(lines[0], "sha256 ")
-	if !ok {
-		return nil, fmt.Errorf("store: missing sha256 field")
-	}
-	wantSum, err := hex.DecodeString(sumHex)
-	if err != nil || len(wantSum) != sha256.Size {
-		return nil, fmt.Errorf("store: malformed sha256 field")
-	}
-	nStr, ok := strings.CutPrefix(lines[1], "bytes ")
-	if !ok {
-		return nil, fmt.Errorf("store: missing bytes field")
-	}
-	n, err := strconv.ParseInt(nStr, 10, 64)
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("store: malformed bytes field")
-	}
-	payload := body[end+2:]
-	if int64(len(payload)) != n {
-		return nil, fmt.Errorf("store: payload is %d bytes, header says %d", len(payload), n)
-	}
-	got := sha256.Sum256(payload)
-	if !bytes.Equal(got[:], wantSum) {
-		return nil, fmt.Errorf("store: checksum mismatch")
+	header, payload := blob[:end+2], blob[end+2:]
+	var want [maxHeaderLen]byte
+	if !bytes.Equal(header, appendHeader(want[:0], sha256.Sum256(payload), len(payload))) {
+		return nil, fmt.Errorf("store: header does not match its %d-byte payload", len(payload))
 	}
 	return payload, nil
 }

@@ -189,6 +189,20 @@ func TestDecodeEntryRejections(t *testing.T) {
 	}
 }
 
+// FuzzStoreEntry checks the entry codec: no blob makes it panic, every
+// payload round-trips, and decodeEntry accepts a blob only when it is
+// exactly what encodeEntry writes for the payload it returns.
+func FuzzStoreEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if p, err := decodeEntry(encodeEntry(data)); err != nil || !bytes.Equal(p, data) {
+			t.Fatalf("payload %q does not round-trip: got %q, %v", data, p, err)
+		}
+		if p, err := decodeEntry(data); err == nil && !bytes.Equal(data, encodeEntry(p)) {
+			t.Fatalf("accepted a non-canonical entry %q", data)
+		}
+	})
+}
+
 func flip(b []byte, i int) []byte {
 	c := append([]byte(nil), b...)
 	c[i] ^= 1

@@ -35,13 +35,8 @@ func (p *Proc) Barrier() error {
 	})
 }
 
-// Bcast broadcasts bytes from root to all ranks (binomial tree).
-func (p *Proc) Bcast(root, bytes int) error {
-	return p.Collective("bcast", func() error {
-		return p.bcastBinomial(root, bytes, tagBcast)
-	})
-}
-
+// bcastBinomial sends bytes from root down a binomial tree under tag:
+// the broadcast half of Allreduce.
 func (p *Proc) bcastBinomial(root, bytes, tag int) error {
 	relative := (p.rank - root + p.size) % p.size
 	mask := 1
@@ -68,45 +63,14 @@ func (p *Proc) bcastBinomial(root, bytes, tag int) error {
 	return nil
 }
 
-// BcastPipelined broadcasts bytes from root along a ring in segments —
-// the algorithm HPL-class codes use for large panels: for enough
-// segments the cost approaches bytes/bandwidth independent of the rank
-// count.
-func (p *Proc) BcastPipelined(root, bytes, segments int) error {
-	if segments < 1 {
-		segments = 1
-	}
-	return p.Collective("bcast", func() error {
-		if p.size == 1 {
-			return nil
-		}
-		relative := (p.rank - root + p.size) % p.size
-		next := (p.rank + 1) % p.size
-		prev := (p.rank - 1 + p.size) % p.size
-		segBytes := (bytes + segments - 1) / segments
-		for s := 0; s < segments; s++ {
-			tag := tagBcast + 1 + s
-			if relative != 0 {
-				if err := p.Recv(prev, tag); err != nil {
-					return err
-				}
-			}
-			if relative != p.size-1 {
-				if err := p.Send(next, tag, segBytes); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-}
-
 // BcastLarge broadcasts bytes from root with the scatter + ring
 // allgather algorithm MPI libraries use for large messages (and HPL for
 // panel broadcasts): the root binomially scatters 1/size-sized chunks,
-// then a ring allgather circulates them. Total cost approaches
-// 2*bytes/bandwidth independent of rank count, with size-1 neighbour
-// messages — no incast.
+// then a ring allgather circulates them. Every message goes to a tree
+// child or a ring neighbour — no incast — and each phase moves about
+// bytes per rank, so the cost is nearly flat in the rank count. On an
+// idle store-and-forward Star, where every message crosses two links,
+// it is about 4.3*bytes/bandwidth at 32 ranks.
 func (p *Proc) BcastLarge(root, bytes int) error {
 	return p.Collective("bcast", func() error {
 		if p.size == 1 {
@@ -163,34 +127,6 @@ func (p *Proc) BcastLarge(root, bytes int) error {
 			if err := p.Recv(prev, tagAllgather+round); err != nil {
 				return err
 			}
-		}
-		return nil
-	})
-}
-
-// Reduce combines bytes from all ranks at root (binomial tree, reversed
-// broadcast order).
-func (p *Proc) Reduce(root, bytes int) error {
-	return p.Collective("reduce", func() error {
-		relative := (p.rank - root + p.size) % p.size
-		mask := 1
-		for mask < p.size {
-			if relative&mask == 0 {
-				srcRel := relative | mask
-				if srcRel < p.size {
-					src := (srcRel + root) % p.size
-					if err := p.Recv(src, tagReduce+mask); err != nil {
-						return err
-					}
-				}
-			} else {
-				dst := (relative&^mask + root) % p.size
-				if err := p.Send(dst, tagReduce+mask, bytes); err != nil {
-					return err
-				}
-				break
-			}
-			mask <<= 1
 		}
 		return nil
 	})
@@ -277,41 +213,5 @@ func (p *Proc) Alltoallv(bytesTo []int, algo AlltoallvAlgorithm) error {
 			}
 			return nil
 		}
-	})
-}
-
-// Allgather distributes bytes from every rank to every rank (ring
-// algorithm: size-1 rounds of neighbour forwarding).
-func (p *Proc) Allgather(bytes int) error {
-	return p.Collective("allgather", func() error {
-		next := (p.rank + 1) % p.size
-		prev := (p.rank - 1 + p.size) % p.size
-		for round := 0; round < p.size-1; round++ {
-			if err := p.Send(next, tagAllgather+round, bytes); err != nil {
-				return err
-			}
-			if err := p.Recv(prev, tagAllgather+round); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// Gather collects bytes from every rank at root (linear).
-func (p *Proc) Gather(root, bytes int) error {
-	return p.Collective("gather", func() error {
-		if p.rank == root {
-			for src := 0; src < p.size; src++ {
-				if src == root {
-					continue
-				}
-				if err := p.Recv(src, tagAllgather-1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return p.Send(root, tagAllgather-1, bytes)
 	})
 }

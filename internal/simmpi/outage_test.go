@@ -174,10 +174,20 @@ func ringBody(p *Proc) error {
 }
 
 // DegradeLink on a missing edge is a configuration error, not a no-op.
+// The error names the missing link and one link the fabric does have,
+// so a fault-file author sees the naming scheme.
 func TestDegradeUnknownLink(t *testing.T) {
-	net := network.Star(2)
-	err := net.DegradeLink("node7->sw", network.Degradation{Start: 0, End: 1, BandwidthFactor: 2})
-	if err == nil || !strings.Contains(err.Error(), "node7->sw") {
-		t.Fatalf("err = %v, want the missing link named", err)
+	for _, tc := range []struct {
+		name, link, hint string
+		net              *network.Network
+	}{
+		{"star", "node7->sw", `"node0->sw"`, network.Star(2)},
+		{"tree", "node0->sw", `"node0->leaf"`, network.Tree(4, 2)},
+		{"no links", "node0->sw", "no links", network.Star(0)},
+	} {
+		err := tc.net.DegradeLink(tc.link, network.Degradation{Start: 0, End: 1, BandwidthFactor: 2})
+		if err == nil || !strings.Contains(err.Error(), `"`+tc.link+`"`) || !strings.Contains(err.Error(), tc.hint) {
+			t.Errorf("%s: err = %v, want %q named and %s", tc.name, err, tc.link, tc.hint)
+		}
 	}
 }

@@ -38,6 +38,14 @@ import (
 // follows common MPI defaults of the era.
 const EagerThreshold = 64 << 10
 
+// A send costs the sender sendOverhead of CPU time plus a memcpy of
+// the message at copyBandwidth (bytes/s); a receive costs the receiver
+// the same memcpy once the last byte has arrived.
+const (
+	sendOverhead  = 2e-6
+	copyBandwidth = 600e6
+)
+
 // Outage marks a node unavailable over [Start, End) of virtual time: a
 // crash at Start followed by a restart at End. While the node is down
 // its ranks are frozen — local work in progress resumes after the
@@ -71,11 +79,6 @@ type Config struct {
 	// by ComputeFlops. Default 1e9.
 	CoreFlopsPerSec float64
 
-	// SendOverhead is the CPU cost of posting a send (default 2us), on
-	// top of the memcpy at CopyBandwidth (default 600 MB/s).
-	SendOverhead  float64
-	CopyBandwidth float64
-
 	// CollectTrace enables interval/communication recording.
 	CollectTrace bool
 
@@ -94,12 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CoreFlopsPerSec <= 0 {
 		c.CoreFlopsPerSec = 1e9
-	}
-	if c.SendOverhead <= 0 {
-		c.SendOverhead = 2e-6
-	}
-	if c.CopyBandwidth <= 0 {
-		c.CopyBandwidth = 600e6
 	}
 	return c
 }
@@ -671,11 +668,11 @@ func run(cfg Config, body func(*Proc) error, h hooks) (*Report, error) {
 			if ro := w.pending[best.dst]; ro != nil && ro.kind == opRecv && !ro.matched {
 				w.tryMatch(ro)
 			}
-			overhead := cfg.SendOverhead + float64(best.bytes)/cfg.CopyBandwidth
+			overhead := sendOverhead + float64(best.bytes)/copyBandwidth
 			w.procs[best.rank].res = resumeMsg{time: best.time + overhead}
 			w.step(best.rank)
 		case opRecv:
-			copyCost := float64(best.matchedMsg.bytes) / cfg.CopyBandwidth
+			copyCost := float64(best.matchedMsg.bytes) / copyBandwidth
 			w.procs[best.rank].res = resumeMsg{
 				time:    best.ready + copyCost,
 				dropped: best.matchedMsg.dropped,

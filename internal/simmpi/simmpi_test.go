@@ -72,15 +72,13 @@ func TestComputeFlops(t *testing.T) {
 // each costing its latency plus bytes/bandwidth, store-and-forward. A
 // rendezvous message (above EagerThreshold) first pays a request and
 // clear-to-send handshake: two latencies per hop. The sender resumes
-// after SendOverhead plus its memcpy at CopyBandwidth; the receiver
-// completes a copy at CopyBandwidth after the last byte arrives. Every
+// after sendOverhead plus its memcpy at copyBandwidth; the receiver
+// completes a copy at copyBandwidth after the last byte arrives. Every
 // rank's finish time must equal the closed form to rounding.
 func TestSendRecvTiming(t *testing.T) {
 	const (
-		hops          = 2
-		sendOverhead  = 3e-6
-		copyBandwidth = 400e6
-		tol           = 1e-12
+		hops = 2
+		tol  = 1e-12
 	)
 	// oneWay is the network time of one message, post to last byte.
 	oneWay := func(bytes int) float64 {
@@ -106,10 +104,7 @@ func TestSendRecvTiming(t *testing.T) {
 		{"pingpong-10x4KiB", 4 << 10, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := starConfig(2, 1)
-			cfg.SendOverhead = sendOverhead
-			cfg.CopyBandwidth = copyBandwidth
-			rep, err := Run(cfg, func(p *Proc) error {
+			rep, err := Run(starConfig(2, 1), func(p *Proc) error {
 				peer := 1 - p.Rank()
 				if tc.rounds == 0 {
 					if p.Rank() == 0 {
@@ -378,22 +373,42 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
+// Every non-root rank must receive at least the broadcast's bytes:
+// the whole message from the binomial tree, its scatter share plus
+// the other ranks' chunks from BcastLarge.
 func TestBcastReachesEveryone(t *testing.T) {
-	for _, ranks := range []int{2, 3, 5, 8} {
-		rep, err := Run(starConfig(ranks, 1), func(p *Proc) error {
-			return p.Bcast(0, 50000)
-		})
-		if err != nil {
-			t.Fatalf("ranks=%d: %v", ranks, err)
-		}
-		for r := 1; r < ranks; r++ {
-			if rep.RankSeconds[r] <= 0 {
-				t.Errorf("ranks=%d: rank %d never received", ranks, r)
+	const bytes = 50000
+	for _, bc := range []struct {
+		name string
+		run  func(p *Proc) error
+	}{
+		{"binomial", func(p *Proc) error { return p.Bcast(0, bytes) }},
+		{"large", func(p *Proc) error { return p.BcastLarge(0, bytes) }},
+	} {
+		for _, ranks := range []int{2, 3, 5, 8} {
+			cfg := starConfig(ranks, 1)
+			cfg.CollectTrace = true
+			rep, err := Run(cfg, bc.run)
+			if err != nil {
+				t.Fatalf("%s ranks=%d: %v", bc.name, ranks, err)
+			}
+			got := make([]int, ranks)
+			for _, c := range rep.Trace.Comms {
+				got[c.Dst] += c.Bytes
+			}
+			for r := 1; r < ranks; r++ {
+				if got[r] < bytes {
+					t.Errorf("%s ranks=%d: rank %d received %d bytes, want >= %d",
+						bc.name, ranks, r, got[r], bytes)
+				}
 			}
 		}
 	}
 }
 
+// BcastLarge, the panel broadcast behind Figure 3a, must beat the
+// binomial tree on a big message: the tree sends the whole message
+// once per level.
 func TestBcastPipelinedBeatsBinomialForBigMessages(t *testing.T) {
 	const ranks = 16
 	const bytes = 8 << 20
@@ -403,24 +418,50 @@ func TestBcastPipelinedBeatsBinomialForBigMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := Run(starConfig(ranks, 1), func(p *Proc) error {
-		return p.BcastPipelined(0, bytes, 32)
+	large, err := Run(starConfig(ranks, 1), func(p *Proc) error {
+		return p.BcastLarge(0, bytes)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pipe.Seconds >= binom.Seconds {
-		t.Errorf("pipelined bcast %.4fs not faster than binomial %.4fs",
-			pipe.Seconds, binom.Seconds)
+	if large.Seconds >= binom.Seconds {
+		t.Errorf("BcastLarge %.4fs not faster than binomial %.4fs",
+			large.Seconds, binom.Seconds)
+	}
+}
+
+// On an idle Star, BcastLarge's makespan is nearly flat in the rank
+// count: doubling 16 ranks to 32 adds less than 5%, and it stays below
+// the wire time alone of a binomial tree, ceil(log2 n) * 2 *
+// bytes/bandwidth (each level sends the whole message across two
+// store-and-forward links).
+func TestBcastLargeFlatInRanks(t *testing.T) {
+	for _, bytes := range []int{1 << 20, 8 << 20} {
+		var secs [2]float64
+		for i, ranks := range []int{16, 32} {
+			rep, err := Run(starConfig(ranks, 1), func(p *Proc) error {
+				return p.BcastLarge(0, bytes)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			secs[i] = rep.Seconds
+			levels := math.Ceil(math.Log2(float64(ranks)))
+			if tree := levels * 2 * float64(bytes) / network.GigEBandwidth; rep.Seconds >= tree {
+				t.Errorf("%d bytes on %d ranks: %.4fs, a binomial tree's wire time is %.4fs",
+					bytes, ranks, rep.Seconds, tree)
+			}
+		}
+		if secs[1] >= 1.05*secs[0] {
+			t.Errorf("%d bytes: 16 -> 32 ranks took %.4fs -> %.4fs, want < 5%% growth",
+				bytes, secs[0], secs[1])
+		}
 	}
 }
 
 func TestAllreduceAndReduceComplete(t *testing.T) {
 	for _, ranks := range []int{2, 3, 6, 7} {
 		_, err := Run(starConfig(ranks, 1), func(p *Proc) error {
-			if err := p.Reduce(0, 1000); err != nil {
-				return err
-			}
 			return p.Allreduce(1000)
 		})
 		if err != nil {
@@ -505,10 +546,7 @@ func TestRendezvousImmuneToIncast(t *testing.T) {
 
 func TestAllgatherGatherComplete(t *testing.T) {
 	_, err := Run(starConfig(5, 1), func(p *Proc) error {
-		if err := p.Allgather(2000); err != nil {
-			return err
-		}
-		return p.Gather(2, 2000)
+		return p.Allgather(2000)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -566,7 +604,7 @@ func TestSingleRankCollectives(t *testing.T) {
 		if err := p.Bcast(0, 100); err != nil {
 			return err
 		}
-		if err := p.BcastPipelined(0, 100, 4); err != nil {
+		if err := p.BcastLarge(0, 100); err != nil {
 			return err
 		}
 		if err := p.Allreduce(100); err != nil {

@@ -53,37 +53,6 @@ func CoeffVar(xs []float64) float64 {
 	return StdDev(xs) / m
 }
 
-// Min returns the smallest element of xs.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the median of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. It copies and sorts the
 // sample on every call; callers taking several quantiles of the same
@@ -352,19 +321,4 @@ func FindStreaks(marks []bool) Streaks {
 		}
 	}
 	return s
-}
-
-// GeoMean returns the geometric mean of xs; all values must be positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: geometric mean needs positive values")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -31,8 +32,8 @@ func TestEmptyInputs(t *testing.T) {
 	if Variance(nil) != 0 {
 		t.Error("Variance(nil) != 0")
 	}
-	if !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) || !math.IsNaN(Median(nil)) {
-		t.Error("Min/Max/Median of empty should be NaN")
+	if !math.IsNaN(Quantile(nil, 0.5)) {
+		t.Error("median of empty should be NaN")
 	}
 }
 
@@ -183,22 +184,6 @@ func TestFindStreaks(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(g, 4, 1e-12) {
-		t.Errorf("GeoMean = %v, want 4", g)
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("expected error on empty input")
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("expected error on zero value")
-	}
-}
-
 // Property: mean of (xs + c) == mean(xs) + c and variance unchanged.
 func TestMeanVarianceShiftProperty(t *testing.T) {
 	f := func(seed uint64, shift float64) bool {
@@ -277,9 +262,9 @@ func TestSortedQuantileMatchesQuantile(t *testing.T) {
 func TestSummarizeSingleSortMatches(t *testing.T) {
 	xs := []float64{5, 1, 4, 1, 3}
 	s := Summarize(xs)
-	if s.Min != Min(xs) || s.Max != Max(xs) || s.Median != Median(xs) {
+	if s.Min != slices.Min(xs) || s.Max != slices.Max(xs) || s.Median != Quantile(xs, 0.5) {
 		t.Errorf("Summarize = %+v, want min/median/max %v/%v/%v",
-			s, Min(xs), Median(xs), Max(xs))
+			s, slices.Min(xs), Quantile(xs, 0.5), slices.Max(xs))
 	}
 	// The input is not mutated (the sort works on a copy).
 	if xs[0] != 5 || xs[4] != 3 {

@@ -102,13 +102,3 @@ func (t Trend) YearReaching(gflops float64) (float64, error) {
 
 // ExaflopGF is one exaflop in GFLOPS.
 const ExaflopGF = 1e9
-
-// ProjectedExaflopYear returns the year the #1 trend crosses one
-// exaflop — the paper projects 2018.
-func ProjectedExaflopYear() (float64, error) {
-	trend, err := FitTop()
-	if err != nil {
-		return 0, err
-	}
-	return trend.YearReaching(ExaflopGF)
-}

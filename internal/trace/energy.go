@@ -45,15 +45,6 @@ type EnergyBreakdown struct {
 // Joules returns the energy drawn in the given state.
 func (b EnergyBreakdown) Joules(s power.State) float64 { return b.ByState[s] }
 
-// Share returns the fraction of the total energy drawn in the given
-// state, or 0 for an empty breakdown.
-func (b EnergyBreakdown) Share(s power.State) float64 {
-	if b.Total == 0 {
-		return 0
-	}
-	return b.ByState[s] / b.Total
-}
-
 // EnergyByState integrates prof over the trace's per-rank state
 // intervals, producing joules per rank and per accounting state. Every
 // rank is charged from time 0 to the trace makespan: instants covered
@@ -64,8 +55,7 @@ func (b EnergyBreakdown) Share(s power.State) float64 {
 // through), otherwise the first-recorded interval wins — so the energy
 // accounting and the timeline picture always agree. Malformed
 // intervals are clamped to [0, makespan] and inverted ones ignored.
-// prof is per rank: integrating a node-level profile over a
-// multi-rank-per-node trace wants prof.Scale(1/cores).
+// prof is charged per rank.
 func (t *Trace) EnergyByState(prof power.Profile) EnergyBreakdown {
 	b := EnergyBreakdown{
 		Seconds:        t.Duration(),

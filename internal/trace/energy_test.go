@@ -54,9 +54,6 @@ func TestEnergyByStateHandComputed(t *testing.T) {
 	if !almost(b.SecondsByState[power.StateComm], 4) {
 		t.Errorf("comm rank-seconds = %v, want 4", b.SecondsByState[power.StateComm])
 	}
-	if !almost(b.Share(power.StateCompute), 20.0/45) {
-		t.Errorf("compute share = %v", b.Share(power.StateCompute))
-	}
 }
 
 // A uniform profile must reduce the breakdown exactly to the paper's
@@ -116,9 +113,6 @@ func TestEnergyByStateEmptyTrace(t *testing.T) {
 	b := New(4).EnergyByState(phased)
 	if b.Total != 0 || b.Seconds != 0 {
 		t.Errorf("empty trace breakdown = %+v", b)
-	}
-	if b.Share(power.StateCompute) != 0 {
-		t.Error("Share on empty breakdown should be 0")
 	}
 }
 

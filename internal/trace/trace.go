@@ -10,7 +10,6 @@ package trace
 import (
 	"cmp"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -21,9 +20,7 @@ type Kind int
 
 // Interval kinds. StateMemory extends the historical set for runs that
 // distinguish memory-bound phases from compute; it is appended after
-// the original kinds so their values stay put. The external contract is
-// the kind *names*: ExportCSV encodes kinds by String(), so new kinds
-// need fresh names, not fresh numbers.
+// the original kinds so their values stay put.
 const (
 	StateCompute Kind = iota
 	StateSend
@@ -265,48 +262,6 @@ func AnalyzeCongestion(t *Trace, prefix string) CongestionReport {
 		rep.MeanDelayedDuration = delayedSum / float64(delayedN)
 	}
 	return rep
-}
-
-// DroppedComms returns the number of communications that overran a
-// buffer somewhere on their path.
-func (t *Trace) DroppedComms() int {
-	n := 0
-	for _, c := range t.Comms {
-		if c.Dropped {
-			n++
-		}
-	}
-	return n
-}
-
-// ExportCSV writes the trace in a flat CSV form (one line per interval,
-// then one per communication) loadable by external analysis tools — the
-// role Paraver's trace files play in the paper's workflow ([13]).
-func (t *Trace) ExportCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "record,rank,kind,name,start,end,dropped"); err != nil {
-		return err
-	}
-	for _, iv := range t.Intervals {
-		if _, err := fmt.Fprintf(w, "state,%d,%s,%s,%.9f,%.9f,%d\n",
-			iv.Rank, iv.Kind, csvEscape(iv.Name), iv.Start, iv.End, iv.Dropped); err != nil {
-			return err
-		}
-	}
-	for _, c := range t.Comms {
-		dropped := 0
-		if c.Dropped {
-			dropped = 1
-		}
-		if _, err := fmt.Fprintf(w, "comm,%d,send,%d:%d:%d,%.9f,%.9f,%d\n",
-			c.Src, c.Dst, c.Tag, c.Bytes, c.Sent, c.Arrived, dropped); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func csvEscape(s string) string {
-	return strings.NewReplacer(",", ";", "\n", " ").Replace(s)
 }
 
 // Gantt renders the trace as an ASCII timeline, one row per rank,

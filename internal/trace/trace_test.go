@@ -95,16 +95,6 @@ func TestAnalyzeEmptyTrace(t *testing.T) {
 	}
 }
 
-func TestDroppedComms(t *testing.T) {
-	tr := New(2)
-	tr.AddComm(Comm{Dropped: true})
-	tr.AddComm(Comm{})
-	tr.AddComm(Comm{Dropped: true})
-	if d := tr.DroppedComms(); d != 2 {
-		t.Errorf("dropped = %d, want 2", d)
-	}
-}
-
 func TestGanttRendering(t *testing.T) {
 	tr := New(2)
 	tr.AddInterval(Interval{Rank: 0, Kind: StateCompute, Start: 0, End: 5})

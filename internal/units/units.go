@@ -1,6 +1,5 @@
-// Package units provides size, rate and operation-count helpers shared by
-// the simulators and reports. All quantities are SI unless the name says
-// otherwise (KiB/MiB are binary).
+// Package units provides the binary size constants and the byte-count
+// formatter shared by the simulators and reports.
 package units
 
 import (
@@ -13,16 +12,6 @@ const (
 	KiB = 1 << 10
 	MiB = 1 << 20
 	GiB = 1 << 30
-)
-
-// Decimal rates (per second, per watt, ...).
-const (
-	Kilo = 1e3
-	Mega = 1e6
-	Giga = 1e9
-	Tera = 1e12
-	Peta = 1e15
-	Exa  = 1e18
 )
 
 // Bytes formats a byte count with a binary suffix (B, KiB, MiB, GiB).
@@ -46,84 +35,6 @@ func Bytes(n int64) string {
 		return trim(float64(n)/KiB, "KiB")
 	default:
 		return fmt.Sprintf("%dB", n)
-	}
-}
-
-// nonFinite renders NaN and ±Inf explicitly ("NaNFLOPS", "+Infs") so a
-// poisoned value is visible in a report instead of masquerading as a
-// plausible quantity in the smallest unit ("NaNns").
-func nonFinite(v float64, unit string) string {
-	return fmt.Sprintf("%g%s", v, unit)
-}
-
-// signSplit factors a finite value into its sign prefix and magnitude,
-// so every formatter selects its unit by magnitude and negative values
-// render in the same unit as their positive mirror.
-func signSplit(v float64) (sign string, mag float64) {
-	if math.Signbit(v) && v != 0 {
-		return "-", -v
-	}
-	return "", v
-}
-
-// Flops formats a floating-point-operations-per-second rate with a
-// decimal suffix (FLOPS, MFLOPS, GFLOPS, TFLOPS, PFLOPS, EFLOPS).
-func Flops(v float64) string {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nonFinite(v, "FLOPS")
-	}
-	sign, v := signSplit(v)
-	switch {
-	case v >= Exa:
-		return sign + trim(v/Exa, "EFLOPS")
-	case v >= Peta:
-		return sign + trim(v/Peta, "PFLOPS")
-	case v >= Tera:
-		return sign + trim(v/Tera, "TFLOPS")
-	case v >= Giga:
-		return sign + trim(v/Giga, "GFLOPS")
-	case v >= Mega:
-		return sign + trim(v/Mega, "MFLOPS")
-	case v >= Kilo:
-		return sign + trim(v/Kilo, "KFLOPS")
-	default:
-		return sign + trim(v, "FLOPS")
-	}
-}
-
-// Rate formats a generic per-second rate with decimal suffixes.
-func Rate(v float64, unit string) string {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nonFinite(v, unit)
-	}
-	sign, v := signSplit(v)
-	switch {
-	case v >= Giga:
-		return sign + trim(v/Giga, "G"+unit)
-	case v >= Mega:
-		return sign + trim(v/Mega, "M"+unit)
-	case v >= Kilo:
-		return sign + trim(v/Kilo, "K"+unit)
-	default:
-		return sign + trim(v, unit)
-	}
-}
-
-// Seconds formats a duration given in seconds using an adaptive unit.
-func Seconds(s float64) string {
-	if math.IsNaN(s) || math.IsInf(s, 0) {
-		return nonFinite(s, "s")
-	}
-	sign, s := signSplit(s)
-	switch {
-	case s >= 1:
-		return sign + trim(s, "s")
-	case s >= 1e-3:
-		return sign + trim(s*1e3, "ms")
-	case s >= 1e-6:
-		return sign + trim(s*1e6, "us")
-	default:
-		return sign + trim(s*1e9, "ns")
 	}
 }
 

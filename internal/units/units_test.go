@@ -26,118 +26,6 @@ func TestBytes(t *testing.T) {
 	}
 }
 
-func TestFlops(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want string
-	}{
-		{620e6, "620MFLOPS"},
-		{24e9, "24GFLOPS"},
-		{1e18, "1EFLOPS"},
-		{0.7e15, "700TFLOPS"},
-		{950, "950FLOPS"},
-		{1500, "1.5KFLOPS"},
-	}
-	for _, c := range cases {
-		if got := Flops(c.in); got != c.want {
-			t.Errorf("Flops(%g) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestRate(t *testing.T) {
-	if got := Rate(5877, "ops/s"); got != "5.88Kops/s" {
-		t.Errorf("Rate = %q", got)
-	}
-	if got := Rate(42, "ops/s"); got != "42ops/s" {
-		t.Errorf("Rate = %q", got)
-	}
-	if got := Rate(4.52e6, "nps"); got != "4.52Mnps" {
-		t.Errorf("Rate = %q", got)
-	}
-}
-
-func TestSeconds(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want string
-	}{
-		{186.8, "186.8s"},
-		{0.0235, "23.5ms"},
-		{1e-5, "10us"},
-		{3e-9, "3ns"},
-	}
-	for _, c := range cases {
-		if got := Seconds(c.in); got != c.want {
-			t.Errorf("Seconds(%g) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-// Edge cases shared by every formatter: negative values must pick
-// their unit by magnitude (a -2ms stall is not "-2000000ns") and
-// non-finite values must render explicitly rather than as a plausible
-// quantity in the smallest unit.
-func TestSecondsEdgeCases(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want string
-	}{
-		{-0.002, "-2ms"},
-		{-186.8, "-186.8s"},
-		{-1e-5, "-10us"},
-		{-3e-9, "-3ns"},
-		{0, "0ns"},
-		{math.NaN(), "NaNs"},
-		{math.Inf(1), "+Infs"},
-		{math.Inf(-1), "-Infs"},
-	}
-	for _, c := range cases {
-		if got := Seconds(c.in); got != c.want {
-			t.Errorf("Seconds(%g) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestFlopsEdgeCases(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want string
-	}{
-		{-620e6, "-620MFLOPS"},
-		{-1500, "-1.5KFLOPS"},
-		{-950, "-950FLOPS"},
-		{0, "0FLOPS"},
-		{math.NaN(), "NaNFLOPS"},
-		{math.Inf(1), "+InfFLOPS"},
-		{math.Inf(-1), "-InfFLOPS"},
-	}
-	for _, c := range cases {
-		if got := Flops(c.in); got != c.want {
-			t.Errorf("Flops(%g) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestRateEdgeCases(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want string
-	}{
-		{-5877, "-5.88Kops/s"},
-		{-42, "-42ops/s"},
-		{-4.52e6, "-4.52Mops/s"},
-		{math.NaN(), "NaNops/s"},
-		{math.Inf(1), "+Infops/s"},
-		{math.Inf(-1), "-Infops/s"},
-	}
-	for _, c := range cases {
-		if got := Rate(c.in, "ops/s"); got != c.want {
-			t.Errorf("Rate(%g) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
 func TestBytesEdgeCases(t *testing.T) {
 	cases := []struct {
 		in   int64
