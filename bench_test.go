@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"montblanc/internal/apps/bigdft"
-	"montblanc/internal/apps/chess"
-	"montblanc/internal/apps/coremark"
 	"montblanc/internal/apps/linpack"
 	"montblanc/internal/apps/specfem"
 	"montblanc/internal/autotune"
@@ -52,79 +50,7 @@ func BenchmarkFig1Top500Fit(b *testing.B) {
 	b.ReportMetric(year, "exaflop-year")
 }
 
-// --- Table II: the real kernels -----------------------------------------
-
-func BenchmarkTable2LinpackSolve(b *testing.B) {
-	const n = 128
-	a := linpack.RandomMatrix(n, 1)
-	rhs := make([]float64, n)
-	rng := xrand.New(2)
-	for i := range rhs {
-		rhs[i] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.Solve(rhs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(linpack.Flops(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "host-MFLOPS")
-	b.ReportMetric(linpack.Mflops(platform.Snowball()), "model-snowball-MFLOPS")
-	b.ReportMetric(linpack.Mflops(platform.XeonX5550()), "model-xeon-MFLOPS")
-}
-
-func BenchmarkTable2CoreMark(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := coremark.Run(1, 42); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(coremark.Score(platform.Snowball()), "model-snowball-ops/s")
-	b.ReportMetric(coremark.Score(platform.XeonX5550()), "model-xeon-ops/s")
-}
-
-func BenchmarkTable2StockFishSearch(b *testing.B) {
-	board := chess.StartPos()
-	var nodes uint64
-	for i := 0; i < b.N; i++ {
-		res := chess.Search(board, 4)
-		nodes += res.Nodes
-	}
-	b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "host-nodes/s")
-	b.ReportMetric(chess.NodesPerSecond(platform.Snowball()), "model-snowball-nodes/s")
-	b.ReportMetric(chess.NodesPerSecond(platform.XeonX5550()), "model-xeon-nodes/s")
-}
-
-func BenchmarkTable2SpecfemStep(b *testing.B) {
-	s, err := specfem.NewSolver(256, 1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.SetGaussian(0.5, 0.05)
-	dt := s.StableDt()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step(dt)
-	}
-	b.ReportMetric(specfem.SmallInstanceTime(platform.Snowball()), "model-snowball-s")
-	b.ReportMetric(specfem.SmallInstanceTime(platform.XeonX5550()), "model-xeon-s")
-}
-
-func BenchmarkTable2BigDFTSmooth(b *testing.B) {
-	g, err := bigdft.NewGrid(24, 24, 24)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g.Randomize(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := g.Smooth(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(bigdft.SmallInstanceTime(platform.Snowball()), "model-snowball-s")
-	b.ReportMetric(bigdft.SmallInstanceTime(platform.XeonX5550()), "model-xeon-s")
-}
+// --- Table II ------------------------------------------------------------
 
 func BenchmarkTable2FullComparison(b *testing.B) {
 	var rows []core.Comparison
@@ -260,22 +186,6 @@ func BenchmarkFig7MagicfilterSweep(b *testing.B) {
 	}
 	b.ReportMetric(nehHi, "nehalem-sweet-hi")
 	b.ReportMetric(tegHi, "tegra2-sweet-hi")
-}
-
-func BenchmarkFig7MagicfilterKernel(b *testing.B) {
-	src := make([]float64, 4096)
-	dst := make([]float64, 4096)
-	rng := xrand.New(3)
-	for i := range src {
-		src[i] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := magicfilter.Apply1DUnrolled(dst, src, 1+i%12); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(src) * 8))
 }
 
 // --- Ablations -------------------------------------------------------------

@@ -1,102 +1,22 @@
-// Package bigdft reproduces the BigDFT workload of the paper: an
+// Package bigdft models the BigDFT workload of the paper: an
 // electronic-structure code built on Daubechies wavelets whose core
 // operation is the magicfilter 3-D convolution, and whose distributed
 // form transposes the grid between dimensions with MPI_Alltoallv — the
 // communication pattern that the Tibidabo Ethernet switches punished
 // (Figures 3c and 4).
 //
-// The package contains a real iterative density-smoothing solver over
-// the magicfilter (tested for conservation and convergence), the
-// calibrated Table II row-5 time model, and the distributed simulation
-// whose strong scaling collapses once per-peer transpose messages fall
-// below the eager threshold and incast drops begin.
+// The package holds the calibrated Table II row-5 time model and the
+// distributed simulation whose strong scaling collapses once per-peer
+// transpose messages fall below the eager threshold and incast drops
+// begin.
 package bigdft
 
 import (
-	"errors"
-	"fmt"
-	"math"
-
 	"montblanc/internal/cluster"
-	"montblanc/internal/magicfilter"
 	"montblanc/internal/platform"
 	"montblanc/internal/simmpi"
 	"montblanc/internal/xrand"
 )
-
-// Grid is a periodic n1 x n2 x n3 scalar field (x fastest).
-type Grid struct {
-	N1, N2, N3 int
-	Data       []float64
-}
-
-// NewGrid allocates a zero grid.
-func NewGrid(n1, n2, n3 int) (*Grid, error) {
-	if n1 < magicfilter.Taps || n2 < magicfilter.Taps || n3 < magicfilter.Taps {
-		return nil, fmt.Errorf("bigdft: grid %dx%dx%d below filter support %d",
-			n1, n2, n3, magicfilter.Taps)
-	}
-	return &Grid{N1: n1, N2: n2, N3: n3, Data: make([]float64, n1*n2*n3)}, nil
-}
-
-// Points returns the grid size.
-func (g *Grid) Points() int { return g.N1 * g.N2 * g.N3 }
-
-// Mass returns the sum over the field — conserved by the magicfilter's
-// unit DC gain.
-func (g *Grid) Mass() float64 {
-	s := 0.0
-	for _, v := range g.Data {
-		s += v
-	}
-	return s
-}
-
-// Randomize fills the grid with deterministic positive noise.
-func (g *Grid) Randomize(seed uint64) {
-	rng := xrand.New(seed)
-	for i := range g.Data {
-		g.Data[i] = rng.Float64()
-	}
-}
-
-// Smooth applies one magicfilter pass along each dimension, the
-// potential-application step of BigDFT's SCF loop.
-func (g *Grid) Smooth() error {
-	out := make([]float64, len(g.Data))
-	if err := magicfilter.Apply3D(out, g.Data, g.N1, g.N2, g.N3); err != nil {
-		return err
-	}
-	copy(g.Data, out)
-	return nil
-}
-
-// Solve runs iters smoothing iterations and returns the relative change
-// of the final iteration (a convergence figure: the field approaches its
-// mean, as the filter damps every non-DC mode).
-func (g *Grid) Solve(iters int) (float64, error) {
-	if iters <= 0 {
-		return 0, errors.New("bigdft: non-positive iteration count")
-	}
-	prev := append([]float64(nil), g.Data...)
-	change := 0.0
-	for i := 0; i < iters; i++ {
-		copy(prev, g.Data)
-		if err := g.Smooth(); err != nil {
-			return 0, err
-		}
-		var num, den float64
-		for j := range g.Data {
-			d := g.Data[j] - prev[j]
-			num += d * d
-			den += prev[j] * prev[j]
-		}
-		if den > 0 {
-			change = math.Sqrt(num / den)
-		}
-	}
-	return change, nil
-}
 
 // --- Table II model ---------------------------------------------------
 

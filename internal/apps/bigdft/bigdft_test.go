@@ -10,75 +10,6 @@ import (
 	"montblanc/internal/trace"
 )
 
-func TestNewGridValidation(t *testing.T) {
-	if _, err := NewGrid(8, 20, 20); err == nil {
-		t.Error("grid below filter support accepted")
-	}
-	g, err := NewGrid(20, 20, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Points() != 8000 {
-		t.Errorf("points = %d", g.Points())
-	}
-}
-
-// The magicfilter has unit DC gain, so smoothing conserves total mass —
-// the physical sanity check of the density iteration.
-func TestSmoothConservesMass(t *testing.T) {
-	g, err := NewGrid(20, 18, 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Randomize(42)
-	before := g.Mass()
-	if err := g.Smooth(); err != nil {
-		t.Fatal(err)
-	}
-	after := g.Mass()
-	if math.Abs(after-before)/math.Abs(before) > 1e-9 {
-		t.Errorf("mass changed: %v -> %v", before, after)
-	}
-}
-
-// Repeated smoothing damps every non-constant mode: the iteration
-// converges (relative change shrinks) and the field flattens.
-func TestSolveConverges(t *testing.T) {
-	g, err := NewGrid(16, 16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Randomize(7)
-	early, err := g.Solve(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	late, err := g.Solve(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if late >= early {
-		t.Errorf("iteration not converging: change %v -> %v", early, late)
-	}
-	// Field variance must have shrunk toward the mean.
-	mean := g.Mass() / float64(g.Points())
-	variance := 0.0
-	for _, v := range g.Data {
-		variance += (v - mean) * (v - mean)
-	}
-	variance /= float64(g.Points())
-	if variance > 0.01 {
-		t.Errorf("field variance %v still large after smoothing", variance)
-	}
-}
-
-func TestSolveValidation(t *testing.T) {
-	g, _ := NewGrid(16, 16, 16)
-	if _, err := g.Solve(0); err == nil {
-		t.Error("zero iterations accepted")
-	}
-}
-
 // Table II row 5: 420.4s vs 18.1s (ratio 23.2 — the worst ARM ratio in
 // the table, because BigDFT is double-precision only), energy ratio 0.6.
 func TestTable2BigDFTRow(t *testing.T) {

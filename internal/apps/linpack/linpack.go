@@ -1,162 +1,16 @@
-// Package linpack implements the LINPACK benchmark: a dense LU solver
-// with partial pivoting (the real algorithm, used by tests and
-// benchmarks), the calibrated single-node throughput model behind
-// Table II, and a block-cyclic distributed LU over the simulated MPI
-// runtime for the Figure 3a strong-scaling study.
+// Package linpack models the LINPACK benchmark: the calibrated
+// single-node throughput model behind Table II, and a block-cyclic
+// distributed LU over the simulated MPI runtime for the Figure 3a
+// strong-scaling study.
 package linpack
 
 import (
 	"errors"
-	"fmt"
-	"math"
 
 	"montblanc/internal/cluster"
 	"montblanc/internal/platform"
 	"montblanc/internal/simmpi"
-	"montblanc/internal/xrand"
 )
-
-// Matrix is a dense row-major n x n matrix.
-type Matrix struct {
-	N    int
-	Data []float64
-}
-
-// NewMatrix allocates an n x n zero matrix.
-func NewMatrix(n int) *Matrix { return &Matrix{N: n, Data: make([]float64, n*n)} }
-
-// RandomMatrix returns a well-conditioned random matrix (diagonally
-// dominated) for benchmarking, seeded deterministically.
-func RandomMatrix(n int, seed uint64) *Matrix {
-	rng := xrand.New(seed)
-	m := NewMatrix(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			m.Data[i*n+j] = rng.Float64() - 0.5
-		}
-		m.Data[i*n+i] += float64(n) // dominance keeps pivots healthy
-	}
-	return m
-}
-
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.N+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.N+j] = v }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	return &Matrix{N: m.N, Data: append([]float64(nil), m.Data...)}
-}
-
-// Factor computes an in-place LU factorization with partial pivoting
-// (PA = LU) and returns the pivot indices. It fails on singularity.
-func (m *Matrix) Factor() ([]int, error) {
-	n := m.N
-	piv := make([]int, n)
-	for k := 0; k < n; k++ {
-		// Pivot search in column k.
-		p, maxAbs := k, math.Abs(m.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if a := math.Abs(m.At(i, k)); a > maxAbs {
-				p, maxAbs = i, a
-			}
-		}
-		if maxAbs == 0 {
-			return nil, fmt.Errorf("linpack: singular matrix at column %d", k)
-		}
-		piv[k] = p
-		if p != k {
-			for j := 0; j < n; j++ {
-				m.Data[k*n+j], m.Data[p*n+j] = m.Data[p*n+j], m.Data[k*n+j]
-			}
-		}
-		// Eliminate below the pivot.
-		inv := 1 / m.At(k, k)
-		for i := k + 1; i < n; i++ {
-			l := m.At(i, k) * inv
-			m.Set(i, k, l)
-			if l == 0 {
-				continue
-			}
-			rowI := m.Data[i*n:]
-			rowK := m.Data[k*n:]
-			for j := k + 1; j < n; j++ {
-				rowI[j] -= l * rowK[j]
-			}
-		}
-	}
-	return piv, nil
-}
-
-// Solve solves A x = b using a factorization computed on a copy of m.
-func (m *Matrix) Solve(b []float64) ([]float64, error) {
-	n := m.N
-	if len(b) != n {
-		return nil, fmt.Errorf("linpack: rhs length %d != %d", len(b), n)
-	}
-	lu := m.Clone()
-	piv, err := lu.Factor()
-	if err != nil {
-		return nil, err
-	}
-	x := append([]float64(nil), b...)
-	// Apply pivots.
-	for k := 0; k < n; k++ {
-		if p := piv[k]; p != k {
-			x[k], x[p] = x[p], x[k]
-		}
-	}
-	// Forward substitution (L has unit diagonal).
-	for i := 1; i < n; i++ {
-		s := x[i]
-		row := lu.Data[i*n:]
-		for j := 0; j < i; j++ {
-			s -= row[j] * x[j]
-		}
-		x[i] = s
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		row := lu.Data[i*n:]
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
-		}
-		x[i] = s / row[i]
-	}
-	return x, nil
-}
-
-// Residual returns the normalized residual ||Ax-b|| / (n ||x||), the
-// quantity LINPACK uses to validate a solution.
-func Residual(a *Matrix, x, b []float64) float64 {
-	n := a.N
-	var rNorm, xNorm float64
-	for i := 0; i < n; i++ {
-		s := -b[i]
-		row := a.Data[i*n:]
-		for j := 0; j < n; j++ {
-			s += row[j] * x[j]
-		}
-		rNorm += s * s
-	}
-	for _, v := range x {
-		xNorm += v * v
-	}
-	if xNorm == 0 {
-		return math.Sqrt(rNorm)
-	}
-	return math.Sqrt(rNorm) / (float64(n) * math.Sqrt(xNorm))
-}
-
-// Flops returns the floating-point operation count of solving one n x n
-// system: 2/3 n^3 + 2 n^2, the standard LINPACK accounting.
-func Flops(n int) float64 {
-	fn := float64(n)
-	return 2.0/3.0*fn*fn*fn + 2*fn*fn
-}
 
 // LUEfficiency returns the fraction of the platform's sustained DP rate
 // the unchanged-Fortran LINPACK reaches: in-order cores lose more of
@@ -174,11 +28,6 @@ func LUEfficiency(p *platform.Platform) float64 {
 // MFLOPS — the Table II row 1 quantity.
 func Mflops(p *platform.Platform) float64 {
 	return p.SustainedFlops(true, LUEfficiency(p)) / 1e6
-}
-
-// SolveTime returns the modeled time to solve an n x n system.
-func SolveTime(p *platform.Platform, n int) float64 {
-	return Flops(n) / (Mflops(p) * 1e6)
 }
 
 // ScalingConfig parameterizes the distributed block LU run.

@@ -1,15 +1,12 @@
-// Package specfem reproduces the SPECFEM3D workload of the paper: a
-// continuous-Galerkin spectral-element wave propagation code. It
-// contains a real, tested spectral-element kernel (1-D acoustic wave
-// equation, degree-4 GLL elements, leapfrog time stepping — the same
-// numerics class as SPECFEM3D's per-element operators), the calibrated
-// single-node time model behind Table II row 4, and the distributed
-// halo-exchange version whose neighbour-only communication pattern gives
-// the excellent strong scaling of Figure 3b.
+// Package specfem models the SPECFEM3D workload of the paper, a
+// continuous-Galerkin spectral-element wave propagation code: the
+// calibrated single-node time model behind Table II row 4, and the
+// distributed halo-exchange simulation whose neighbour-only
+// communication pattern gives the excellent strong scaling of
+// Figure 3b.
 package specfem
 
 import (
-	"errors"
 	"math"
 
 	"montblanc/internal/cluster"
@@ -18,213 +15,10 @@ import (
 	"montblanc/internal/units"
 )
 
-// Degree is the spectral-element polynomial degree (SPECFEM's default 4).
-const Degree = 4
-
-// nodesPerElem is the number of GLL points per element.
-const nodesPerElem = Degree + 1
-
-// gllPoints holds the Gauss-Lobatto-Legendre nodes for degree 4 on
-// [-1, 1].
-var gllPoints = [nodesPerElem]float64{
-	-1, -math.Sqrt(3.0 / 7.0), 0, math.Sqrt(3.0 / 7.0), 1,
-}
-
-// gllWeights are the matching quadrature weights.
-var gllWeights = [nodesPerElem]float64{
-	1.0 / 10, 49.0 / 90, 32.0 / 45, 49.0 / 90, 1.0 / 10,
-}
-
-// lagrangeDeriv returns d/dx of Lagrange basis j evaluated at node i.
-func lagrangeDeriv(j, i int) float64 {
-	// l_j(x) = prod_{m != j} (x - x_m)/(x_j - x_m)
-	// l_j'(x_i) = sum_{k != j} 1/(x_j - x_k) * prod_{m != j,k} (x_i - x_m)/(x_j - x_m)
-	xi := gllPoints[i]
-	xj := gllPoints[j]
-	if i == j {
-		s := 0.0
-		for k := 0; k < nodesPerElem; k++ {
-			if k != j {
-				s += 1 / (xj - gllPoints[k])
-			}
-		}
-		return s
-	}
-	num := 1.0
-	for m := 0; m < nodesPerElem; m++ {
-		if m != j && m != i {
-			num *= xi - gllPoints[m]
-		}
-	}
-	den := 1.0
-	for m := 0; m < nodesPerElem; m++ {
-		if m != j {
-			den *= xj - gllPoints[m]
-		}
-	}
-	return num / den
-}
-
-// Solver is a 1-D spectral-element acoustic wave solver on [0, L] with
-// periodic boundary conditions.
-type Solver struct {
-	Elems int
-	L     float64 // domain length
-	C     float64 // wave speed
-
-	nGlobal int
-	h       float64 // element size
-	// stiff is the element stiffness matrix K[i][j] (reference element,
-	// scaled by 2/h); mass is the lumped diagonal global mass matrix.
-	stiff [nodesPerElem][nodesPerElem]float64
-	mass  []float64
-
-	U []float64 // displacement at global GLL points
-	V []float64 // velocity
-}
-
-// NewSolver builds a solver with the given element count, domain length
-// and wave speed.
-func NewSolver(elems int, length, c float64) (*Solver, error) {
-	if elems < 2 {
-		return nil, errors.New("specfem: need at least two elements")
-	}
-	if length <= 0 || c <= 0 {
-		return nil, errors.New("specfem: non-positive length or wave speed")
-	}
-	s := &Solver{
-		Elems:   elems,
-		L:       length,
-		C:       c,
-		nGlobal: elems * Degree, // periodic: last point wraps to first
-		h:       length / float64(elems),
-	}
-	// Reference stiffness: K[i][j] = sum_k w_k l_i'(x_k) l_j'(x_k),
-	// scaled by (2/h) for the mapping (the (h/2) Jacobian and two (2/h)
-	// derivative factors combine to 2/h).
-	for i := 0; i < nodesPerElem; i++ {
-		for j := 0; j < nodesPerElem; j++ {
-			sum := 0.0
-			for k := 0; k < nodesPerElem; k++ {
-				sum += gllWeights[k] * lagrangeDeriv(i, k) * lagrangeDeriv(j, k)
-			}
-			s.stiff[i][j] = sum * 2 / s.h
-		}
-	}
-	// Lumped mass: M_global[g] += w_i * h/2 assembled over elements.
-	s.mass = make([]float64, s.nGlobal)
-	for e := 0; e < elems; e++ {
-		for i := 0; i < nodesPerElem; i++ {
-			g := s.globalIndex(e, i)
-			s.mass[g] += gllWeights[i] * s.h / 2
-		}
-	}
-	s.U = make([]float64, s.nGlobal)
-	s.V = make([]float64, s.nGlobal)
-	return s, nil
-}
-
-// globalIndex maps element-local node i of element e to the global
-// continuous numbering (shared endpoints, periodic wrap).
-func (s *Solver) globalIndex(e, i int) int {
-	return (e*Degree + i) % s.nGlobal
-}
-
-// X returns the coordinate of global point g.
-func (s *Solver) X(g int) float64 {
-	e := g / Degree
-	i := g % Degree
-	return float64(e)*s.h + (gllPoints[i]+1)/2*s.h
-}
-
-// SetGaussian initializes the displacement to a Gaussian pulse centered
-// at x0 with width sigma, at rest.
-func (s *Solver) SetGaussian(x0, sigma float64) {
-	for g := 0; g < s.nGlobal; g++ {
-		d := s.X(g) - x0
-		s.U[g] = math.Exp(-d * d / (2 * sigma * sigma))
-		s.V[g] = 0
-	}
-}
-
-// forces computes F = -c^2 K u assembled over elements.
-func (s *Solver) forces(f []float64) {
-	for g := range f {
-		f[g] = 0
-	}
-	c2 := s.C * s.C
-	var local [nodesPerElem]float64
-	for e := 0; e < s.Elems; e++ {
-		for i := 0; i < nodesPerElem; i++ {
-			local[i] = s.U[s.globalIndex(e, i)]
-		}
-		for i := 0; i < nodesPerElem; i++ {
-			sum := 0.0
-			for j := 0; j < nodesPerElem; j++ {
-				sum += s.stiff[i][j] * local[j]
-			}
-			f[s.globalIndex(e, i)] -= c2 * sum
-		}
-	}
-}
-
-// StableDt returns a CFL-safe time step.
-func (s *Solver) StableDt() float64 {
-	// Minimum GLL spacing within an element scaled to physical size.
-	minDx := (gllPoints[1] - gllPoints[0]) / 2 * s.h
-	return 0.5 * minDx / s.C
-}
-
-// Step advances the solution by dt using velocity-Verlet (leapfrog).
-func (s *Solver) Step(dt float64) {
-	f := make([]float64, s.nGlobal)
-	s.forces(f)
-	for g := range s.U {
-		a := f[g] / s.mass[g]
-		s.V[g] += 0.5 * dt * a
-		s.U[g] += dt * s.V[g]
-	}
-	s.forces(f)
-	for g := range s.U {
-		a := f[g] / s.mass[g]
-		s.V[g] += 0.5 * dt * a
-	}
-}
-
-// Run advances steps time steps of size dt.
-func (s *Solver) Run(steps int, dt float64) {
-	for i := 0; i < steps; i++ {
-		s.Step(dt)
-	}
-}
-
-// Energy returns the discrete total energy (kinetic + potential), a
-// conserved quantity of the leapfrog scheme.
-func (s *Solver) Energy() float64 {
-	kin := 0.0
-	for g, v := range s.V {
-		kin += 0.5 * s.mass[g] * v * v
-	}
-	pot := 0.0
-	c2 := s.C * s.C
-	var local [nodesPerElem]float64
-	for e := 0; e < s.Elems; e++ {
-		for i := 0; i < nodesPerElem; i++ {
-			local[i] = s.U[s.globalIndex(e, i)]
-		}
-		for i := 0; i < nodesPerElem; i++ {
-			for j := 0; j < nodesPerElem; j++ {
-				pot += 0.5 * c2 * local[i] * s.stiff[i][j] * local[j]
-			}
-		}
-	}
-	return kin + pot
-}
-
 // FlopsPerElemStep is the per-element, per-step floating point work of
 // the 3-D production code (stiffness application over a 5^3 GLL cube
-// with three directional contractions): the constant feeding both the
-// Table II model and the scaling study.
+// with three directional contractions): the constant feeding the
+// scaling study.
 const FlopsPerElemStep = 5000
 
 // --- Table II model -------------------------------------------------

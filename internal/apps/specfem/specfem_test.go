@@ -9,132 +9,6 @@ import (
 	"montblanc/internal/power"
 )
 
-func TestGLLWeightsSumToTwo(t *testing.T) {
-	// Quadrature over [-1, 1] must integrate constants exactly.
-	sum := 0.0
-	for _, w := range gllWeights {
-		sum += w
-	}
-	if math.Abs(sum-2) > 1e-14 {
-		t.Errorf("GLL weight sum = %v, want 2", sum)
-	}
-}
-
-func TestLagrangeDerivativeRowsSumToZero(t *testing.T) {
-	// The derivative of the constant function (sum of all basis
-	// functions) is zero at every node.
-	for i := 0; i < nodesPerElem; i++ {
-		s := 0.0
-		for j := 0; j < nodesPerElem; j++ {
-			s += lagrangeDeriv(j, i)
-		}
-		if math.Abs(s) > 1e-12 {
-			t.Errorf("derivative row %d sums to %g", i, s)
-		}
-	}
-}
-
-func TestLagrangeDerivativeExactForPolynomials(t *testing.T) {
-	// Differentiation matrix must be exact for x^3 (degree < 4).
-	for i := 0; i < nodesPerElem; i++ {
-		got := 0.0
-		for j := 0; j < nodesPerElem; j++ {
-			xj := gllPoints[j]
-			got += lagrangeDeriv(j, i) * xj * xj * xj
-		}
-		want := 3 * gllPoints[i] * gllPoints[i]
-		if math.Abs(got-want) > 1e-12 {
-			t.Errorf("d/dx x^3 at node %d = %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestSolverValidation(t *testing.T) {
-	if _, err := NewSolver(1, 1, 1); err == nil {
-		t.Error("single element accepted")
-	}
-	if _, err := NewSolver(4, -1, 1); err == nil {
-		t.Error("negative length accepted")
-	}
-	if _, err := NewSolver(4, 1, 0); err == nil {
-		t.Error("zero wave speed accepted")
-	}
-}
-
-func TestConstantFieldIsEquilibrium(t *testing.T) {
-	s, err := NewSolver(16, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g := range s.U {
-		s.U[g] = 2.5
-	}
-	s.Run(50, s.StableDt())
-	for g, u := range s.U {
-		if math.Abs(u-2.5) > 1e-10 {
-			t.Fatalf("constant field moved at point %d: %v", g, u)
-		}
-	}
-}
-
-func TestEnergyConservation(t *testing.T) {
-	s, err := NewSolver(32, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetGaussian(0.5, 0.05)
-	e0 := s.Energy()
-	if e0 <= 0 {
-		t.Fatal("initial energy not positive")
-	}
-	s.Run(400, s.StableDt())
-	e1 := s.Energy()
-	if drift := math.Abs(e1-e0) / e0; drift > 0.01 {
-		t.Errorf("energy drifted %.4f%% over 400 steps", drift*100)
-	}
-}
-
-func TestPulsePropagatesAtWaveSpeed(t *testing.T) {
-	const c = 2.0
-	s, err := NewSolver(64, 1, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetGaussian(0.25, 0.03)
-	dt := s.StableDt()
-	elapsed := 0.0
-	for elapsed < 0.1 {
-		s.Step(dt)
-		elapsed += dt
-	}
-	// A resting Gaussian splits into two pulses moving at +-c; the right
-	// one should now be near 0.25 + c*t.
-	wantRight := 0.25 + c*elapsed
-	// Find the maximum right of the center.
-	bestX, bestU := 0.0, -1.0
-	for g := 0; g < s.nGlobal; g++ {
-		if x := s.X(g); x > 0.3 {
-			if s.U[g] > bestU {
-				bestU, bestX = s.U[g], x
-			}
-		}
-	}
-	if math.Abs(bestX-wantRight) > 0.05 {
-		t.Errorf("right pulse at x=%.3f, want ~%.3f", bestX, wantRight)
-	}
-	if bestU < 0.3 {
-		t.Errorf("right pulse amplitude %.3f too small (should be ~0.5)", bestU)
-	}
-}
-
-func TestStableDtScalesWithElements(t *testing.T) {
-	a, _ := NewSolver(16, 1, 1)
-	b, _ := NewSolver(32, 1, 1)
-	if b.StableDt() >= a.StableDt() {
-		t.Error("finer mesh must demand a smaller dt")
-	}
-}
-
 // Table II row 4: 186.8s on the Snowball vs 23.5s on the Xeon (ratio
 // 7.9), energy ratio ~0.2.
 func TestTable2SpecfemRow(t *testing.T) {

@@ -1,15 +1,13 @@
 // Package core is the characterization framework that ties the
 // reproduction together: the Mont-Blanc application catalog (Table I),
-// the workload abstraction, and the platform comparison engine that
-// produces Table II — performance ratios and the paper's conservative
-// energy ratios (full 2.5 W for the Snowball against the Xeon's full
-// 95 W TDP).
+// the workload abstraction with the CoreMark and StockFish throughput
+// models, and the platform comparison engine that produces Table II —
+// performance ratios and the paper's conservative energy ratios (full
+// 2.5 W for the Snowball against the Xeon's full 95 W TDP).
 package core
 
 import (
 	"montblanc/internal/apps/bigdft"
-	"montblanc/internal/apps/chess"
-	"montblanc/internal/apps/coremark"
 	"montblanc/internal/apps/linpack"
 	"montblanc/internal/apps/specfem"
 	"montblanc/internal/platform"
@@ -71,13 +69,13 @@ func TableIIWorkloads() []Workload {
 		{
 			Name: "CoreMark", Metric: Rate, Unit: "ops/s",
 			Measure: func(p *platform.Platform) (float64, error) {
-				return coremark.Score(p), nil
+				return coreMarkScore(p), nil
 			},
 		},
 		{
 			Name: "StockFish", Metric: Rate, Unit: "ops/s",
 			Measure: func(p *platform.Platform) (float64, error) {
-				return chess.NodesPerSecond(p), nil
+				return stockFishNodesPerSecond(p), nil
 			},
 		},
 		{
@@ -93,6 +91,45 @@ func TableIIWorkloads() []Workload {
 			},
 		},
 	}
+}
+
+// coreMarkInstrPerIteration is the calibrated machine-instruction count
+// of one CoreMark iteration per ISA (gcc -O3 builds): the x86 build
+// executes more machine instructions than the RISC builds, whose counts
+// are similar on armv7 and aarch64 — so, deliberately, both ARM ISAs
+// share the denser figure. Calibration targets Table II: 5877 ops/s on
+// the Snowball, 41950 on the Xeon.
+func coreMarkInstrPerIteration(isa platform.ISA) float64 {
+	if isa == platform.X8664 {
+		return 393100
+	}
+	return 323300
+}
+
+// coreMarkScore returns the modeled CoreMark throughput of the full node
+// in iterations/s — Table II row 2.
+func coreMarkScore(p *platform.Platform) float64 {
+	return p.IntThroughput() / coreMarkInstrPerIteration(p.ISA)
+}
+
+// stockFishInstrPerNode is the calibrated machine-instruction cost of
+// visiting one search node. A 64-bit build works on native 64-bit
+// bitboards; the ARMv7 build emulates every 64-bit operation with
+// instruction pairs, roughly two and a third times the work — so the
+// tax keys on the ISA's word width, and aarch64 platforms pay the
+// native cost. Calibration targets Table II: 224113 nodes/s on the
+// Snowball, 4521733 on the Xeon.
+func stockFishInstrPerNode(isa platform.ISA) float64 {
+	if isa.Bits() == 64 {
+		return 3647
+	}
+	return 8478
+}
+
+// stockFishNodesPerSecond returns the modeled whole-node search
+// throughput — Table II row 3.
+func stockFishNodesPerSecond(p *platform.Platform) float64 {
+	return p.IntThroughput() / stockFishInstrPerNode(p.ISA)
 }
 
 // Comparison is one row of Table II: a candidate platform (the Snowball)

@@ -1,23 +1,15 @@
-// Package magicfilter implements BigDFT's core computational kernel —
-// the "magic filter", a 16-tap convolution applied along each dimension
-// of a 3-D array to compute the electronic potential — together with the
-// unrolled-variant performance model behind the paper's auto-tuning
-// study (§V.B, Figure 7).
+// Package magicfilter models BigDFT's core computational kernel — the
+// "magic filter", a 16-tap convolution with periodic boundaries applied
+// along each dimension of a 3-D array to compute the electronic
+// potential — for the paper's auto-tuning study (§V.B, Figure 7).
 //
-// Two layers live here:
-//
-//   - A real, tested convolution kernel (Apply1D/Apply3D) operating on
-//     float64 data with periodic boundaries, decomposed exactly as the
-//     paper describes: "three successive applications of a basic
-//     operation, which consists of nested loops".
-//
-//   - A variant model (MeasureVariant/SweepUnroll) that predicts cycles
-//     and cache accesses for unroll degrees 1..12 on a given platform,
-//     combining the core issue model with genuine cache simulation of
-//     the kernel's memory traffic. It reproduces Figure 7's findings:
-//     convex cycle curves, cache accesses that explode once the unrolled
-//     window spills the register file, and a much narrower sweet spot on
-//     the in-order Tegra2 than on Nehalem.
+// The variant model (MeasureVariant/SweepUnroll) predicts cycles and
+// cache accesses of the 1-D pass for unroll degrees 1..12 on a given
+// platform, combining the core issue model with genuine cache
+// simulation of the kernel's memory traffic. It reproduces Figure 7's
+// findings: convex cycle curves, cache accesses that explode once the
+// unrolled window spills the register file, and a much narrower sweet
+// spot on the in-order Tegra2 than on Nehalem.
 package magicfilter
 
 import (
@@ -34,144 +26,6 @@ const Taps = 16
 
 // lowOff is the offset of the first tap relative to the output index.
 const lowOff = -7
-
-// Coefficients returns the 16 filter taps. The values are a normalized
-// windowed-sinc lowpass with the same support and symmetry class as
-// BigDFT's Daubechies magic filter; the performance study depends only
-// on the 16-tap convolution structure, not the exact weights.
-func Coefficients() [Taps]float64 {
-	var w [Taps]float64
-	sum := 0.0
-	for i := 0; i < Taps; i++ {
-		x := float64(i+lowOff) + 0.5 // sample points straddle the output
-		sinc := 1.0
-		if x != 0 {
-			sinc = math.Sin(math.Pi*x/2) / (math.Pi * x / 2)
-		}
-		// Blackman window over the support.
-		t := float64(i) / float64(Taps-1)
-		win := 0.42 - 0.5*math.Cos(2*math.Pi*t) + 0.08*math.Cos(4*math.Pi*t)
-		w[i] = sinc * win
-		sum += w[i]
-	}
-	for i := range w {
-		w[i] /= sum // unit DC gain: constants map to constants
-	}
-	return w
-}
-
-// Apply1D convolves src with the magic filter into dst using periodic
-// boundary conditions. len(dst) must equal len(src).
-func Apply1D(dst, src []float64) error {
-	n := len(src)
-	if len(dst) != n {
-		return fmt.Errorf("magicfilter: dst length %d != src length %d", len(dst), n)
-	}
-	if n == 0 {
-		return nil
-	}
-	w := Coefficients()
-	for i := 0; i < n; i++ {
-		acc := 0.0
-		for j := 0; j < Taps; j++ {
-			k := i + j + lowOff
-			// Periodic wrap; n may be smaller than the support.
-			k %= n
-			if k < 0 {
-				k += n
-			}
-			acc += w[j] * src[k]
-		}
-		dst[i] = acc
-	}
-	return nil
-}
-
-// Apply1DUnrolled is Apply1D with a manually unrolled output loop, the
-// transformation the paper's auto-tuning tool generates with degrees 1
-// to 12. Results are identical to Apply1D; only the loop structure
-// differs. It exists so the functional kernel matches what the variant
-// model measures.
-func Apply1DUnrolled(dst, src []float64, unroll int) error {
-	n := len(src)
-	if len(dst) != n {
-		return fmt.Errorf("magicfilter: dst length %d != src length %d", len(dst), n)
-	}
-	if unroll < 1 {
-		return fmt.Errorf("magicfilter: unroll %d < 1", unroll)
-	}
-	w := Coefficients()
-	i := 0
-	for ; i+unroll <= n; i += unroll {
-		// One unrolled iteration produces `unroll` outputs sharing most
-		// of their input window.
-		for u := 0; u < unroll; u++ {
-			acc := 0.0
-			for j := 0; j < Taps; j++ {
-				k := i + u + j + lowOff
-				k %= n
-				if k < 0 {
-					k += n
-				}
-				acc += w[j] * src[k]
-			}
-			dst[i+u] = acc
-		}
-	}
-	for ; i < n; i++ { // remainder loop
-		acc := 0.0
-		for j := 0; j < Taps; j++ {
-			k := i + j + lowOff
-			k %= n
-			if k < 0 {
-				k += n
-			}
-			acc += w[j] * src[k]
-		}
-		dst[i] = acc
-	}
-	return nil
-}
-
-// Apply3D applies the magic filter along all three dimensions of a
-// n1 x n2 x n3 array stored x-fastest, using the transposition scheme
-// BigDFT uses: convolve along the fastest axis, then rotate the array so
-// each axis takes a turn being fastest. dst and src must both have
-// n1*n2*n3 elements; src is preserved.
-func Apply3D(dst, src []float64, n1, n2, n3 int) error {
-	total := n1 * n2 * n3
-	if len(src) != total || len(dst) != total {
-		return fmt.Errorf("magicfilter: need %d elements, have src=%d dst=%d",
-			total, len(src), len(dst))
-	}
-	if total == 0 {
-		return nil
-	}
-	a := append([]float64(nil), src...)
-	b := make([]float64, total)
-	line := make([]float64, 0, total)
-	dims := [3]int{n1, n2, n3}
-	for pass := 0; pass < 3; pass++ {
-		nFast := dims[0]
-		nRest := total / nFast
-		for r := 0; r < nRest; r++ {
-			row := a[r*nFast : (r+1)*nFast]
-			line = line[:nFast]
-			if err := Apply1D(line, row); err != nil {
-				return err
-			}
-			// Rotate: output element (i, r) goes to position r + i*nRest,
-			// making the next dimension fastest.
-			for i := 0; i < nFast; i++ {
-				b[r+i*nRest] = line[i]
-			}
-		}
-		a, b = b, a
-		dims[0], dims[1], dims[2] = dims[1], dims[2], dims[0]
-	}
-	copy(dst, a)
-	return nil
-}
 
 // FlopsPerPoint is the floating-point work per output point of one 1-D
 // pass: Taps multiply-accumulate pairs.

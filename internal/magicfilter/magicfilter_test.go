@@ -3,180 +3,9 @@ package magicfilter
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"montblanc/internal/platform"
-	"montblanc/internal/xrand"
 )
-
-func TestCoefficientsUnitDCGain(t *testing.T) {
-	w := Coefficients()
-	sum := 0.0
-	for _, c := range w {
-		sum += c
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("tap sum = %v, want 1", sum)
-	}
-}
-
-func TestApply1DPreservesConstants(t *testing.T) {
-	src := make([]float64, 64)
-	for i := range src {
-		src[i] = 3.5
-	}
-	dst := make([]float64, 64)
-	if err := Apply1D(dst, src); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range dst {
-		if math.Abs(v-3.5) > 1e-9 {
-			t.Fatalf("dst[%d] = %v, want 3.5 (unit DC gain)", i, v)
-		}
-	}
-}
-
-func TestApply1DLengthMismatch(t *testing.T) {
-	if err := Apply1D(make([]float64, 3), make([]float64, 4)); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-func TestApply1DEmpty(t *testing.T) {
-	if err := Apply1D(nil, nil); err != nil {
-		t.Errorf("empty input should be fine: %v", err)
-	}
-}
-
-// Linearity: filter(a*x + b*y) == a*filter(x) + b*filter(y).
-func TestApply1DLinearityProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := xrand.New(seed)
-		n := 16 + rng.Intn(100)
-		x := make([]float64, n)
-		y := make([]float64, n)
-		z := make([]float64, n)
-		for i := range x {
-			x[i] = rng.Float64()*2 - 1
-			y[i] = rng.Float64()*2 - 1
-			z[i] = 2*x[i] + 3*y[i]
-		}
-		fx, fy, fz := make([]float64, n), make([]float64, n), make([]float64, n)
-		if Apply1D(fx, x) != nil || Apply1D(fy, y) != nil || Apply1D(fz, z) != nil {
-			return false
-		}
-		for i := range fz {
-			if math.Abs(fz[i]-(2*fx[i]+3*fy[i])) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Shift invariance under periodic boundaries: filtering a rotated signal
-// equals rotating the filtered signal.
-func TestApply1DShiftInvarianceProperty(t *testing.T) {
-	f := func(seed uint64, shiftRaw uint8) bool {
-		rng := xrand.New(seed)
-		n := 32 + rng.Intn(64)
-		shift := int(shiftRaw) % n
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.Float64()
-		}
-		rot := make([]float64, n)
-		for i := range x {
-			rot[i] = x[(i+shift)%n]
-		}
-		fx, frot := make([]float64, n), make([]float64, n)
-		if Apply1D(fx, x) != nil || Apply1D(frot, rot) != nil {
-			return false
-		}
-		for i := range fx {
-			if math.Abs(frot[i]-fx[(i+shift)%n]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Every unroll degree computes exactly the same result as the reference.
-func TestUnrolledVariantsMatchReference(t *testing.T) {
-	rng := xrand.New(7)
-	n := 97 // odd length exercises the remainder loop
-	src := make([]float64, n)
-	for i := range src {
-		src[i] = rng.Float64()*10 - 5
-	}
-	ref := make([]float64, n)
-	if err := Apply1D(ref, src); err != nil {
-		t.Fatal(err)
-	}
-	for u := 1; u <= 12; u++ {
-		got := make([]float64, n)
-		if err := Apply1DUnrolled(got, src, u); err != nil {
-			t.Fatal(err)
-		}
-		for i := range ref {
-			if math.Abs(got[i]-ref[i]) > 1e-12 {
-				t.Fatalf("unroll=%d: dst[%d] = %v, want %v", u, i, got[i], ref[i])
-			}
-		}
-	}
-	if err := Apply1DUnrolled(make([]float64, n), src, 0); err == nil {
-		t.Error("unroll 0 accepted")
-	}
-}
-
-func TestApply3DPreservesConstants(t *testing.T) {
-	const n1, n2, n3 = 8, 6, 10
-	src := make([]float64, n1*n2*n3)
-	for i := range src {
-		src[i] = -1.25
-	}
-	dst := make([]float64, len(src))
-	if err := Apply3D(dst, src, n1, n2, n3); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range dst {
-		if math.Abs(v+1.25) > 1e-9 {
-			t.Fatalf("dst[%d] = %v", i, v)
-		}
-	}
-}
-
-func TestApply3DDimensionMismatch(t *testing.T) {
-	if err := Apply3D(make([]float64, 10), make([]float64, 10), 2, 2, 2); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-}
-
-// Apply3D must not mutate its input.
-func TestApply3DPreservesSource(t *testing.T) {
-	rng := xrand.New(3)
-	src := make([]float64, 4*4*4)
-	for i := range src {
-		src[i] = rng.Float64()
-	}
-	orig := append([]float64(nil), src...)
-	dst := make([]float64, len(src))
-	if err := Apply3D(dst, src, 4, 4, 4); err != nil {
-		t.Fatal(err)
-	}
-	for i := range src {
-		if src[i] != orig[i] {
-			t.Fatal("Apply3D mutated src")
-		}
-	}
-}
 
 const sweepN = 4096
 

@@ -22,7 +22,7 @@ func TestEventNames(t *testing.T) {
 	}
 }
 
-func TestAddGetSub(t *testing.T) {
+func TestAddGet(t *testing.T) {
 	c := Counters{}.Add(TOT_CYC, 100).Add(L1_DCA, 40)
 	if c.Get(TOT_CYC) != 100 || c.Get(L1_DCA) != 40 {
 		t.Errorf("counters = %v", c)

@@ -32,10 +32,10 @@ import (
 // not byte-for-byte a well-formed v1 entry whose length and checksum
 // both match is quarantined on read, never returned.
 const (
-	headerMagic  = "montblanc-store v1"
-	resSuffix    = ".res"
-	tmpSuffix    = ".tmp"
-	corruptSufix = ".corrupt"
+	headerMagic   = "montblanc-store v1"
+	resSuffix     = ".res"
+	tmpSuffix     = ".tmp"
+	corruptSuffix = ".corrupt"
 	// maxKeyLen bounds key length; cache keys are 64 hex chars, so
 	// this is generous without letting a caller build silly paths.
 	maxKeyLen = 128
@@ -97,7 +97,7 @@ func Open(fsys FS, dir string, maxBytes int64) (*Store, error) {
 			if err := fsys.Remove(filepath.Join(dir, e.Name)); err != nil {
 				s.errs++
 			}
-		case strings.HasSuffix(e.Name, corruptSufix):
+		case strings.HasSuffix(e.Name, corruptSuffix):
 			s.quarantined++
 		case strings.HasSuffix(e.Name, resSuffix):
 			key := strings.TrimSuffix(e.Name, resSuffix)
@@ -147,7 +147,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	}
 	payload, err := decodeEntry(blob)
 	if err != nil {
-		s.quarantineLocked(key, int64(len(blob)))
+		s.quarantineLocked(key)
 		s.misses++
 		return nil, false
 	}
@@ -158,9 +158,9 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // quarantineLocked moves key's entry aside as *.corrupt (falling back
 // to removal if even the rename fails) and drops it from the index.
 // Callers hold s.mu.
-func (s *Store) quarantineLocked(key string, size int64) {
+func (s *Store) quarantineLocked(key string) {
 	path := filepath.Join(s.dir, key+resSuffix)
-	if err := s.fs.Rename(path, filepath.Join(s.dir, key+corruptSufix)); err != nil {
+	if err := s.fs.Rename(path, filepath.Join(s.dir, key+corruptSuffix)); err != nil {
 		if rerr := s.fs.Remove(path); rerr != nil {
 			// The entry is still there; the next read will detect it
 			// again. Count the failure and move on.
@@ -172,8 +172,6 @@ func (s *Store) quarantineLocked(key string, size int64) {
 	if old, ok := s.sizes[key]; ok {
 		s.bytes -= old
 		delete(s.sizes, key)
-	} else {
-		_ = size // entry was on disk but not indexed (another writer); nothing to adjust
 	}
 	// Best-effort: make the quarantine durable so the corrupt entry
 	// cannot resurrect under its serving name after a crash.

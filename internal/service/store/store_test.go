@@ -97,7 +97,7 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	if got, ok := st.Get("cafe01"); ok {
 		t.Fatalf("corrupt entry served: %q", got)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "cafe01"+corruptSufix)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "cafe01"+corruptSuffix)); err != nil {
 		t.Fatalf("quarantine file missing: %v", err)
 	}
 	s := st.Stats()

@@ -159,6 +159,31 @@ func TestSendRecvTiming(t *testing.T) {
 	}
 }
 
+// TestBarrierTiming pins the dissemination Barrier (fig3a runs it) to
+// its closed form on an idle Star. Each of its ceil(log2 p) rounds
+// posts a 1-byte eager send and waits for the peer's: two hops of
+// latency plus wire time, then the receive copy. Every rank does the
+// same, so every rank finishes at the same closed-form time.
+func TestBarrierTiming(t *testing.T) {
+	const tol = 1e-12
+	round := 2*(network.GigELatency+1/network.GigEBandwidth) + 1/copyBandwidth
+	for _, p := range []int{2, 3, 4, 5, 8, 36} {
+		rep, err := Run(starConfig(p, 1), func(pr *Proc) error { return pr.Barrier() })
+		if err != nil {
+			t.Fatalf("%d ranks: %v", p, err)
+		}
+		want := math.Ceil(math.Log2(float64(p))) * round
+		for r, got := range rep.RankSeconds {
+			if math.Abs(got-want) > tol*want {
+				t.Errorf("%d ranks: rank %d finished at %.17g s, closed form %.17g s", p, r, got, want)
+			}
+		}
+		if rep.Drops != 0 {
+			t.Errorf("%d ranks: idle fabric dropped %d messages", p, rep.Drops)
+		}
+	}
+}
+
 func TestRecvBeforeSendCompletes(t *testing.T) {
 	// Receiver posts recv immediately; sender computes 1s first. The
 	// receiver must wait for the message, not complete early.
@@ -409,7 +434,7 @@ func TestBcastReachesEveryone(t *testing.T) {
 // BcastLarge, the panel broadcast behind Figure 3a, must beat the
 // binomial tree on a big message: the tree sends the whole message
 // once per level.
-func TestBcastPipelinedBeatsBinomialForBigMessages(t *testing.T) {
+func TestBcastLargeBeatsBinomialForBigMessages(t *testing.T) {
 	const ranks = 16
 	const bytes = 8 << 20
 	binom, err := Run(starConfig(ranks, 1), func(p *Proc) error {
@@ -459,7 +484,7 @@ func TestBcastLargeFlatInRanks(t *testing.T) {
 	}
 }
 
-func TestAllreduceAndReduceComplete(t *testing.T) {
+func TestAllreduceCompletes(t *testing.T) {
 	for _, ranks := range []int{2, 3, 6, 7} {
 		_, err := Run(starConfig(ranks, 1), func(p *Proc) error {
 			return p.Allreduce(1000)
@@ -544,7 +569,7 @@ func TestRendezvousImmuneToIncast(t *testing.T) {
 	}
 }
 
-func TestAllgatherGatherComplete(t *testing.T) {
+func TestAllgatherCompletes(t *testing.T) {
 	_, err := Run(starConfig(5, 1), func(p *Proc) error {
 		return p.Allgather(2000)
 	})
