@@ -135,10 +135,44 @@ type Platform struct {
 	TLBMissPenalty int
 }
 
-// Validate checks the platform definition.
+// bound is one magnitude Validate checks, named as spec files spell it.
+type bound struct {
+	field     string
+	value     float64
+	low, high float64
+}
+
+// check reports the first value outside its [low, high] range (NaN
+// included).
+func check(machine string, bounds []bound) error {
+	for _, b := range bounds {
+		if !(b.value >= b.low && b.value <= b.high) {
+			return fmt.Errorf("platform %s: %s %g outside [%g, %g]", machine, b.field, b.value, b.low, b.high)
+		}
+	}
+	return nil
+}
+
+// Validate checks the platform definition. Besides the CPU model and the
+// caches, it bounds every magnitude a model reads, so that no
+// experiment on an accepted machine prints an infinite or NaN figure:
+// a few orders of magnitude around today's nodes, each way.
 func (p *Platform) Validate() error {
-	if p.Cores <= 0 {
-		return fmt.Errorf("platform %s: cores = %d", p.Name, p.Cores)
+	bounds := []bound{
+		{"cores", float64(p.Cores), 1, 4096},
+		{"ram_bytes", float64(p.RAMBytes), units.MiB, 1 << 44}, // 16 TiB
+		{"mem_bandwidth", p.MemBandwidth, 1e6, 1e15},
+		{"mem_latency_cycles", float64(p.MemLatencyCycles), 1, 1e6},
+		{"tlb_entries", float64(p.TLBEntries), 0, 1 << 16},
+		{"tlb_miss_penalty", float64(p.TLBMissPenalty), 0, 1e6},
+	}
+	if p.Accel != nil {
+		bounds = append(bounds,
+			bound{"accel.peak_sp_flops", p.Accel.PeakSPFlops, 0, 1e18},
+			bound{"accel.peak_dp_flops", p.Accel.PeakDPFlops, 0, 1e18})
+	}
+	if err := check(p.Name, bounds); err != nil {
+		return err
 	}
 	if err := p.CPU.Validate(); err != nil {
 		return err
@@ -150,9 +184,6 @@ func (p *Platform) Validate() error {
 		if err := c.Validate(); err != nil {
 			return err
 		}
-	}
-	if p.MemBandwidth <= 0 || p.MemLatencyCycles <= 0 || p.RAMBytes <= 0 {
-		return fmt.Errorf("platform %s: incomplete memory spec", p.Name)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package platform
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -183,6 +184,67 @@ func TestSpecValidateRejections(t *testing.T) {
 		}
 		if err := Register(s); err == nil {
 			t.Errorf("%s: Register accepted malformed spec", c.name)
+		}
+	}
+}
+
+// Every magnitude a model reads is bounded, so that no experiment on an
+// accepted machine prints an infinite or NaN figure. Each case puts one
+// field just outside its range and expects the error to name the field
+// as spec files spell it. The first two are the hostile specs that used
+// to be accepted: with a 1e-300 B/s memory, sweep-matrix printed +Inf
+// SPECFEM3D times and energy-phases +Inf joules; with 1e308 W, the
+// energy tables did.
+func TestSpecMagnitudeBounds(t *testing.T) {
+	base, ok := LookupSpec("Exynos5Dual")
+	if !ok {
+		t.Fatal("Exynos5Dual not registered")
+	}
+	if base.Accel == nil || base.Power == nil {
+		t.Fatal("precondition: Exynos5Dual has an accelerator and a power section")
+	}
+	cases := []struct {
+		field  string
+		mutate func(*Spec)
+	}{
+		{"mem_bandwidth", func(s *Spec) { s.MemBandwidth = 1e-300 }},
+		{"watts", func(s *Spec) {
+			s.Watts = 1e308
+			s.Power.IdleWatts, s.Power.MemoryWatts, s.Power.CommWatts = 1e308, 1e308, 1e308
+		}},
+		{"mem_bandwidth", func(s *Spec) { s.MemBandwidth = 1e16 }},
+		{"mem_latency_cycles", func(s *Spec) { s.MemLatencyCycles = 0 }},
+		{"mem_latency_cycles", func(s *Spec) { s.MemLatencyCycles = 2e6 }},
+		{"ram_bytes", func(s *Spec) { s.RAMBytes = 1 << 10 }},
+		{"ram_bytes", func(s *Spec) { s.RAMBytes = 1 << 50 }},
+		{"cores", func(s *Spec) { s.Cores = 1 << 20 }},
+		{"watts", func(s *Spec) { s.Watts = 1e-300 }},
+		{"power.idle_watts", func(s *Spec) { s.Power.IdleWatts = 1e-300 }},
+		{"power.memory_watts", func(s *Spec) { s.Power.MemoryWatts = 1e9 }},
+		{"power.comm_watts", func(s *Spec) { s.Power.CommWatts = math.NaN() }},
+		{"accel.peak_sp_flops", func(s *Spec) { s.Accel.PeakSPFlops = 1e300 }},
+		{"accel.peak_dp_flops", func(s *Spec) { s.Accel.PeakDPFlops = -1 }},
+		{"tlb_entries", func(s *Spec) { s.TLBEntries = 1 << 30 }},
+		{"tlb_entries", func(s *Spec) { s.TLBEntries = -1 }},
+		{"tlb_miss_penalty", func(s *Spec) { s.TLBMissPenalty = 1 << 30 }},
+	}
+	for _, tc := range cases {
+		s := base.clone()
+		s.Name = "Hostile"
+		tc.mutate(&s)
+		err := s.Validate()
+		if err == nil {
+			t.Errorf("%s out of range accepted", tc.field)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field+" ") {
+			t.Errorf("%s out of range: error %q does not name the field", tc.field, err)
+		}
+	}
+	for _, name := range Names() {
+		spec, _ := LookupSpec(name)
+		if err := spec.Validate(); err != nil {
+			t.Errorf("built-in %s rejected: %v", name, err)
 		}
 	}
 }

@@ -162,8 +162,9 @@ func (s Spec) Build() (*Platform, error) {
 }
 
 // Validate checks the spec without building it: the platform-level
-// invariants plus the spec-only ones (a usable name, a positive power
-// envelope, a known ISA).
+// invariants plus the spec-only ones (a usable name, a known ISA, and
+// the power envelope and section within power.MinWatts and
+// power.MaxWatts).
 func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("platform: spec with empty name")
@@ -171,8 +172,15 @@ func (s Spec) Validate() error {
 	if _, err := ParseISA(s.ISA.String()); err != nil {
 		return fmt.Errorf("platform: spec %s: %w", s.Name, err)
 	}
-	if s.Watts <= 0 {
-		return fmt.Errorf("platform: spec %s: power envelope %g W", s.Name, s.Watts)
+	watts := []bound{{"watts", s.Watts, power.MinWatts, power.MaxWatts}}
+	if s.Power != nil {
+		watts = append(watts,
+			bound{"power.idle_watts", s.Power.IdleWatts, power.MinWatts, power.MaxWatts},
+			bound{"power.memory_watts", s.Power.MemoryWatts, power.MinWatts, power.MaxWatts},
+			bound{"power.comm_watts", s.Power.CommWatts, power.MinWatts, power.MaxWatts})
+	}
+	if err := check(s.Name, watts); err != nil {
+		return err
 	}
 	if s.Power != nil {
 		if cw := s.Power.ComputeWatts; cw != 0 && cw != s.Watts {
@@ -183,19 +191,19 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("platform: spec %s: %w", s.Name, err)
 		}
 	}
-	if s.TLBEntries < 0 || s.TLBMissPenalty < 0 {
-		return fmt.Errorf("platform: spec %s: negative TLB parameters", s.Name)
-	}
 	cpuCopy := s.CPU
 	probe := Platform{
 		Name:             s.Name,
 		CPU:              &cpuCopy,
 		Cores:            s.Cores,
 		ISA:              s.ISA,
+		Accel:            s.Accel,
 		RAMBytes:         s.RAMBytes,
 		MemBandwidth:     s.MemBandwidth,
 		MemLatencyCycles: s.MemLatencyCycles,
 		Caches:           s.Caches,
+		TLBEntries:       s.TLBEntries,
+		TLBMissPenalty:   s.TLBMissPenalty,
 	}
 	return probe.Validate()
 }

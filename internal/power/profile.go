@@ -102,13 +102,21 @@ func (p Profile) EnergyPerOp(opsPerSecond float64) float64 {
 	return p.Compute / opsPerSecond
 }
 
-// Validate checks the profile: every state must draw positive power and
-// idle must not exceed any active state — an inverted profile is almost
-// certainly a transposed spec file.
+// MinWatts and MaxWatts bound every state's draw: from a milliwatt
+// sensor node to a megawatt, far beyond any single machine, so that
+// energies and their ratios over any simulated run stay finite.
+const (
+	MinWatts = 1e-3
+	MaxWatts = 1e6
+)
+
+// Validate checks the profile: every state must draw between MinWatts
+// and MaxWatts, and idle must not exceed any active state — an inverted
+// profile is almost certainly a transposed spec file.
 func (p Profile) Validate() error {
 	for _, s := range States() {
-		if w := p.Watts(s); w <= 0 {
-			return fmt.Errorf("power: profile %s: %s power %g W", p.Name, s, w)
+		if w := p.Watts(s); !(w >= MinWatts && w <= MaxWatts) {
+			return fmt.Errorf("power: profile %s: %s power %g W outside [%g, %g]", p.Name, s, w, MinWatts, MaxWatts)
 		}
 	}
 	for _, s := range []State{StateCompute, StateMemory, StateComm} {

@@ -1,9 +1,12 @@
 package power
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
+
+var nan = math.NaN()
 
 // tx2 is a non-uniform profile shaped like the ThunderX2 study
 // (arXiv:2007.04868): idle and load diverge by more than 3x.
@@ -59,6 +62,9 @@ func TestProfileValidate(t *testing.T) {
 		{Name: "zero", Idle: 0, Compute: 5, Memory: 5, Comm: 5},
 		{Name: "neg", Idle: 1, Compute: -5, Memory: 5, Comm: 5},
 		{Name: "inverted", Idle: 10, Compute: 5, Memory: 12, Comm: 12},
+		{Name: "huge", Idle: 1e308, Compute: 1e308, Memory: 1e308, Comm: 1e308},
+		{Name: "tiny", Idle: 1e-300, Compute: 5, Memory: 5, Comm: 5},
+		{Name: "nan", Idle: 1, Compute: 5, Memory: nan, Comm: 5},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {

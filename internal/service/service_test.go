@@ -430,6 +430,71 @@ func TestInlineSpecRequestScoped(t *testing.T) {
 	}
 }
 
+// Inline specs pass the same Validate as spec files: a machine whose
+// magnitudes would make the models print +Inf or NaN gets a 400
+// bad_spec naming the field, and nothing runs or is cached.
+func TestHostileInlineSpecRejected(t *testing.T) {
+	s := mustNew(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var reg []map[string]interface{}
+	getJSON(t, ts, "/v1/platforms", &reg)
+	var exynos map[string]interface{}
+	for _, sp := range reg {
+		if sp["name"] == "Exynos5Dual" {
+			exynos = sp
+		}
+	}
+	if exynos == nil {
+		t.Fatal("Exynos5Dual not in /v1/platforms")
+	}
+	for _, tc := range []struct {
+		field  string
+		mutate func(sp map[string]interface{})
+	}{
+		{"mem_bandwidth", func(sp map[string]interface{}) { sp["mem_bandwidth"] = 1e-300 }},
+		{"watts", func(sp map[string]interface{}) {
+			sp["watts"] = 1e308
+			sp["power"] = map[string]float64{"idle_watts": 1e308, "memory_watts": 1e308, "comm_watts": 1e308}
+		}},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			sp := map[string]interface{}{}
+			for k, v := range exynos {
+				sp[k] = v
+			}
+			sp["name"] = "Hostile"
+			tc.mutate(sp)
+			inline, err := json.Marshal(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := fmt.Sprintf(
+				`{"experiments":["sweep-matrix","energy-phases"],"options":{"quick":true,"platforms":["Hostile"]},"specs":[%s]}`,
+				inline)
+			resp, out := postRun(t, ts, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400; body: %s", resp.StatusCode, out)
+			}
+			var we wireError
+			if err := json.Unmarshal([]byte(out), &we); err != nil {
+				t.Fatalf("unstructured error body: %s", out)
+			}
+			if we.Error.Code != "bad_spec" || !strings.Contains(we.Error.Message, tc.field) {
+				t.Errorf("error %+v, want code bad_spec naming %s", we.Error, tc.field)
+			}
+		})
+	}
+	var m struct {
+		RunsTotal uint64 `json:"runs_total"`
+	}
+	getJSON(t, ts, "/metrics", &m)
+	if m.RunsTotal != 0 {
+		t.Errorf("runs_total = %d after rejected requests, want 0", m.RunsTotal)
+	}
+}
+
 func TestListEndpointsAndHealth(t *testing.T) {
 	s := mustNew(t, Config{})
 	ts := httptest.NewServer(s.Handler())

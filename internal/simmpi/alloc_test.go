@@ -1,7 +1,10 @@
 package simmpi
 
 import (
+	"runtime"
 	"testing"
+
+	"montblanc/internal/network"
 )
 
 // The zero-alloc hot-path contract: with tracing off, Send and Recv
@@ -93,5 +96,41 @@ func TestMailboxQueueAllocsAmortized(t *testing.T) {
 	t.Logf("allocs: %.0f per run, %.4f per op", allocsPerRun, perOp)
 	if perOp > 1.0 {
 		t.Errorf("long-queue path allocates %.2f per op, want <= 1", perOp)
+	}
+}
+
+// Every rank is a coroutine with its own goroutine stack, which starts
+// at the runtime's 2 KiB minimum. One call into the allocator from a
+// rank's side of Send or Recv (say, appending to a mailbox free list)
+// doubles that stack for the rest of the run, which at 10240 ranks adds
+// about 20 MB. A 4096-rank halo reads the stacks in use from one rank
+// mid-run, when every rank is suspended, and allows at most 3 KiB each.
+func TestRankStacksStayMinimal(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector enlarges goroutine stacks")
+	}
+	const side = 64
+	const ranks = side * side
+	var base, mid runtime.MemStats
+	probed := false
+	body := haloBody(side, side, 4, func(p *Proc, step int) {
+		if p.Rank() == 0 && step == 2 {
+			runtime.ReadMemStats(&mid)
+			probed = true
+		}
+	})
+	cfg := Config{Ranks: ranks, Net: network.Tree(ranks, 32)}
+	runtime.GC()
+	runtime.ReadMemStats(&base)
+	if _, err := Run(cfg, body); err != nil {
+		t.Fatal(err)
+	}
+	if !probed {
+		t.Fatal("rank 0 never reached the probe")
+	}
+	perRank := (int64(mid.StackInuse) - int64(base.StackInuse)) / ranks
+	t.Logf("stack in use: %d B per rank", perRank)
+	if perRank > 3<<10 {
+		t.Errorf("rank stacks use %d B each mid-run, want at most %d", perRank, 3<<10)
 	}
 }

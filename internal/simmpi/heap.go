@@ -1,85 +1,78 @@
 package simmpi
 
-// opHeap is an indexed binary min-heap of executable operations ordered
-// by (ready, rank). This is exactly the total order the seed
-// scheduler's per-commit linear scan walked (strictly-smaller ready
-// wins; ties go to the lowest rank), so replacing the scan with
-// push/pop changes commit cost from O(Ranks) to O(log Ranks) without
-// perturbing a single commit decision — the determinism contract of
-// the package rests on this equivalence, which the property suite in
-// equivalence_test.go checks against the retained linear-scan
-// reference picker.
+// opHeap is a binary min-heap over the ranks whose queue head is
+// executable, keyed by (ready, rank) stored inline. This is exactly the
+// total order the seed scheduler's per-commit linear scan walked
+// (strictly-smaller ready wins; ties go to the lowest rank), so the heap
+// changes commit cost from O(Ranks) to O(log Ranks) without perturbing a
+// single commit decision — the determinism contract of the package rests
+// on this equivalence, which the property suite in equivalence_test.go
+// checks against the retained linear-scan reference picker.
 //
-// Each op carries its heap position in heapIdx (-1 when outside the
-// heap); the index is maintained on every swap so membership checks and
-// future decrease-key-style operations stay O(1).
+// A rank has at most one key in the heap: its queue head's. A commit
+// takes the top rank's head, then replaces the top with the rank's next
+// head (one sift down), or pops it when that head is missing or a
+// parked recv.
 type opHeap struct {
-	a []*op
+	a []heapKey
 }
 
-// opLess orders ops by (ready, rank) ascending.
-func opLess(x, y *op) bool {
-	return x.ready < y.ready || (x.ready == y.ready && x.rank < y.rank)
+type heapKey struct {
+	ready float64
+	rank  int
 }
 
-// push inserts an executable op.
-func (h *opHeap) push(o *op) {
-	h.a = append(h.a, o)
-	o.heapIdx = len(h.a) - 1
-	h.up(o.heapIdx)
+func (k heapKey) less(o heapKey) bool {
+	return k.ready < o.ready || (k.ready == o.ready && k.rank < o.rank)
 }
 
-// pop removes and returns the op with the smallest (ready, rank), or
-// nil when the heap is empty.
-func (h *opHeap) pop() *op {
-	if len(h.a) == 0 {
-		return nil
-	}
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a[last] = nil // drop the stale reference so ops don't leak
-	h.a = h.a[:last]
-	if last > 0 {
-		h.a[0].heapIdx = 0
-		h.down(0)
-	}
-	top.heapIdx = -1
-	return top
-}
-
-func (h *opHeap) up(i int) {
+// push inserts a key.
+func (h *opHeap) push(k heapKey) {
+	h.a = append(h.a, k)
+	a := h.a
+	i := len(a) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !opLess(h.a[i], h.a[parent]) {
-			return
+		if !k.less(a[parent]) {
+			break
 		}
-		h.swap(i, parent)
+		a[i] = a[parent]
 		i = parent
 	}
+	a[i] = k
 }
 
-func (h *opHeap) down(i int) {
-	n := len(h.a)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		s := l
-		if r := l + 1; r < n && opLess(h.a[r], h.a[l]) {
-			s = r
-		}
-		if !opLess(h.a[s], h.a[i]) {
-			return
-		}
-		h.swap(i, s)
-		i = s
+// replaceTop replaces the smallest key with k.
+func (h *opHeap) replaceTop(k heapKey) { h.down(k) }
+
+// popTop removes the smallest key.
+func (h *opHeap) popTop() {
+	last := len(h.a) - 1
+	k := h.a[last]
+	h.a = h.a[:last]
+	if last > 0 {
+		h.down(k)
 	}
 }
 
-func (h *opHeap) swap(i, j int) {
-	h.a[i], h.a[j] = h.a[j], h.a[i]
-	h.a[i].heapIdx = i
-	h.a[j].heapIdx = j
+// down puts k at the root and sifts it to its place.
+func (h *opHeap) down(k heapKey) {
+	a := h.a
+	n := len(a)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && a[r].less(a[c]) {
+			c = r
+		}
+		if !a[c].less(k) {
+			break
+		}
+		a[i] = a[c]
+		i = c
+	}
+	a[i] = k
 }

@@ -26,14 +26,18 @@ const mailboxIndexThreshold = 8
 // set of per-(src, tag) FIFOs. Drained queues are retired to a free
 // list and recycled (backing arrays included) for new keys, so the
 // queue slice tracks the *simultaneously live* key count, not the
-// total keys ever seen. Lookup is a linear scan while few queues are
+// total keys ever seen. The free list is threaded through the retired
+// queues themselves, so retiring never allocates: a rank's own Recv
+// retires queues on the rank's coroutine stack, and an allocation there
+// would double that stack. Lookup is a linear scan while few queues are
 // live — neighbour exchanges and ping-pongs stay allocation-free —
 // and switches to a lazily built key index once fan-in traffic opens
 // more than mailboxIndexThreshold concurrent queues, keeping push and
 // match O(1) amortized in the incast regime too.
 type mailbox struct {
 	queues []msgq
-	free   []int          // positions of retired queues, ready for reuse
+	live   int            // queues holding a key
+	free   int            // 1 + position of the last retired queue; 0 if none
 	index  map[uint64]int // key -> live queue position; nil until needed
 }
 
@@ -70,20 +74,21 @@ func (mb *mailbox) push(src, tag int, m msg) {
 		return
 	}
 	var pos int
-	if n := len(mb.free); n > 0 {
-		pos = mb.free[n-1]
-		mb.free = mb.free[:n-1]
+	if mb.free > 0 {
+		pos = mb.free - 1
 		q := &mb.queues[pos]
+		mb.free = q.tag
 		q.src, q.tag, q.head = src, tag, 0
 		q.msgs = append(q.msgs[:0], m)
 	} else {
 		pos = len(mb.queues)
 		mb.queues = append(mb.queues, msgq{src: src, tag: tag, msgs: []msg{m}})
 	}
+	mb.live++
 	switch {
 	case mb.index != nil:
 		mb.index[mbkey(src, tag)] = pos
-	case len(mb.queues)-len(mb.free) > mailboxIndexThreshold:
+	case mb.live > mailboxIndexThreshold:
 		mb.index = make(map[uint64]int, 2*mailboxIndexThreshold)
 		for i := range mb.queues {
 			if q := &mb.queues[i]; q.src >= 0 {
@@ -119,16 +124,18 @@ func (mb *mailbox) match(src, tag int) (msg, bool) {
 	return m, true
 }
 
-// retire marks the drained queue at position i reusable. FIFO per key
-// survives recycling: a retired queue is empty, so a later message for
-// its old key starting a fresh queue cannot reorder anything.
+// retire marks the drained queue at position i reusable: it carries
+// src -1, so no key finds it, and its tag links the free list. FIFO per
+// key survives recycling: a retired queue is empty, so a later message
+// for its old key starting a fresh queue cannot reorder anything.
 func (mb *mailbox) retire(i int) {
 	q := &mb.queues[i]
 	if mb.index != nil {
 		delete(mb.index, mbkey(q.src, q.tag))
 	}
-	q.src, q.tag = -1, -1
+	q.src, q.tag = -1, mb.free
 	q.head = 0
 	q.msgs = q.msgs[:0]
-	mb.free = append(mb.free, i)
+	mb.free = i + 1
+	mb.live--
 }

@@ -6,18 +6,26 @@
 // collectives the applications need, built from point-to-point exactly
 // like a real MPI implementation would.
 //
-// Determinism: a central scheduler executes communication events in
-// global (virtual time, rank) order. It drives every rank body itself,
-// resuming a rank right after committing its operation and running it
-// until it declares the next one, so every live rank has always declared
-// when the next event commits and link reservations happen in causal
-// order. Running the same program twice produces bit-identical timings
-// and traces.
+// Determinism: a central scheduler commits communication events in
+// global (virtual time, rank) order. It drives every rank body itself. A
+// rank runs ahead through every operation whose outcome it can compute
+// alone — each Send, and each Recv whose message is already in its
+// mailbox — queuing them in program order, and waits at a Recv with
+// nothing to match, at a full queue or at exit; the scheduler commits
+// queued operations one event at a time and resumes the rank once its
+// queue has drained. Every live rank has therefore declared its next
+// operation whenever the next event commits, link reservations happen
+// in causal order, and running the same program twice produces
+// bit-identical timings and traces.
 //
-// The scheduler commits from an indexed min-heap of executable
-// operations in O(log Ranks) per event with an allocation-free
-// steady-state hot path; SIMMPI.md documents the design, the
-// determinism invariants, and the performance envelope.
+// Because ranks run ahead of the commit loop, rank bodies must share
+// nothing but messages: a body may not read what another rank's body
+// writes, nor write what another reads.
+//
+// The scheduler commits from a min-heap of (ready, rank) keys in
+// O(log Ranks) per event with an allocation-free steady-state hot path;
+// SIMMPI.md documents the design, the determinism invariants, and the
+// performance envelope.
 package simmpi
 
 import (
@@ -150,13 +158,15 @@ type FaultStats struct {
 }
 
 // SchedStats describes one run from the scheduler's point of view.
-// Events is a pure function of the program; Wall is host time.
+// Events and Resumes are pure functions of the program; Wall is host
+// time.
 type SchedStats struct {
-	Events uint64  // operations committed
-	Wall   float64 // host seconds spent inside the run
+	Events  uint64  // operations committed
+	Resumes uint64  // times the scheduler resumed a rank body
+	Wall    float64 // host seconds spent inside the run
 }
 
-type opKind int
+type opKind uint8
 
 const (
 	opSend opKind = iota
@@ -177,22 +187,41 @@ func (k opKind) String() string {
 	}
 }
 
-// op is one rank's declared next operation. Each Proc owns exactly one
-// op struct for its whole lifetime (postBuf): because a rank is
-// suspended until the scheduler resumes it, and the scheduler never
-// touches an op after resuming its rank, the struct can be reused for
-// every post — the hot path allocates nothing per operation.
+// queueCap is how many declared, uncommitted operations a rank may
+// queue before it waits for them to commit. Every slot costs 32 bytes
+// per rank for the whole run, 0.3 MB per slot at 10240 ranks; six slots
+// let a 2-D halo step (up to four sends, then the receives whose
+// messages have arrived) run ahead over most of its operations.
+const queueCap = 6
+
+// op is one declared, uncommitted operation in its rank's queue. The
+// queues are slots of one slab allocated per run, so the hot path
+// allocates nothing per operation.
 type op struct {
-	kind          opKind
-	rank          int
-	time          float64 // rank-local post time
-	src, dst, tag int
-	bytes         int
-	ready         float64 // completion time once executable
-	matched       bool    // recv only
-	matchedMsg    msg
-	err           error // exit only
-	heapIdx       int   // position in the scheduler heap, -1 if outside
+	// ready is the commit key with the rank: the post time of a send or
+	// exit, max(post, arrival) for a matched recv, and the post time of
+	// a parked one.
+	ready float64
+	tag   int
+	bytes int   // send: message size; matched recv: the message's size
+	peer  int32 // send: destination; recv: source
+	kind  opKind
+	// parked marks a recv no message has matched yet: the one op that
+	// may not commit.
+	parked bool
+	// dropped marks a matched recv whose message was retransmitted en
+	// route.
+	dropped bool
+}
+
+// done is the time a send or matched recv returns to its rank: the
+// sender pays its overhead and memcpy from the post, the receiver its
+// memcpy once the message has arrived.
+func (o *op) done() float64 {
+	if o.kind == opSend {
+		return o.ready + (sendOverhead + float64(o.bytes)/copyBandwidth)
+	}
+	return o.ready + float64(o.bytes)/copyBandwidth
 }
 
 type msg struct {
@@ -203,16 +232,18 @@ type msg struct {
 
 type resumeMsg struct {
 	time    float64
-	dropped bool // recv only: the message was retransmitted en route
+	dropped bool // the message was retransmitted en route
 }
 
 // hooks are test-only scheduler observation points; the zero value is
 // the production configuration.
 type hooks struct {
 	// pick, when set, replaces the heap picker: given the pending table
-	// it returns the executable op with the smallest (ready, rank), or
-	// nil when none is executable. The equivalence property suite
-	// supplies the seed scheduler's O(Ranks) scan as the reference.
+	// (each rank's queue head if executable, else nil) it returns the op
+	// with the smallest (ready, rank), or nil when none is executable.
+	// The equivalence property suite supplies the seed scheduler's
+	// O(Ranks) scan as the reference. It also restores the seed's
+	// interleaving: every rank waits after every operation.
 	pick func(pending []*op) *op
 	// onCommit, when set, observes every committed operation in commit
 	// order.
@@ -220,13 +251,15 @@ type hooks struct {
 }
 
 type world struct {
-	cfg     Config
-	procs   []*Proc
-	mail    []mailbox // indexed by destination rank
-	pending []*op     // indexed by rank; nil while the rank is running
-	heap    opHeap
-	comms   []trace.Comm
-	hooks   hooks
+	cfg   Config
+	procs []*Proc
+	mail  []mailbox // indexed by destination rank
+	heap  opHeap
+	comms []trace.Comm
+	hooks hooks
+	// pending is the table hooks.pick scans, refilled before every pick;
+	// nil without the hook.
+	pending []*op
 
 	// outages holds each node's merged, start-sorted outage windows;
 	// nil for failure-free runs (the hot paths then skip all fault
@@ -249,17 +282,24 @@ type Proc struct {
 	now          float64
 	w            *world
 	tr           *trace.Trace
-	collSeq      map[string]int
-	droppedRecvs int // running count of retransmitted messages received
-	postBuf      op  // the rank's reusable operation struct
+	collSeq      map[string]int // calls per collective name; nil until the first
+	droppedRecvs int            // running count of retransmitted messages received
+	err          error          // what the body returned, once it has
+
+	// queue holds the rank's declared, uncommitted operations in program
+	// order: the rank appends at tail, the scheduler commits from head.
+	// The rank waits whenever it cannot go on alone, and is resumed only
+	// once the queue has drained, so the two never touch it at once.
+	queue      []op
+	head, tail int
 
 	// The rank body runs as an iter.Pull coroutine: next resumes it until
-	// it declares an operation (or returns), stop unwinds it, and yield
-	// suspends it from post. res is where the scheduler leaves the
-	// committed operation's outcome before resuming the rank.
-	next  func() (*op, bool)
+	// it waits (or returns), stop unwinds it, and yield suspends it from
+	// wait. res is where the scheduler leaves a parked recv's outcome
+	// before resuming the rank.
+	next  func() (struct{}, bool)
 	stop  func()
-	yield func(*op) bool
+	yield func(struct{}) bool
 	res   resumeMsg
 
 	// down is this rank's node's outage schedule (nil when failure-
@@ -367,43 +407,37 @@ func (p *Proc) record(kind trace.Kind, name string, start, end float64) {
 	})
 }
 
-// rankAborted is the panic value post raises when the scheduler stops
-// a suspended rank: it unwinds the body — even one that ignores the
+// rankAborted is the panic value wait raises when the scheduler stops a
+// suspended rank: it unwinds the body — even one that ignores the
 // errors of Send and Recv — back to Proc.call, which recovers it.
 type rankAborted struct{}
 
-// post submits an operation through the rank's reusable op struct and
-// suspends the rank until the scheduler completes it. The scheduler owns
-// the struct from the yield until it resumes the rank; it never touches
-// the op afterwards, so the next post may safely overwrite it.
-func (p *Proc) post(kind opKind, src, dst, tag, bytes int) resumeMsg {
-	o := &p.postBuf
-	o.kind = kind
-	o.rank = p.rank
-	o.time = p.now
-	o.src, o.dst, o.tag = src, dst, tag
-	o.bytes = bytes
-	o.matched = false
-	o.matchedMsg = msg{}
-	o.err = nil
-	if !p.yield(o) {
-		panic(rankAborted{})
-	}
-	return p.res
+// declare appends an operation of the given kind, posted now and ready
+// at once, to the rank's queue. There is always room: a rank waits as
+// soon as its queue is full.
+func (p *Proc) declare(kind opKind) *op {
+	o := &p.queue[p.tail]
+	p.tail++
+	*o = op{kind: kind, ready: p.now}
+	return o
 }
 
-// resume runs the rank until it declares its next operation and returns
-// that operation; once the body has returned it returns the rank's exit.
-func (p *Proc) resume() *op {
-	if o, ok := p.next(); ok {
-		return o
+// full reports whether the rank must wait before declaring again.
+func (p *Proc) full() bool { return p.tail == len(p.queue) }
+
+// wait suspends the rank until every operation in its queue has
+// committed.
+func (p *Proc) wait() {
+	if !p.yield(struct{}{}) {
+		panic(rankAborted{})
 	}
-	return &p.postBuf
 }
 
 // Send transmits bytes to rank dst with the given tag. It returns once
 // the local side is free again (eager) — delivery happens in the
-// background at network speed.
+// background at network speed. The local cost does not depend on the
+// network, so the rank queues the send and goes on without waiting for
+// it to commit.
 func (p *Proc) Send(dst, tag, bytes int) error {
 	if dst < 0 || dst >= p.size {
 		return fmt.Errorf("simmpi: send to invalid rank %d", dst)
@@ -412,7 +446,9 @@ func (p *Proc) Send(dst, tag, bytes int) error {
 		return fmt.Errorf("simmpi: negative send size %d", bytes)
 	}
 	start := p.now
-	p.now = p.post(opSend, 0, dst, tag, bytes).time
+	o := p.declare(opSend)
+	o.peer, o.tag, o.bytes = int32(dst), tag, bytes
+	p.now = o.done()
 	if p.tr != nil {
 		p.record(trace.StateSend, p.w.sendLabels[dst], start, p.now)
 	}
@@ -420,18 +456,36 @@ func (p *Proc) Send(dst, tag, bytes int) error {
 	// the gap between the recorded interval and the warped clock shows
 	// up as idle time.
 	p.skipDown()
+	if p.full() {
+		p.wait()
+	}
 	return nil
 }
 
-// Recv blocks until a message from src with the given tag arrives.
+// Recv blocks until a message from src with the given tag arrives. A
+// message already in the rank's mailbox completes the receive at once;
+// otherwise the rank waits until a send delivers one.
 func (p *Proc) Recv(src, tag int) error {
 	if src < 0 || src >= p.size {
 		return fmt.Errorf("simmpi: recv from invalid rank %d", src)
 	}
 	start := p.now
-	r := p.post(opRecv, src, 0, tag, 0)
-	p.now = r.time
-	if r.dropped {
+	o := p.declare(opRecv)
+	o.peer, o.tag = int32(src), tag
+	var dropped bool
+	if m, ok := p.w.mail[p.rank].match(src, tag); ok {
+		o.ready = math.Max(start, m.arrival)
+		o.bytes, o.dropped = m.bytes, m.dropped
+		p.now, dropped = o.done(), m.dropped
+		if p.full() {
+			p.wait()
+		}
+	} else {
+		o.parked = true
+		p.wait()
+		p.now, dropped = p.res.time, p.res.dropped
+	}
+	if dropped {
 		p.droppedRecvs++
 	}
 	if p.tr != nil {
@@ -447,6 +501,9 @@ func (p *Proc) Recv(src, tag int) error {
 // rank's receives inside the collective were retransmitted — the
 // Figure 4 congestion evidence.
 func (p *Proc) Collective(name string, body func() error) error {
+	if p.collSeq == nil {
+		p.collSeq = map[string]int{}
+	}
 	seq := p.collSeq[name]
 	p.collSeq[name] = seq + 1
 	start := p.now
@@ -469,15 +526,19 @@ func Run(cfg Config, body func(*Proc) error) (*Report, error) {
 	return run(cfg, body, hooks{})
 }
 
-// newWorld builds the run's state: the ranks, mailboxes, the pending
-// table, the event heap and the interned trace labels.
+// newWorld builds the run's state: the ranks and their queues,
+// mailboxes, the event heap and the interned trace labels.
 func newWorld(cfg Config, body func(*Proc) error, h hooks) *world {
 	w := &world{
-		cfg:     cfg,
-		mail:    make([]mailbox, cfg.Ranks),
-		pending: make([]*op, cfg.Ranks),
-		heap:    opHeap{a: make([]*op, 0, cfg.Ranks)},
-		hooks:   h,
+		cfg:   cfg,
+		mail:  make([]mailbox, cfg.Ranks),
+		heap:  opHeap{a: make([]heapKey, 0, cfg.Ranks)},
+		hooks: h,
+	}
+	capacity := queueCap
+	if h.pick != nil {
+		w.pending = make([]*op, cfg.Ranks)
+		capacity = 1 // the seed's interleaving: wait after every operation
 	}
 	if len(cfg.Outages) > 0 {
 		w.outages = buildNodeOutages(cfg)
@@ -495,18 +556,20 @@ func newWorld(cfg Config, body func(*Proc) error, h hooks) *world {
 			w.comms = make([]trace.Comm, 0, cfg.Ranks*cfg.TraceHint/2)
 		}
 	}
-	w.spawnProcs(body)
+	w.spawnProcs(body, capacity)
 	return w
 }
 
-// spawnProcs creates one Proc per rank with body as its coroutine. A
-// rank runs only while the scheduler resumes it, and runs nothing until
-// the first resume.
-func (w *world) spawnProcs(body func(*Proc) error) {
+// spawnProcs creates one Proc per rank with body as its coroutine and a
+// queue of capacity operations cut from one slab. A rank runs only while
+// the scheduler resumes it, and runs nothing until the first resume.
+func (w *world) spawnProcs(body func(*Proc) error, capacity int) {
 	cfg := w.cfg
 	w.procs = make([]*Proc, cfg.Ranks)
+	slab := make([]op, cfg.Ranks*capacity)
 	for r := 0; r < cfg.Ranks; r++ {
-		p := &Proc{rank: r, size: cfg.Ranks, w: w, collSeq: map[string]int{}}
+		p := &Proc{rank: r, size: cfg.Ranks, w: w,
+			queue: slab[r*capacity : (r+1)*capacity : (r+1)*capacity]}
 		if w.outages != nil {
 			p.down = w.outages[w.node(r)]
 			p.skipDown() // a node down at t=0 boots its ranks at the restart
@@ -517,32 +580,35 @@ func (w *world) spawnProcs(body func(*Proc) error) {
 				p.tr.Reserve(cfg.TraceHint, 0)
 			}
 		}
-		p.next, p.stop = iter.Pull(func(yield func(*op) bool) {
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 			p.yield = yield
-			err := p.call(body)
-			// The body has returned: its final post (if any) is fully
-			// committed, so the reusable op struct is free for the exit.
-			p.postBuf = op{kind: opExit, rank: p.rank, time: p.now, err: err}
+			if p.call(body) {
+				p.declare(opExit)
+			}
 		})
 		w.procs[r] = p
 	}
 }
 
-// call runs body on the rank, turning a panic into an error. A stopped
-// rank unwinds through here with rankAborted, which is not an error:
-// the run has already failed for another reason.
-func (p *Proc) call(body func(*Proc) error) (err error) {
+// call runs body on the rank, keeping what it returns in p.err and
+// turning a panic into an error. It reports whether the body ended by
+// itself: a stopped rank unwinds through here with rankAborted, which is
+// not an error — the run has already failed for another reason — and
+// declares no exit.
+func (p *Proc) call(body func(*Proc) error) (ended bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(rankAborted); !ok {
-				err = fmt.Errorf("rank body panicked: %v", r)
+				p.err = fmt.Errorf("rank body panicked: %v", r)
+				ended = true
 			}
 		}
 	}()
-	return body(p)
+	p.err = body(p)
+	return true
 }
 
-// stopRanks unwinds every rank still suspended in post. run defers it,
+// stopRanks unwinds every rank still suspended in wait. run defers it,
 // so no return path — success, deadlock or network error — leaves a
 // rank's coroutine behind; it costs nothing for ranks whose body has
 // returned.
@@ -627,61 +693,64 @@ func run(cfg Config, body func(*Proc) error, h hooks) (*Report, error) {
 	start := nowMonotonic()
 	w := newWorld(cfg, body, h)
 	defer w.stopRanks()
+	var stats SchedStats
 	for r := range w.procs {
-		w.step(r) // every rank to its first declaration
+		w.resume(r) // every rank to its first wait
+		stats.Resumes++
+		w.admit(r)
 	}
 
 	endTimes := make([]float64, cfg.Ranks)
 	rankErrs := make([]error, cfg.Ranks)
 	live := cfg.Ranks
-	var stats SchedStats
 
 	for live > 0 {
-		// Commit the executable op with the smallest (ready, rank).
-		best := w.pick()
-		if best == nil {
+		// Commit the executable queue head with the smallest (ready, rank).
+		r := w.pick()
+		if r < 0 {
 			if err := rankError(rankErrs); err != nil {
 				return nil, err
 			}
 			return nil, w.deadlockError()
 		}
-		w.pending[best.rank] = nil
+		p := w.procs[r]
+		o := &p.queue[p.head]
+		p.head++
 		stats.Events++
 		if h.onCommit != nil {
-			h.onCommit(best.kind, best.rank, best.ready)
+			h.onCommit(o.kind, r, o.ready)
 		}
-		switch best.kind {
+		wake := -1
+		switch o.kind {
 		case opSend:
-			res, err := w.deliver(best)
+			res, err := w.deliver(r, o)
 			if err != nil {
 				return nil, err
 			}
-			m := msg{arrival: res.Arrival, dropped: res.Dropped, bytes: best.bytes}
-			w.mail[best.dst].push(best.rank, best.tag, m)
 			if cfg.CollectTrace {
 				w.comms = append(w.comms, trace.Comm{
-					Src: best.rank, Dst: best.dst, Tag: best.tag, Bytes: best.bytes,
-					Sent: best.time, Arrived: res.Arrival, Dropped: res.Dropped,
+					Src: r, Dst: int(o.peer), Tag: o.tag, Bytes: o.bytes,
+					Sent: o.ready, Arrived: res.Arrival, Dropped: res.Dropped,
 				})
 			}
-			// A parked recv may now be satisfiable.
-			if ro := w.pending[best.dst]; ro != nil && ro.kind == opRecv && !ro.matched {
-				w.tryMatch(ro)
-			}
-			overhead := sendOverhead + float64(best.bytes)/copyBandwidth
-			w.procs[best.rank].res = resumeMsg{time: best.time + overhead}
-			w.step(best.rank)
+			wake = w.post(r, o, res)
 		case opRecv:
-			copyCost := float64(best.matchedMsg.bytes) / copyBandwidth
-			w.procs[best.rank].res = resumeMsg{
-				time:    best.ready + copyCost,
-				dropped: best.matchedMsg.dropped,
-			}
-			w.step(best.rank)
+			p.res = resumeMsg{time: o.done(), dropped: o.dropped}
 		case opExit:
 			live--
-			endTimes[best.rank] = best.time
-			rankErrs[best.rank] = best.err
+			endTimes[r] = o.ready
+			rankErrs[r] = p.err
+		}
+		// o's slot is reused once the rank runs again. r's key is still
+		// the heap's top: requeue replaces it before a woken destination
+		// joins, which could otherwise sift above it.
+		if p.head == p.tail && o.kind != opExit {
+			w.resume(r)
+			stats.Resumes++
+		}
+		w.requeue(r)
+		if wake >= 0 && wake != r {
+			w.admit(wake)
 		}
 	}
 	if err := rankError(rankErrs); err != nil {
@@ -714,66 +783,109 @@ func rankError(errs []error) error {
 	return nil
 }
 
-// step resumes rank r until it declares its next operation, and makes
-// that operation pending: sends and exits are executable at once, recvs
-// once a message matches.
-func (w *world) step(r int) {
-	o := w.procs[r].resume()
-	w.pending[r] = o
-	switch o.kind {
-	case opSend, opExit:
-		o.ready = o.time
-		w.enqueue(o)
-	case opRecv:
-		o.ready = math.Inf(1)
-		w.tryMatch(o)
-	}
+// resume runs rank r, whose queue has drained, until it waits again or
+// its body returns; either way it leaves at least one operation queued.
+func (w *world) resume(r int) {
+	p := w.procs[r]
+	p.head, p.tail = 0, 0
+	p.next()
 }
 
-// enqueue makes an executable op eligible for commit.
-func (w *world) enqueue(o *op) {
+// headOf returns rank r's oldest uncommitted operation, or nil when its
+// queue is empty.
+func (w *world) headOf(r int) *op {
+	if p := w.procs[r]; p.head < p.tail {
+		return &p.queue[p.head]
+	}
+	return nil
+}
+
+// admit adds rank r to the heap if its queue head is executable. The
+// rank must not be in the heap already.
+func (w *world) admit(r int) {
 	if w.hooks.pick != nil {
-		return // the reference picker scans pending directly
+		return // the reference picker scans the queue heads directly
 	}
-	w.heap.push(o)
+	if o := w.headOf(r); o != nil && !o.parked {
+		w.heap.push(heapKey{o.ready, r})
+	}
 }
 
-// pick returns the executable pending op with the smallest
-// (ready, rank), or nil if none is executable.
-func (w *world) pick() *op {
+// requeue updates the heap after rank r, its top, committed: the rank's
+// next head replaces it if executable, otherwise the rank leaves.
+func (w *world) requeue(r int) {
 	if w.hooks.pick != nil {
-		return w.hooks.pick(w.pending)
-	}
-	return w.heap.pop()
-}
-
-// deliver pushes a send through the network, choosing eager or
-// rendezvous by size.
-func (w *world) deliver(o *op) (network.Result, error) {
-	opts := network.SendOptions{FlowControlled: o.bytes > EagerThreshold}
-	return w.cfg.Net.SendOpts(o.time, w.node(o.rank), w.node(o.dst), o.bytes, opts)
-}
-
-// tryMatch completes a pending recv against the mailbox if possible,
-// making it executable.
-func (w *world) tryMatch(o *op) {
-	m, ok := w.mail[o.rank].match(o.src, o.tag)
-	if !ok {
 		return
 	}
-	o.matched = true
-	o.matchedMsg = m
-	o.ready = math.Max(o.time, m.arrival)
-	w.enqueue(o)
+	if o := w.headOf(r); o != nil && !o.parked {
+		w.heap.replaceTop(heapKey{o.ready, r})
+		return
+	}
+	w.heap.popTop()
+}
+
+// pick returns the rank whose queue head has the smallest (ready, rank)
+// among the executable ones, or -1 if none is executable.
+func (w *world) pick() int {
+	if w.hooks.pick != nil {
+		for r := range w.pending {
+			w.pending[r] = nil
+			if o := w.headOf(r); o != nil && !o.parked {
+				w.pending[r] = o
+			}
+		}
+		if o := w.hooks.pick(w.pending); o != nil {
+			for r, head := range w.pending {
+				if head == o {
+					return r
+				}
+			}
+		}
+		return -1
+	}
+	if len(w.heap.a) == 0 {
+		return -1
+	}
+	return w.heap.a[0].rank
+}
+
+// deliver pushes rank src's send through the network, choosing eager
+// or rendezvous by size.
+func (w *world) deliver(src int, o *op) (network.Result, error) {
+	opts := network.SendOptions{FlowControlled: o.bytes > EagerThreshold}
+	return w.cfg.Net.SendOpts(o.ready, w.node(src), w.node(int(o.peer)), o.bytes, opts)
+}
+
+// post hands the message of rank src's committed send to its
+// destination. A parked recv is always the last op of its queue, and no
+// message it could take is in the mailbox (it would have taken it), so
+// when that recv waits for this (src, tag) it takes this message
+// directly; otherwise the message joins the mailbox. post returns the
+// destination when its recv matched and heads its queue, and so becomes
+// executable, or -1.
+func (w *world) post(src int, o *op, res network.Result) int {
+	d := w.procs[o.peer]
+	if d.head < d.tail {
+		if ro := &d.queue[d.tail-1]; ro.parked && int(ro.peer) == src && ro.tag == o.tag {
+			ro.ready = math.Max(ro.ready, res.Arrival)
+			ro.bytes, ro.dropped, ro.parked = o.bytes, res.Dropped, false
+			if d.head == d.tail-1 {
+				return int(o.peer)
+			}
+			return -1
+		}
+	}
+	w.mail[o.peer].push(src, o.tag, msg{arrival: res.Arrival, dropped: res.Dropped, bytes: o.bytes})
+	return -1
 }
 
 // describe renders the op for diagnostics.
 func (o *op) describe() string {
 	switch o.kind {
 	case opSend:
-		return fmt.Sprintf("send to %d tag %d (%d bytes)", o.dst, o.tag, o.bytes)
+		return fmt.Sprintf("send to %d tag %d (%d bytes)", o.peer, o.tag, o.bytes)
 	case opRecv:
-		return fmt.Sprintf("recv from %d tag %d", o.src, o.tag)
+		return fmt.Sprintf("recv from %d tag %d", o.peer, o.tag)
 	case opExit:
 		return "exit"
 	default:
@@ -781,15 +893,16 @@ func (o *op) describe() string {
 	}
 }
 
-// deadlockError reports a state where every live rank has declared an
-// operation but none is executable. It names the lowest blocked rank's
-// actual pending operation — whatever its kind — and tallies the rest
-// by kind, so a stall is never misreported as a recv when something
-// else is stuck.
+// deadlockError reports a state where live ranks remain but no queued
+// operation is executable: every live rank's queue then holds exactly
+// one parked recv. It names the lowest blocked rank's actual pending
+// operation — whatever its kind — and tallies the rest by kind, so a
+// stall is never misreported as a recv when something else is stuck.
 func (w *world) deadlockError() error {
 	lowest, blocked := -1, 0
 	kinds := [3]int{}
-	for r, o := range w.pending {
+	for r := range w.procs {
+		o := w.headOf(r)
 		if o == nil {
 			continue
 		}
@@ -804,7 +917,7 @@ func (w *world) deadlockError() error {
 	if lowest == -1 {
 		return errors.New("simmpi: deadlock with no pending operations")
 	}
-	o := w.pending[lowest]
+	o := w.headOf(lowest)
 	return fmt.Errorf("simmpi: deadlock: rank %d waiting on %s (%d more ranks blocked; pending ops: %d send, %d recv, %d exit)",
 		lowest, o.describe(), blocked-1, kinds[opSend], kinds[opRecv], kinds[opExit])
 }

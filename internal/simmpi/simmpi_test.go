@@ -184,6 +184,164 @@ func TestBarrierTiming(t *testing.T) {
 	}
 }
 
+// TestAlltoallvLinearTiming pins the linear Alltoallv (fig3c and fig4
+// run its schedule) to its closed form on an idle Star with one rank per
+// node, at sizes where no switch buffer overflows. Every message costs w
+// = latency + bytes/bandwidth per link. Each sender's uplink passes one
+// message per w, in destination order, so the message to rank j leaves
+// sender i's uplink at its position in i's schedule. Downlink j first
+// serves, back to back, the j senders below it, whose messages all reach
+// it at j*w; it then serves the senders above it, one per w. Rank j's
+// last message therefore arrives at (n-1+max(j,1))*w, and its receive
+// copy follows.
+func TestAlltoallvLinearTiming(t *testing.T) {
+	const tol = 1e-12
+	for _, n := range []int{2, 3, 4, 5, 8, 16} {
+		for _, b := range []int{1 << 10, 4 << 10, 8 << 10} {
+			rep, err := Run(starConfig(n, 1), func(p *Proc) error {
+				counts := make([]int, p.Size())
+				for i := range counts {
+					counts[i] = b
+				}
+				return p.Alltoallv(counts, AlltoallvLinear)
+			})
+			if err != nil {
+				t.Fatalf("%d ranks, %d bytes: %v", n, b, err)
+			}
+			w := network.GigELatency + float64(b)/network.GigEBandwidth
+			for j, got := range rep.RankSeconds {
+				want := float64(n-1+max(j, 1))*w + float64(b)/copyBandwidth
+				if math.Abs(got-want) > tol*want {
+					t.Errorf("%d ranks, %d bytes: rank %d finished at %.17g s, closed form %.17g s", n, b, j, got, want)
+				}
+			}
+			if rep.Drops != 0 {
+				t.Errorf("%d ranks, %d bytes: idle fabric dropped %d messages", n, b, rep.Drops)
+			}
+		}
+	}
+}
+
+// haloBody is a non-periodic 2-D halo exchange on a rows x cols grid
+// with specfem's checkerboard parity: even cells send to every
+// neighbour and then receive, odd cells receive and then send. at, when
+// set, runs on every rank at the start of every step.
+func haloBody(rows, cols, steps int, at func(p *Proc, step int)) func(*Proc) error {
+	return func(p *Proc) error {
+		r, c := p.Rank()/cols, p.Rank()%cols
+		var nbs []int
+		if r > 0 {
+			nbs = append(nbs, p.Rank()-cols)
+		}
+		if r < rows-1 {
+			nbs = append(nbs, p.Rank()+cols)
+		}
+		if c > 0 {
+			nbs = append(nbs, p.Rank()-1)
+		}
+		if c < cols-1 {
+			nbs = append(nbs, p.Rank()+1)
+		}
+		sendAll := func(tag int) error {
+			for _, nb := range nbs {
+				if err := p.Send(nb, tag, 4096); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		recvAll := func(tag int) error {
+			for _, nb := range nbs {
+				if err := p.Recv(nb, tag); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		first, second := sendAll, recvAll
+		if (r+c)%2 == 1 {
+			first, second = recvAll, sendAll
+		}
+		for step := 0; step < steps; step++ {
+			if at != nil {
+				at(p, step)
+			}
+			p.Compute(1e-4, "step")
+			if err := first(step); err != nil {
+				return err
+			}
+			if err := second(step); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// A rank runs ahead through every send and every receive whose message
+// has already arrived, and is resumed only when it has to wait: a halo
+// step (sends, then receives) costs one resume, not one per message, and
+// a ping-pong one resume per round trip leg instead of two. The seed's
+// interleaving, which the reference picker restores, resumes a rank
+// after every committed send or recv.
+func TestRunAheadResumes(t *testing.T) {
+	pingPong := func(p *Proc) error {
+		peer := 1 - p.Rank()
+		for i := 0; i < 100; i++ {
+			if p.Rank() == 0 {
+				if err := p.Send(peer, i, 1024); err != nil {
+					return err
+				}
+				if err := p.Recv(peer, i); err != nil {
+					return err
+				}
+				continue
+			}
+			if err := p.Recv(peer, i); err != nil {
+				return err
+			}
+			if err := p.Send(peer, i, 1024); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		body      func(*Proc) error
+		perResume float64 // committed events per resume, at least
+	}{
+		{"halo-8x8", starConfig(64, 1), haloBody(8, 8, 20, nil), 4},
+		{"pingpong", starConfig(2, 1), pingPong, 1.9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := Run(tc.cfg, tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := rep.Sched
+			t.Logf("%d events, %d resumes", st.Events, st.Resumes)
+			if got := float64(st.Events) / float64(st.Resumes); got < tc.perResume {
+				t.Errorf("%.2f events per resume, want at least %v", got, tc.perResume)
+			}
+			// Under the reference picker every rank waits after every
+			// operation: one resume to start each rank and one per
+			// committed send or recv, as many as the events (one exit
+			// per rank).
+			tc.cfg.Net.Reset()
+			ref, err := run(tc.cfg, tc.body, hooks{pick: linearScanPick})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Sched.Events != st.Events || ref.Sched.Resumes != ref.Sched.Events {
+				t.Errorf("reference picker: %d events, %d resumes; want %d of each",
+					ref.Sched.Events, ref.Sched.Resumes, st.Events)
+			}
+		})
+	}
+}
+
 func TestRecvBeforeSendCompletes(t *testing.T) {
 	// Receiver posts recv immediately; sender computes 1s first. The
 	// receiver must wait for the message, not complete early.
