@@ -54,8 +54,9 @@
 // Hierarchy.AccessPass, which from a per-set census of its hits and
 // misses proves what the passes after it do, either repeating the pass
 // or hitting at the level it filled, so that they are replayed, not
-// simulated, and which skips the set scan on misses a thrashing set is
-// certain to take) with the element-at-a-time path retained as the
+// simulated, and which walks a contiguous load sweep one cache set at a
+// time, accounting the misses a set is certain to take and a fresh
+// hierarchy's fills in closed form) with the element-at-a-time path retained as the
 // bit-exact reference, pinned by equivalence property suites and
 // AllocsPerRun guards. The scale-membench experiment and the
 // BenchmarkMembench* family cover the related-work working sets

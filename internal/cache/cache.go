@@ -9,6 +9,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"montblanc/internal/mem"
 	"montblanc/internal/units"
@@ -110,18 +111,14 @@ type Cache struct {
 
 	// The census behind the steady-pass certificate: a word per set and
 	// the first nTouched entries of touched, the sets whose word is not
-	// zero. Only AccessPass counts (it sets counting and allocates both
-	// on its first call), and it settles the census before it returns.
+	// zero. Only AccessPass fills it (it allocates both on its first
+	// call): access counts while counting is set, on the line-major
+	// route, and the set-major route writes each set's word once. It is
+	// settled before AccessPass returns.
 	counting bool
 	census   []uint64
 	touched  []uint32
 	nTouched int
-
-	// deferring is set by AccessPass when every set that has missed
-	// Associativity times in the pass is certain to miss on each later
-	// lookup (see access). It ends when the census settles, or at once
-	// if the pass's pages stop ascending (undefer).
-	deferring bool
 }
 
 // newCache allocates a validated level.
@@ -153,17 +150,8 @@ func (c *Cache) Stats() Stats { return c.stats }
 // recently used line, filling it on a miss. The victim is the last
 // invalid way if the set has one, else the least recently used way. It
 // returns the index of the line now holding pa and whether it hit.
-// While counting it reads the set's census word once, before the set
-// scan, and adds the lookup to it, listing the set in touched on its
-// first lookup.
-//
-// While deferring, a set that has missed assoc times in the pass takes
-// a deferred miss instead: the lookup is a certain miss (CACHE.md,
-// "Deferred misses"), so only the victim's tag and flags are written.
-// The set's stored ranks stay those it had when it began deferring,
-// and the victim of its t-th deferred miss is the way that held rank
-// t mod assoc then — t is the census's misses less assoc. settle and
-// undefer write the true ranks back.
+// While counting it adds the lookup to the set's census word, listing
+// the set in touched on its first lookup.
 func (c *Cache) access(pa uint64, write bool) (line int, hit bool) {
 	c.stats.Accesses++
 	assoc := c.cfg.Associativity
@@ -172,41 +160,11 @@ func (c *Cache) access(pa uint64, write bool) (line int, hit bool) {
 	tag := pa >> (c.lineShift + c.setBits)
 	tags := c.tags[base : base+assoc]
 	state := c.state[base : base+assoc]
-	counting := c.counting
-	var n uint64 // the set's census word, while counting
-	if counting {
-		n = c.census[set]
-		if n == 0 {
-			c.touched[c.nTouched] = uint32(set)
-			c.nTouched++
-		}
-		if misses := n/censusLookup - n%censusLookup; c.deferring && misses >= uint64(assoc) {
-			r := misses // the victim's rank: misses mod assoc, without a division for power-of-two ways
-			if assoc&(assoc-1) == 0 {
-				r &= uint64(assoc - 1)
-			} else {
-				r %= uint64(assoc)
-			}
-			victim := uint16(r) << rankShift
-			for w, s := range state {
-				if s&^flagMask == victim {
-					c.census[set] = n + censusLookup
-					c.stats.Misses++
-					if s&dirtyBit != 0 {
-						c.stats.Writebacks++
-					}
-					tags[w] = tag
-					state[w] = victim | validBit
-					return base + w, false
-				}
-			}
-		}
-	}
 	for w, t := range tags {
 		if t == tag && state[w]&validBit != 0 {
 			c.stats.Hits++
-			if counting {
-				c.census[set] = n + censusLookup + censusHit
+			if c.counting {
+				c.count(set, censusLookup+censusHit)
 			}
 			if write {
 				state[w] |= dirtyBit
@@ -216,8 +174,8 @@ func (c *Cache) access(pa uint64, write bool) (line int, hit bool) {
 		}
 	}
 	c.stats.Misses++
-	if counting {
-		c.census[set] = n + censusLookup
+	if c.counting {
+		c.count(set, censusLookup)
 	}
 	fill := uint16(validBit)
 	if write {
@@ -258,6 +216,16 @@ func (c *Cache) access(pa uint64, write bool) (line int, hit bool) {
 	return base + invalid, false
 }
 
+// count adds n to set's census word, listing the set in touched when
+// the word was zero.
+func (c *Cache) count(set int, n uint64) {
+	if c.census[set] == 0 {
+		c.touched[c.nTouched] = uint32(set)
+		c.nTouched++
+	}
+	c.census[set] += n
+}
+
 // promote makes way w the most recently used of its set: every way more
 // recent than w moves down one rank and w takes the top rank.
 func promote(state []uint16, w int) {
@@ -275,23 +243,18 @@ func promote(state []uint16, w int) {
 	state[w] = s&flagMask | top
 }
 
-// settle ends the pass's census and deferral. It reports whether every
-// set it counted either hit on every lookup, or missed on every lookup
-// with more lookups than ways and a multiple of the ways — the
-// per-level part of the steady-pass certificate — and whether every
-// set looked up at most ways lines, the settling forecast's condition
-// on its level (see AccessPass).
+// settle ends the pass's census. It reports whether every set it
+// counted either hit on every lookup, or missed on every lookup with
+// more lookups than ways and a multiple of the ways — the per-level
+// part of the steady-pass certificate — and whether every set looked
+// up at most ways lines, the settling forecast's condition on its level
+// (see AccessPass).
 func (c *Cache) settle() (steady, fits bool) {
-	deferred := c.deferring
-	c.deferring = false
 	steady, fits = true, true
 	ways := uint64(c.cfg.Associativity)
 	for _, set := range c.touched[:c.nTouched] {
 		n := c.census[set]
 		c.census[set] = 0
-		if deferred {
-			c.rerank(int(set), n)
-		}
 		lookups, hits := n/censusLookup, n%censusLookup
 		if hits != lookups && (hits != 0 || lookups <= ways || lookups%ways != 0) {
 			steady = false
@@ -304,28 +267,132 @@ func (c *Cache) settle() (steady, fits bool) {
 	return steady, fits
 }
 
-// rerank writes back the true ranks of set, whose census word is n,
-// after deferred misses. d deferred misses each evict the least recent
-// way, so together they move every way down d ranks, cyclically: the
-// way that held rank r when the set began deferring holds rank
-// (r - d) mod ways. d mod ways equals the set's misses mod ways.
-func (c *Cache) rerank(set int, n uint64) {
-	ways := c.cfg.Associativity
-	misses := n/censusLookup - n%censusLookup
-	if misses <= uint64(ways) {
-		return
-	}
-	d := uint16(misses % uint64(ways))
-	if d == 0 {
-		return
-	}
-	for w, s := range c.state[set*ways : (set+1)*ways] {
-		r := s >> rankShift
-		if r < d {
-			r += uint16(ways)
+// missTail accounts, in closed form, the last t lookups of set in a
+// set-major pass. The set has missed Associativity times in the pass,
+// so it is full, its ranks are a permutation, and each of those lookups
+// misses (CACHE.md, "Set-major passes"). The j-th of them evicts the
+// way whose rank was j mod ways when they began, and after the last
+// every way has moved down t ranks, cyclically. last holds the tags of
+// the min(t, ways) last lookups, the last one first. The victims of the
+// first ways lookups are the lines the set held, which may be dirty;
+// every later victim was filled clean by the pass.
+func (c *Cache) missTail(set int, t uint64, last []uint64) {
+	ways := uint64(c.cfg.Associativity)
+	base := set * int(ways)
+	tags, state := c.tags[base:base+int(ways)], c.state[base:base+int(ways)]
+	d := ways - t%ways
+	for w, s := range state {
+		r := uint64(s >> rankShift)
+		if r < t {
+			if s&dirtyBit != 0 {
+				c.stats.Writebacks++
+			}
+			tags[w] = last[(t-1-r)%ways]
+			s = validBit
 		}
-		c.state[set*ways+w] = (r-d)<<rankShift | s&flagMask
+		state[w] = uint16((r+d)%ways)<<rankShift | s&flagMask
 	}
+	c.stats.Accesses += t
+	c.stats.Misses += t
+}
+
+// passLines is the line progression of a set-major pass: it looks up
+// lines x0 + q*step, for q < n, in that order.
+type passLines struct{ x0, step, n uint64 }
+
+// period returns how many lines of the progression pass before it
+// comes back to a set of c: lines q and q' share a set exactly when
+// q ≡ q' mod period, so the sets of lines 0 … period-1 are distinct.
+func (p passLines) period(c *Cache) uint64 {
+	return (c.setMask + 1) >> min(uint(bits.TrailingZeros64(p.step)), c.setBits)
+}
+
+// fillFresh performs the pass on a level that holds no valid line, set
+// by set in closed form. Every lookup misses, and the j-th of a set's k
+// lookups fills way ways-1-(j mod ways): the last invalid way while one
+// is left, then the rank-0 way, which is the way the j-ways-th lookup
+// filled. Lookup j of the last ways ends with rank ways-k+j, and the
+// ways no lookup filled keep their empty state. It returns the level's
+// lookups, all misses.
+func (c *Cache) fillFresh(p passLines) uint64 {
+	ways := uint64(c.cfg.Associativity)
+	period := p.period(c)
+	for q0 := range min(p.n, period) {
+		set := (p.x0 + q0*p.step) & c.setMask
+		k := (p.n-1-q0)/period + 1
+		base := set * ways
+		for j := k - min(k, ways); j < k; j++ {
+			w := base + ways - 1 - j%ways
+			c.tags[w] = (p.x0 + (q0+j*period)*p.step) >> c.setBits
+			c.state[w] = uint16(ways-k+j)<<rankShift | validBit
+		}
+		c.census[set] = k * censusLookup
+		c.touched[c.nTouched] = uint32(set)
+		c.nTouched++
+	}
+	c.stats.Accesses += p.n
+	c.stats.Misses += p.n
+	return p.n
+}
+
+// walk performs the pass on c set by set. A set's lookups are its lines
+// of the progression less skip, the progression indices q of the lines
+// a level above hit, sorted by q mod period and then q. They go through
+// access until the set has missed ways times; missTail accounts the
+// rest, which all miss. It appends the q of every hit to hits when hits
+// is not nil, writes each set's census word, and returns hits and the
+// level's lookups and misses. tail is scratch of at least ways words.
+func (c *Cache) walk(p passLines, skip, hits, tail []uint64) (_ []uint64, lookups, misses uint64) {
+	ways := uint64(c.cfg.Associativity)
+	period := p.period(c)
+	for q0 := range min(p.n, period) {
+		e := 0
+		for e < len(skip) && skip[e]>>32 == q0 {
+			e++
+		}
+		mine := skip[:e] // this set's skipped lines, ascending
+		skip = skip[e:]
+		set := int((p.x0 + q0*p.step) & c.setMask)
+		k := (p.n-1-q0)/period + 1
+		var look, hit, j uint64
+		for ; j < k && look-hit < ways; j++ {
+			q := q0 + j*period
+			if len(mine) > 0 && uint32(mine[0]) == uint32(q) {
+				mine = mine[1:]
+				continue
+			}
+			look++
+			if _, ok := c.access((p.x0+q*p.step)<<c.lineShift, false); ok {
+				hit++
+				if hits != nil {
+					hits = append(hits, q)
+				}
+			}
+		}
+		if t := k - j - uint64(len(mine)); t > 0 {
+			// The tags of the set's last min(t, ways) lookups, last first.
+			n := 0
+			for i := k - 1; n < int(min(t, ways)); i-- {
+				q := q0 + i*period
+				if len(mine) > 0 && uint32(mine[len(mine)-1]) == uint32(q) {
+					mine = mine[:len(mine)-1]
+					continue
+				}
+				tail[n] = (p.x0 + q*p.step) >> c.setBits
+				n++
+			}
+			c.missTail(set, t, tail[:n])
+			look += t
+		}
+		if look > 0 {
+			c.census[set] = look*censusLookup + hit
+			c.touched[c.nTouched] = uint32(set)
+			c.nTouched++
+		}
+		lookups += look
+		misses += look - hit
+	}
+	return hits, lookups, misses
 }
 
 // hitRun bulk-accounts n guaranteed hits on the resident line at index
@@ -338,17 +405,6 @@ func (c *Cache) hitRun(idx, n int, write bool) {
 	c.stats.Hits += uint64(n)
 	if write {
 		c.state[idx] |= dirtyBit
-	}
-}
-
-// Flush invalidates all lines, counting dirty evictions as writebacks.
-// Ranks are kept: a flush does not reorder recency.
-func (c *Cache) Flush() {
-	for i, s := range c.state {
-		if s&dirtyBit != 0 { // only valid lines are ever dirty
-			c.stats.Writebacks++
-		}
-		c.state[i] = s &^ flagMask
 	}
 }
 
@@ -376,8 +432,18 @@ type Hierarchy struct {
 	pages, lastPage uint64
 	pagesAscend     bool
 
+	// fresh is set while no level has been looked up since NewHierarchy
+	// or Reset: every set of every level holds no valid line.
+	fresh bool
+
 	// before holds the counters at the start of an AccessPass.
 	before HierarchyStats
+
+	// Scratch of the set-major route, allocated by its first pass: the
+	// progression indices of the lines the levels above the last hit
+	// (at most their capacity in lines), and a word per way for a
+	// closed-form tail's tags.
+	hits, tail []uint64
 }
 
 // NewHierarchy builds a hierarchy from level configs (ordered L1 first),
@@ -393,13 +459,14 @@ func NewHierarchy(cfgs []Config, memLatency int, tlb *mem.TLB) (*Hierarchy, erro
 		}
 		levels[i] = newCache(cfg)
 	}
-	return &Hierarchy{tlb: tlb, levels: levels, mem: &Memory{Latency: memLatency}}, nil
+	return &Hierarchy{tlb: tlb, levels: levels, mem: &Memory{Latency: memLatency}, fresh: true}, nil
 }
 
 // Access performs a load (write=false) or store (write=true) at virtual
 // address va and returns the total latency in cycles, including any TLB
 // miss penalty.
 func (h *Hierarchy) Access(va uint64, write bool) int {
+	h.fresh = false
 	pa, cost := va, 0
 	if h.tlb != nil {
 		pa, cost = h.tlb.Translate(va)
@@ -476,6 +543,7 @@ func (h *Hierarchy) AccessRun(va uint64, strideBytes, count int, write bool) Run
 	if count <= 0 {
 		return rr
 	}
+	h.fresh = false
 	if strideBytes < 0 {
 		// Descending runs are not line/page-segmentable front-to-back;
 		// keep them on the reference path.
@@ -504,17 +572,11 @@ func (h *Hierarchy) AccessRun(va uint64, strideBytes, count int, write bool) Run
 			tcyc int
 		)
 		if h.tlb != nil {
-			if stride > 0 {
-				left := mem.PageSize - vaj%mem.PageSize // bytes to page end
-				if n := int((left-1)/stride) + 1; n < inPage {
-					inPage = n
-				}
-			}
+			inPage = samePage(vaj, stride, inPage)
 			pa, tcyc = h.tlb.TranslateRun(vaj, inPage)
 			page := pa / mem.PageSize
-			if h.pages > 0 && page <= h.lastPage && h.pagesAscend {
+			if h.pages > 0 && page <= h.lastPage {
 				h.pagesAscend = false
-				h.undefer()
 			}
 			h.lastPage = page
 			h.pages++
@@ -569,6 +631,18 @@ func (h *Hierarchy) AccessRun(va uint64, strideBytes, count int, write bool) Run
 	return rr
 }
 
+// samePage returns how many of the n accesses from va on, stride bytes
+// apart, fall on va's page.
+func samePage(va, stride uint64, n int) int {
+	if stride > 0 {
+		left := mem.PageSize - va%mem.PageSize // bytes to page end
+		if k := int((left-1)/stride) + 1; k < n {
+			return k
+		}
+	}
+	return n
+}
+
 // Replay is what every later pass of a periodic sweep does, once
 // AccessPass has proved it: the RunResult each such pass returns and
 // the movement of every counter it makes. Passes replayed with AddStats
@@ -604,13 +678,14 @@ type Replay struct {
 // pages, then the next pass hits at L on every lookup, looks nothing up
 // below L and changes no state; forecast writes that pass.
 //
-// A load pass that meets condition 4 also defers its misses: at a
-// level whose line is no longer than a page or than the line of any
-// level above, a set that has missed ways times in the pass misses on
-// every later lookup, so those lookups skip the set scan (see
-// Cache.access). A pass that proves nothing is simulated again by the
-// caller. The census costs one counter update per lookup and one visit
-// per touched set; AccessRun takes none of this.
+// A load pass over one contiguous physical range, whose lines every
+// level looks up at most once, takes the set-major route (setMajor):
+// each level is walked one set at a time, and the lookups a set is
+// certain to miss are accounted in closed form. Every other pass takes
+// the line-major route, AccessRun with the census counting. A pass
+// that proves nothing is simulated again by the caller. The census
+// costs one counter update per lookup and one visit per touched set;
+// AccessRun takes none of this.
 func (h *Hierarchy) AccessPass(va uint64, strideBytes, count int, write bool, next *Replay) (RunResult, bool) {
 	if count <= 0 || strideBytes < 0 {
 		return h.AccessRun(va, strideBytes, count, write), false
@@ -621,18 +696,25 @@ func (h *Hierarchy) AccessPass(va uint64, strideBytes, count int, write bool, ne
 	hi, last := bits.Mul64(uint64(count-1), uint64(strideBytes))
 	ascending := hi == 0 && va+last >= va && uint64(count) < censusLookup
 	h.ReadStats(&h.before)
-	lineCap := mem.PageSize
 	for _, c := range h.levels {
 		if c.census == nil {
 			sets := len(c.tags) / c.cfg.Associativity
 			c.census, c.touched = make([]uint64, sets), make([]uint32, sets)
 		}
-		c.counting = true
-		c.deferring = ascending && !write && c.cfg.LineSize <= lineCap
-		lineCap = min(lineCap, c.cfg.LineSize)
 	}
 	h.pages, h.pagesAscend = 0, true
-	rr := h.AccessRun(va, strideBytes, count, write)
+	var rr RunResult
+	if pa, ok := h.setMajor(va, last, strideBytes, write); ascending && ok {
+		rr = h.setMajorPass(va, pa, strideBytes, count)
+	} else {
+		for _, c := range h.levels {
+			c.counting = true
+		}
+		rr = h.AccessRun(va, strideBytes, count, write)
+		for _, c := range h.levels {
+			c.counting = false
+		}
+	}
 	d := &next.Delta
 	h.ReadStats(d)
 	d.sub(d, &h.before)
@@ -644,7 +726,6 @@ func (h *Hierarchy) AccessPass(va uint64, strideBytes, count int, write bool, ne
 	}
 	fill := -1 // the forecast's level L
 	for i, c := range h.levels {
-		c.counting = false
 		levelSteady, fits := c.settle()
 		if steady && fits && fill < 0 {
 			fill = i
@@ -666,6 +747,127 @@ func (h *Hierarchy) AccessPass(va uint64, strideBytes, count int, write bool, ne
 		return rr, false
 	}
 	return rr, true
+}
+
+// setMajor reports whether a pass takes the set-major route, and if so
+// returns its first physical address; last is the offset of its last
+// access. The route needs a load pass whose stride is at most the line
+// size or a whole multiple of it, every level with the L1's line size,
+// at most a page, and one physical range that does not wrap: no TLB, or
+// a TLB over a page-aligned ContiguousMapper. Then every line of the
+// pass lies in one page segment, the L1 looks up the lines of the pass
+// in ascending order, each once, and every level below looks up a
+// subsequence of them.
+func (h *Hierarchy) setMajor(va, last uint64, stride int, write bool) (pa uint64, ok bool) {
+	line := h.levels[0].cfg.LineSize
+	if write || line > mem.PageSize || stride > line && stride%line != 0 {
+		return 0, false
+	}
+	for _, c := range h.levels[1:] {
+		if c.cfg.LineSize != line {
+			return 0, false
+		}
+	}
+	pa = va
+	if h.tlb != nil {
+		m, ok := h.tlb.Mapper().(*mem.ContiguousMapper)
+		if !ok || m.Base%mem.PageSize != 0 {
+			return 0, false
+		}
+		pa = m.Base + va
+	}
+	return pa, pa+last >= pa
+}
+
+// setMajorPass performs a pass that setMajor admits, starting at
+// virtual address va and physical address pa. The TLB is walked page by
+// page, as AccessRun walks it. Each level is walked one set at a time
+// (Cache.walk), on the lines of the pass less those a level above hit:
+// a level's state depends only on its own lookups, which are the
+// misses of the level above in order, and sets do not interact. On a
+// fresh hierarchy nothing hits and every level fills in closed form
+// (Cache.fillFresh). The latency of a lookup is the sum of the hit
+// latencies of the levels it reaches, so the RunResult follows from the
+// lookups per level. CACHE.md, "Set-major passes", has the argument.
+func (h *Hierarchy) setMajorPass(va, pa uint64, strideBytes, count int) RunResult {
+	stride := uint64(strideBytes)
+	var extra uint64
+	if h.tlb != nil {
+		for j := 0; j < count; {
+			vaj := va + uint64(j)*stride
+			n := samePage(vaj, stride, count-j)
+			_, tcyc := h.tlb.TranslateRun(vaj, n)
+			extra += uint64(tcyc)
+			h.pages++
+			j += n
+		}
+	}
+	l1 := h.levels[0]
+	p := passLines{x0: pa >> l1.lineShift, step: 1, n: 1}
+	switch lineSize := uint64(l1.cfg.LineSize); {
+	case stride > lineSize:
+		p.step, p.n = stride/lineSize, uint64(count)
+	case stride > 0:
+		p.n = (pa+uint64(count-1)*stride)>>l1.lineShift - p.x0 + 1
+	}
+	// Same-line accesses after a line's first are L1 hits in bulk, as in
+	// AccessRun.
+	l1.stats.Accesses += uint64(count) - p.n
+	l1.stats.Hits += uint64(count) - p.n
+
+	fresh := h.fresh
+	h.fresh = false
+	if h.tail == nil {
+		capacity, ways := 0, 0
+		for i, c := range h.levels {
+			if i < len(h.levels)-1 {
+				capacity += len(c.tags)
+			}
+			ways = max(ways, c.cfg.Associativity)
+		}
+		h.hits, h.tail = make([]uint64, 0, capacity), make([]uint64, ways)
+	}
+	hits := h.hits[:0]
+	var misses uint64 // of the level last walked: the next level's lookups, or DRAM's
+	for i, c := range h.levels {
+		if i > 0 && misses == 0 {
+			break // nothing reaches this level or those below
+		}
+		var lookups uint64
+		if fresh {
+			lookups = c.fillFresh(p)
+			misses = lookups
+		} else {
+			skip := keyBySet(hits, p.period(c))
+			if i == len(h.levels)-1 {
+				hits = nil // no level below skips what the last one hits
+			}
+			hits, lookups, misses = c.walk(p, skip, hits, h.tail)
+		}
+		if i > 0 {
+			extra += lookups * uint64(c.cfg.HitLatency)
+		}
+	}
+	h.mem.stats.Accesses += misses
+	h.mem.stats.Misses += misses
+	extra += misses * uint64(h.mem.Latency)
+	return RunResult{
+		Accesses: uint64(count),
+		Latency:  uint64(count)*uint64(l1.cfg.HitLatency) + extra,
+		Extra:    extra,
+	}
+}
+
+// keyBySet sorts the progression indices q in the low halves of keys by
+// q mod period, then by q, keeping that remainder in the high halves:
+// the order in which Cache.walk visits a level's sets and their lines.
+func keyBySet(keys []uint64, period uint64) []uint64 {
+	for i, k := range keys {
+		q := k & (1<<32 - 1)
+		keys[i] = q&(period-1)<<32 | q
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // forecast turns next.Delta, the counter movement of a pass that
@@ -699,21 +901,6 @@ func (h *Hierarchy) forecast(accesses uint64, fill int, tlbSteady bool, next *Re
 	}
 }
 
-// undefer ends deferral mid-pass, when the pass's pages stop
-// ascending: every level that defers writes back the true ranks of its
-// sets that deferred misses, and its census goes on counting.
-func (h *Hierarchy) undefer() {
-	for _, c := range h.levels {
-		if !c.deferring {
-			continue
-		}
-		for _, set := range c.touched[:c.nTouched] {
-			c.rerank(int(set), c.census[set])
-		}
-		c.deferring = false
-	}
-}
-
 // Level returns cache level i (0 = L1). It panics on out-of-range i.
 func (h *Hierarchy) Level(i int) *Cache { return h.levels[i] }
 
@@ -726,16 +913,6 @@ func (h *Hierarchy) Memory() *Memory { return h.mem }
 // L1HitLatency returns the hit latency of the first level, the baseline
 // cost subtracted when converting access latency into stall cycles.
 func (h *Hierarchy) L1HitLatency() int { return h.levels[0].cfg.HitLatency }
-
-// Flush invalidates every level and flushes the TLB.
-func (h *Hierarchy) Flush() {
-	for _, l := range h.levels {
-		l.Flush()
-	}
-	if h.tlb != nil {
-		h.tlb.Flush()
-	}
-}
 
 // Reset restores exactly what NewHierarchy built: every tag and state
 // word cleared, every counter zero and the TLB flushed. The census
@@ -751,6 +928,7 @@ func (h *Hierarchy) Reset() {
 	if h.tlb != nil {
 		h.tlb.Flush()
 	}
+	h.fresh = true
 }
 
 // ResetStats zeroes all counters — cache levels, DRAM and the TLB —

@@ -137,18 +137,6 @@ func TestWritebackCounted(t *testing.T) {
 	}
 }
 
-func TestFlushForcesMisses(t *testing.T) {
-	h := mustHierarchy(t, []Config{tinyL1()}, 100, nil)
-	h.Access(0, true)
-	h.Flush()
-	if cyc := h.Access(0, false); cyc != 101 {
-		t.Errorf("post-flush access = %d, want 101", cyc)
-	}
-	if wb := h.Level(0).Stats().Writebacks; wb != 1 {
-		t.Errorf("flush writebacks = %d, want 1", wb)
-	}
-}
-
 func TestResetStatsKeepsContents(t *testing.T) {
 	h := mustHierarchy(t, []Config{tinyL1()}, 100, nil)
 	h.Access(0, false)

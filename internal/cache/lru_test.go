@@ -45,16 +45,6 @@ func newClockCache(cfg Config) *clockCache {
 	return c
 }
 
-func (c *clockCache) flush() {
-	for i := range c.valid {
-		if c.valid[i] && c.dirty[i] {
-			c.stats.Writebacks++
-		}
-		c.valid[i] = false
-		c.dirty[i] = false
-	}
-}
-
 func (c *clockCache) appendState(dst []uint64) []uint64 {
 	assoc := c.cfg.Associativity
 	for base := 0; base < len(c.tags); base += assoc {
@@ -139,15 +129,6 @@ func (h *clockHierarchy) fill(i int, pa uint64, write bool) int {
 	return cost
 }
 
-func (h *clockHierarchy) flush() {
-	for _, c := range h.levels {
-		c.flush()
-	}
-	if h.tlb != nil {
-		h.tlb.Flush()
-	}
-}
-
 func (h *clockHierarchy) appendState(dst []uint64) []uint64 {
 	for _, c := range h.levels {
 		dst = c.appendState(dst)
@@ -206,10 +187,10 @@ func compareWithClock(t *testing.T, h *Hierarchy, ref *clockHierarchy, ctx strin
 
 // Stored ranks against the clock-stamp reference: over associativities
 // 1, 3, 12, 16 and 512, one and two levels with mixed line sizes,
-// identity, random and tiny-pool mappers, loads and stores, scalar and
-// batched traffic and flushes mid-stream, every access costs the same
-// latency, every level counts the same events, and AppendState emits
-// the same words the O(ways²) derivation does.
+// identity, random and tiny-pool mappers, loads and stores, and scalar
+// and batched traffic, every access costs the same latency, every level
+// counts the same events, and AppendState emits the same words the
+// O(ways²) derivation does.
 func TestStoredRanksMatchClockReference(t *testing.T) {
 	mappers := []struct {
 		name  string
@@ -244,9 +225,6 @@ func TestStoredRanksMatchClockReference(t *testing.T) {
 				for op := 0; op < 40; op++ {
 					s := randomSegment(rng)
 					switch k := rng.Uint64() % 20; {
-					case k == 0:
-						h.Flush()
-						ref.flush()
 					case k < 10:
 						va := s.va
 						for i := 0; i < s.count; i++ {

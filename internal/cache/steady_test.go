@@ -30,8 +30,8 @@ func stateWords(h *Hierarchy) int {
 // the line k mod ways ranks above it. AccessPass proves the next pass
 // exactly when it is known: a pass whose outcome and state both repeat
 // (certified), or the cold pass of k <= ways lines, whose next pass
-// hits (the settling forecast). Its k > ways passes defer all but the
-// first ways misses.
+// hits (the settling forecast). Its k > ways passes take the set-major
+// route, which accounts all but the first ways misses in closed form.
 func TestCyclicSweepLRUOracle(t *testing.T) {
 	const line = 64
 	for _, ways := range []int{1, 2, 3, 4, 8, 12, 16} {
@@ -77,7 +77,7 @@ func TestCyclicSweepLRUOracle(t *testing.T) {
 			}
 		}
 	}
-	t.Run("random full set", testDeferredMissesFromRandomSet)
+	t.Run("random full set", testTailFromRandomSet)
 }
 
 // oneSetHierarchy builds an L1 of one set and no TLB, unvalidated like
@@ -89,10 +89,10 @@ func oneSetHierarchy(ways, line int) *Hierarchy {
 
 // A pass of k = ways+1 … 3×ways ascending lines over one full set in a
 // random state — a random permutation of ranks, distinct random tags
-// that sometimes are lines of the pass, random dirty bits — defers
-// every miss after the first ways. Its hits, misses, write-backs and
-// AppendState, pass after pass, are the scalar loop's.
-func testDeferredMissesFromRandomSet(t *testing.T) {
+// that sometimes are lines of the pass, random dirty bits — accounts
+// every miss after the first ways in closed form. Its hits, misses,
+// write-backs and AppendState, pass after pass, are the scalar loop's.
+func testTailFromRandomSet(t *testing.T) {
 	const line = 64
 	rng := xrand.New(29)
 	for _, ways := range []int{1, 2, 3, 4, 8, 12, 16} {
@@ -286,16 +286,17 @@ func sameStats(a, b *HierarchyStats) bool {
 	return a.Memory == b.Memory && a.TLBHits == b.TLBHits && a.TLBMisses == b.TLBMisses
 }
 
-// The settling forecast's soundness, and deferral's exactness: over the
-// random hierarchies of TestCertifiedPassRepeats (and 600 more), a TLB
-// that fills while the L1 thrashes and the L2 fills, an L2 whose lines
-// are twice the L1's, and the aliasing mapper above an L2, every
-// AccessPass leaves the counters and
-// state the scalar-equivalent AccessRun leaves on a twin, and whenever
-// it proves the next pass, the twin simulates that pass and four more:
-// each gives the proved RunResult and counter delta and leaves
-// AppendState as the proving pass left it, which is what replaying the
-// delta with AddStats gives.
+// The settling forecast's soundness, and the set-major route's
+// exactness: over the random hierarchies of TestCertifiedPassRepeats
+// (and 600 more), a TLB that fills while the L1 thrashes and the L2
+// fills, an L2 whose lines are twice the L1's, and the aliasing mapper
+// above an L2, every AccessPass leaves the counters and state the
+// scalar-equivalent AccessRun leaves on a twin, and whenever it proves
+// the next pass, the twin simulates that pass and four more: each gives
+// the proved RunResult and counter delta and leaves AppendState as the
+// proving pass left it, which is what replaying the delta with AddStats
+// gives. The route each pass takes must be the one setMajorShape reads
+// off the case's shape, and enough passes must take the set-major one.
 func TestSettlingPassForecast(t *testing.T) {
 	l1 := Config{Name: "L1", Level: 1, Size: 8192, LineSize: 32, Associativity: 2, HitLatency: 2}
 	cases := []steadyCase{{
@@ -315,8 +316,8 @@ func TestSettlingPassForecast(t *testing.T) {
 	}
 	// The L2 looks up each of its lines twice per pass, the second time
 	// a hit: 8 lookups of 4 lines per set fit its 8 ways, and in a pass
-	// 8 times as long its sets miss 32 lines, where deferral must stay
-	// off.
+	// 8 times as long its sets miss 32 lines, where the set-major route
+	// must not be taken.
 	cases = append(cases,
 		steadyCase{hc: mixed, pass: segment{va: 0, stride: 4, count: 32 * 1024 / 4}},
 		steadyCase{hc: mixed, pass: segment{va: 0, stride: 4, count: 256 * 1024 / 4}})
@@ -338,7 +339,7 @@ func TestSettlingPassForecast(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		cases = append(cases, randomSteadyCase(rng))
 	}
-	certified, forecasts := 0, 0
+	certified, forecasts, setMajor, passes := 0, 0, 0, 0
 	for i, sc := range cases {
 		h, twin := sc.build(t), sc.build(t)
 		for _, s := range sc.warm {
@@ -346,10 +347,18 @@ func TestSettlingPassForecast(t *testing.T) {
 			twin.AccessRun(s.va, s.stride, s.count, s.write)
 		}
 		s := sc.pass
+		shape := setMajorShape(sc)
+		if _, route := h.setMajor(s.va, uint64(s.count-1)*uint64(s.stride), s.stride, s.write); route != shape {
+			t.Fatalf("case %d (%+v, pass %+v): set-major route %v, shape says %v", i, sc.hc, s, route, shape)
+		}
 		var before, after, delta, twinBefore, twinAfter, twinDelta HierarchyStats
 		var next Replay
 		for p := 0; p < 4; p++ {
 			ctx := fmt.Sprintf("case %d (%+v, pass %+v) pass %d", i, sc.hc, s, p)
+			passes++
+			if shape {
+				setMajor++
+			}
 			h.ReadStats(&before)
 			rr, proved := h.AccessPass(s.va, s.stride, s.count, s.write, &next)
 			h.ReadStats(&after)
@@ -396,5 +405,9 @@ func TestSettlingPassForecast(t *testing.T) {
 	t.Logf("%d of %d cases proved the next pass: %d certified, %d forecast", certified+forecasts, len(cases), certified, forecasts)
 	if forecasts < len(cases)/5 {
 		t.Fatalf("only %d of %d cases forecast a pass; the suite tests too little", forecasts, len(cases))
+	}
+	t.Logf("%d of %d passes took the set-major route", setMajor, passes)
+	if setMajor < passes/8 {
+		t.Fatalf("only %d of %d passes took the set-major route; the suite tests too little", setMajor, passes)
 	}
 }

@@ -10,10 +10,11 @@ import (
 // The full-mode outputs of the membench experiments, pinned by SHA-256.
 // Full mode runs working sets and pass counts the quick goldens do not
 // reach, so a fast path of the cache engine (batched runs, the
-// steady-pass certificate, deferred misses, the settling forecast)
+// steady-pass certificate, the settling forecast, set-major passes)
 // that moves a digit there fails here. The digests were taken from the
-// element-at-a-time-equivalent engine before deferral and the forecast
-// existed. About a second without the race detector.
+// element-at-a-time-equivalent engine before the forecast and the
+// set-major route existed. Well under a second without the race
+// detector.
 func TestFullModeMembenchDigests(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full-mode membench sweeps under -race: the membench equivalence suites cover the engine there")

@@ -219,6 +219,9 @@ func (t *TLB) TranslateRun(va uint64, n int) (pa uint64, cycles int) {
 	return pa, cycles
 }
 
+// Mapper returns the mapper behind the TLB, nil for none.
+func (t *TLB) Mapper() Mapper { return t.mapper }
+
 // Stats returns hit and miss counts since creation or the last Flush.
 func (t *TLB) Stats() (hits, misses uint64) { return t.hits, t.misses }
 

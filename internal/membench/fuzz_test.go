@@ -41,7 +41,7 @@ func fuzzConfig(size uint16, stride uint8) Config {
 // describes, the runs must not panic, must give a finite, positive
 // bandwidth, and must equal the element-at-a-time reference exactly,
 // AppendState included, which fuzzes the steady-pass certificate, the
-// settling forecast and deferred misses over arbitrary hierarchies, and
+// settling forecast and the set-major route over arbitrary hierarchies, and
 // the bounds cpu.Model.Validate puts on the spec's own core. The seed
 // corpus is every built-in spec.
 func FuzzSpecMembench(f *testing.F) {

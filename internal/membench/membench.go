@@ -7,11 +7,15 @@
 // Figure 6.
 //
 // A measurement is a run of identical passes over the array, simulated
-// on the batched cache engine. Once a simulated pass proves what every
-// later pass does (cache.Hierarchy.AccessPass: from a per-set census of
-// its hits and misses, either the pass repeats itself or the next pass
-// hits at a level the pass filled), Runner.Run replays that later
-// pass's RunResult and counters instead of simulating the rest; see
+// on the batched cache engine. A pass over a contiguous mapping (or
+// none) runs set-major: each cache set is walked once, the misses a set
+// is certain to take past its ways are accounted in closed form, and so
+// is every fill of a fresh or Reset hierarchy. Passes over random page
+// maps run line by line. Once a simulated pass proves what every later
+// pass does (cache.Hierarchy.AccessPass: from a per-set census of its
+// hits and misses, either the pass repeats itself or the next pass hits
+// at a level the pass filled), Runner.Run replays that later pass's
+// RunResult and counters instead of simulating the rest; see
 // internal/cache/CACHE.md.
 package membench
 

@@ -879,45 +879,26 @@ func (w *world) post(src int, o *op, res network.Result) int {
 	return -1
 }
 
-// describe renders the op for diagnostics.
-func (o *op) describe() string {
-	switch o.kind {
-	case opSend:
-		return fmt.Sprintf("send to %d tag %d (%d bytes)", o.peer, o.tag, o.bytes)
-	case opRecv:
-		return fmt.Sprintf("recv from %d tag %d", o.peer, o.tag)
-	case opExit:
-		return "exit"
-	default:
-		return o.kind.String()
-	}
-}
-
 // deadlockError reports a state where live ranks remain but no queued
-// operation is executable: every live rank's queue then holds exactly
-// one parked recv. It names the lowest blocked rank's actual pending
-// operation — whatever its kind — and tallies the rest by kind, so a
-// stall is never misreported as a recv when something else is stuck.
+// operation is executable. Ranks run ahead through every send and every
+// already-matched recv, so every live rank's queue then holds exactly
+// one parked recv: it names the lowest blocked rank's (source, tag) and
+// counts the other ranks blocked.
 func (w *world) deadlockError() error {
 	lowest, blocked := -1, 0
-	kinds := [3]int{}
 	for r := range w.procs {
-		o := w.headOf(r)
-		if o == nil {
+		if w.headOf(r) == nil {
 			continue
 		}
 		if lowest == -1 {
 			lowest = r
 		}
 		blocked++
-		if int(o.kind) < len(kinds) {
-			kinds[o.kind]++
-		}
 	}
 	if lowest == -1 {
 		return errors.New("simmpi: deadlock with no pending operations")
 	}
 	o := w.headOf(lowest)
-	return fmt.Errorf("simmpi: deadlock: rank %d waiting on %s (%d more ranks blocked; pending ops: %d send, %d recv, %d exit)",
-		lowest, o.describe(), blocked-1, kinds[opSend], kinds[opRecv], kinds[opExit])
+	return fmt.Errorf("simmpi: deadlock: rank %d waiting on recv from %d tag %d (%d more ranks blocked)",
+		lowest, o.peer, o.tag, blocked-1)
 }
