@@ -51,12 +51,12 @@
 // The memory side (internal/cache behind internal/mem) mirrors that
 // design: strided sweeps run on a batched engine (Hierarchy.AccessRun —
 // translation once per page, set machinery once per line — and
-// Hierarchy.AccessPass, which from a per-set census of its hits and
+// Hierarchy.AccessPass, which walks a contiguous load sweep one cache
+// set at a time, accounting the misses a set is certain to take and a
+// fresh hierarchy's fills in closed form, and from each set's hits and
 // misses proves what the passes after it do, either repeating the pass
 // or hitting at the level it filled, so that they are replayed, not
-// simulated, and which walks a contiguous load sweep one cache set at a
-// time, accounting the misses a set is certain to take and a fresh
-// hierarchy's fills in closed form) with the element-at-a-time path retained as the
+// simulated) with the element-at-a-time path retained as the
 // bit-exact reference, pinned by equivalence property suites and
 // AllocsPerRun guards. The scale-membench experiment and the
 // BenchmarkMembench* family cover the related-work working sets

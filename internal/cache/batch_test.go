@@ -254,7 +254,7 @@ func TestResetStatsThenRunSeesOnlyTheRun(t *testing.T) {
 	measured(warm)
 	measured(reset)
 	warm.ReadStats(&after)
-	delta.Delta(&after, &before)
+	delta.sub(&after, &before)
 	for i := 0; i < reset.Depth(); i++ {
 		if st := reset.Level(i).Stats(); st != delta.Levels[i] {
 			t.Fatalf("level %d: reset-then-run %+v != warm delta %+v", i, st, delta.Levels[i])
@@ -307,7 +307,7 @@ func TestFixedPointReplayIsExact(t *testing.T) {
 	replayed.ReadStats(&before)
 	rrA := pass(replayed)
 	replayed.ReadStats(&after)
-	delta.Delta(&after, &before)
+	delta.sub(&after, &before)
 	post := replayed.AppendState(nil)
 	if !statesEq(post, cur) {
 		t.Fatal("capture pass moved the canonical state")

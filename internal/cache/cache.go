@@ -91,14 +91,6 @@ const (
 	maxWays = 1 << (16 - rankShift)
 )
 
-// A census word counts one set's lookups since the census was last
-// settled: lookups in the high half, hits in the low half. Zero means
-// the set was not looked up.
-const (
-	censusLookup = 1 << 32
-	censusHit    = 1
-)
-
 // Cache is one simulated level.
 type Cache struct {
 	cfg       Config
@@ -109,16 +101,11 @@ type Cache struct {
 	state     []uint16 // per line: rank<<rankShift | validBit | dirtyBit
 	stats     Stats
 
-	// The census behind the steady-pass certificate: a word per set and
-	// the first nTouched entries of touched, the sets whose word is not
-	// zero. Only AccessPass fills it (it allocates both on its first
-	// call): access counts while counting is set, on the line-major
-	// route, and the set-major route writes each set's word once. It is
-	// settled before AccessPass returns.
-	counting bool
-	census   []uint64
-	touched  []uint32
-	nTouched int
+	// The last set-major pass's verdict on this level, which AccessPass
+	// reads (judge): some set failed the certificate's condition 1, and
+	// some set looked up more lines than ways. setMajorPass clears both
+	// before it walks the levels.
+	unsteady, overWays bool
 }
 
 // newCache allocates a validated level.
@@ -150,8 +137,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // recently used line, filling it on a miss. The victim is the last
 // invalid way if the set has one, else the least recently used way. It
 // returns the index of the line now holding pa and whether it hit.
-// While counting it adds the lookup to the set's census word, listing
-// the set in touched on its first lookup.
 func (c *Cache) access(pa uint64, write bool) (line int, hit bool) {
 	c.stats.Accesses++
 	assoc := c.cfg.Associativity
@@ -163,9 +148,6 @@ func (c *Cache) access(pa uint64, write bool) (line int, hit bool) {
 	for w, t := range tags {
 		if t == tag && state[w]&validBit != 0 {
 			c.stats.Hits++
-			if c.counting {
-				c.count(set, censusLookup+censusHit)
-			}
 			if write {
 				state[w] |= dirtyBit
 			}
@@ -174,9 +156,6 @@ func (c *Cache) access(pa uint64, write bool) (line int, hit bool) {
 		}
 	}
 	c.stats.Misses++
-	if c.counting {
-		c.count(set, censusLookup)
-	}
 	fill := uint16(validBit)
 	if write {
 		fill |= dirtyBit
@@ -216,16 +195,6 @@ func (c *Cache) access(pa uint64, write bool) (line int, hit bool) {
 	return base + invalid, false
 }
 
-// count adds n to set's census word, listing the set in touched when
-// the word was zero.
-func (c *Cache) count(set int, n uint64) {
-	if c.census[set] == 0 {
-		c.touched[c.nTouched] = uint32(set)
-		c.nTouched++
-	}
-	c.census[set] += n
-}
-
 // promote makes way w the most recently used of its set: every way more
 // recent than w moves down one rank and w takes the top rank.
 func promote(state []uint16, w int) {
@@ -243,28 +212,20 @@ func promote(state []uint16, w int) {
 	state[w] = s&flagMask | top
 }
 
-// settle ends the pass's census. It reports whether every set it
-// counted either hit on every lookup, or missed on every lookup with
-// more lookups than ways and a multiple of the ways — the per-level
-// part of the steady-pass certificate — and whether every set looked
-// up at most ways lines, the settling forecast's condition on its level
-// (see AccessPass).
-func (c *Cache) settle() (steady, fits bool) {
-	steady, fits = true, true
+// judge folds one set's lookups and hits in a set-major pass into the
+// level's verdict: the set meets condition 1 of the steady-pass
+// certificate when it hit on every lookup, or missed on every lookup
+// with more lookups than ways and a multiple of the ways, and the
+// settling forecast can fill the level only if no set looked up more
+// lines than ways (see AccessPass).
+func (c *Cache) judge(lookups, hits uint64) {
 	ways := uint64(c.cfg.Associativity)
-	for _, set := range c.touched[:c.nTouched] {
-		n := c.census[set]
-		c.census[set] = 0
-		lookups, hits := n/censusLookup, n%censusLookup
-		if hits != lookups && (hits != 0 || lookups <= ways || lookups%ways != 0) {
-			steady = false
-		}
-		if lookups > ways {
-			fits = false
-		}
+	if hits != lookups && (hits != 0 || lookups <= ways || lookups%ways != 0) {
+		c.unsteady = true
 	}
-	c.nTouched = 0
-	return steady, fits
+	if lookups > ways {
+		c.overWays = true
+	}
 }
 
 // missTail accounts, in closed form, the last t lookups of set in a
@@ -326,9 +287,7 @@ func (c *Cache) fillFresh(p passLines) uint64 {
 			c.tags[w] = (p.x0 + (q0+j*period)*p.step) >> c.setBits
 			c.state[w] = uint16(ways-k+j)<<rankShift | validBit
 		}
-		c.census[set] = k * censusLookup
-		c.touched[c.nTouched] = uint32(set)
-		c.nTouched++
+		c.judge(k, 0)
 	}
 	c.stats.Accesses += p.n
 	c.stats.Misses += p.n
@@ -340,8 +299,8 @@ func (c *Cache) fillFresh(p passLines) uint64 {
 // a level above hit, sorted by q mod period and then q. They go through
 // access until the set has missed ways times; missTail accounts the
 // rest, which all miss. It appends the q of every hit to hits when hits
-// is not nil, writes each set's census word, and returns hits and the
-// level's lookups and misses. tail is scratch of at least ways words.
+// is not nil, judges each set, and returns hits and the level's lookups
+// and misses. tail is scratch of at least ways words.
 func (c *Cache) walk(p passLines, skip, hits, tail []uint64) (_ []uint64, lookups, misses uint64) {
 	ways := uint64(c.cfg.Associativity)
 	period := p.period(c)
@@ -384,11 +343,7 @@ func (c *Cache) walk(p passLines, skip, hits, tail []uint64) (_ []uint64, lookup
 			c.missTail(set, t, tail[:n])
 			look += t
 		}
-		if look > 0 {
-			c.census[set] = look*censusLookup + hit
-			c.touched[c.nTouched] = uint32(set)
-			c.nTouched++
-		}
+		c.judge(look, hit)
 		lookups += look
 		misses += look - hit
 	}
@@ -425,12 +380,6 @@ type Hierarchy struct {
 	tlb    *mem.TLB
 	levels []*Cache
 	mem    *Memory
-
-	// The page segments AccessRun translated (the TLB's lookups), the
-	// physical page of the last one, and whether every page lay above
-	// the one before. AccessPass resets them and reads them.
-	pages, lastPage uint64
-	pagesAscend     bool
 
 	// fresh is set while no level has been looked up since NewHierarchy
 	// or Reset: every set of every level holds no valid line.
@@ -574,12 +523,6 @@ func (h *Hierarchy) AccessRun(va uint64, strideBytes, count int, write bool) Run
 		if h.tlb != nil {
 			inPage = samePage(vaj, stride, inPage)
 			pa, tcyc = h.tlb.TranslateRun(vaj, inPage)
-			page := pa / mem.PageSize
-			if h.pages > 0 && page <= h.lastPage {
-				h.pagesAscend = false
-			}
-			h.lastPage = page
-			h.pages++
 		} else {
 			pa = vaj
 		}
@@ -652,14 +595,15 @@ type Replay struct {
 	Delta  HierarchyStats
 }
 
-// AccessPass is AccessRun for one pass of a periodic sweep. When the
-// pass proves what the same call, made again and again from the state
-// it leaves, does, AccessPass sets *next to that later pass and returns
-// true; every later pass then repeats *next exactly and leaves the
-// state, AppendState included, as it is. Two rules prove it, both from
-// a census of the pass's lookups per set at every level (the
-// bulk-accounted same-line and same-page hits are not lookups), and
-// CACHE.md gives the proofs.
+// AccessPass is AccessRun for one load pass of a periodic sweep. When
+// the pass proves what the same call, made again and again from the
+// state it leaves, does, AccessPass sets *next to that later pass and
+// returns true; every later pass then repeats *next exactly and leaves
+// the state, AppendState included, as it is. Only a pass that takes the
+// set-major route (setMajor) can prove anything; every other pass is
+// AccessRun and returns false. Two rules prove it, from what the route
+// finds at each set of each level (the bulk-accounted same-line and
+// same-page hits are not lookups), and CACHE.md gives the proofs.
 //
 // The steady-pass certificate: the pass repeats itself when
 //
@@ -668,9 +612,8 @@ type Replay struct {
 //     ways;
 //  2. the TLB did the same over its page lookups;
 //  3. the pass wrote nothing back; and
-//  4. the stride is not negative, the sweep does not wrap around the
-//     address space, and each page's physical page lies above the
-//     previous page's, so every line occurs once per pass.
+//  4. the pass has the set-major route's shape, so every line occurs
+//     once per pass, in ascending order.
 //
 // The settling forecast: when conditions 3 and 4 hold, every level
 // above some level L meets condition 1, every set of L looked up at
@@ -678,47 +621,18 @@ type Replay struct {
 // pages, then the next pass hits at L on every lookup, looks nothing up
 // below L and changes no state; forecast writes that pass.
 //
-// A load pass over one contiguous physical range, whose lines every
-// level looks up at most once, takes the set-major route (setMajor):
-// each level is walked one set at a time, and the lookups a set is
-// certain to miss are accounted in closed form. Every other pass takes
-// the line-major route, AccessRun with the census counting. A pass
-// that proves nothing is simulated again by the caller. The census
-// costs one counter update per lookup and one visit per touched set;
-// AccessRun takes none of this.
-func (h *Hierarchy) AccessPass(va uint64, strideBytes, count int, write bool, next *Replay) (RunResult, bool) {
-	if count <= 0 || strideBytes < 0 {
-		return h.AccessRun(va, strideBytes, count, write), false
+// A pass that proves nothing is simulated again by the caller.
+func (h *Hierarchy) AccessPass(va uint64, strideBytes, count int, next *Replay) (RunResult, bool) {
+	pa, ok := h.setMajor(va, strideBytes, count)
+	if !ok {
+		return h.AccessRun(va, strideBytes, count, false), false
 	}
-	// Condition 4 up front: the sweep must not wrap around the address
-	// space, and as no set looks up more than count times, count must
-	// fit a census word's half.
-	hi, last := bits.Mul64(uint64(count-1), uint64(strideBytes))
-	ascending := hi == 0 && va+last >= va && uint64(count) < censusLookup
 	h.ReadStats(&h.before)
-	for _, c := range h.levels {
-		if c.census == nil {
-			sets := len(c.tags) / c.cfg.Associativity
-			c.census, c.touched = make([]uint64, sets), make([]uint32, sets)
-		}
-	}
-	h.pages, h.pagesAscend = 0, true
-	var rr RunResult
-	if pa, ok := h.setMajor(va, last, strideBytes, write); ascending && ok {
-		rr = h.setMajorPass(va, pa, strideBytes, count)
-	} else {
-		for _, c := range h.levels {
-			c.counting = true
-		}
-		rr = h.AccessRun(va, strideBytes, count, write)
-		for _, c := range h.levels {
-			c.counting = false
-		}
-	}
+	rr, pages := h.setMajorPass(va, pa, strideBytes, count)
 	d := &next.Delta
 	h.ReadStats(d)
 	d.sub(d, &h.before)
-	steady := ascending && h.pagesAscend // condition 4
+	steady := true // condition 4 holds
 	for _, s := range d.Levels {
 		if s.Writebacks != 0 { // condition 3
 			steady = false
@@ -726,17 +640,16 @@ func (h *Hierarchy) AccessPass(va uint64, strideBytes, count int, write bool, ne
 	}
 	fill := -1 // the forecast's level L
 	for i, c := range h.levels {
-		levelSteady, fits := c.settle()
-		if steady && fits && fill < 0 {
+		if steady && !c.overWays && fill < 0 {
 			fill = i
 		}
-		steady = steady && levelSteady // condition 1
+		steady = steady && !c.unsteady // condition 1
 	}
 	tlbSteady, tlbFits := true, true
 	if h.tlb != nil { // condition 2: every page lookup hit, or every one missed
 		misses, ways := d.TLBMisses, uint64(h.tlb.Entries)
-		tlbSteady = misses == 0 || misses == h.pages && h.pages > ways && h.pages%ways == 0
-		tlbFits = h.pages <= ways
+		tlbSteady = misses == 0 || misses == pages && pages > ways && pages%ways == 0
+		tlbFits = pages <= ways
 	}
 	switch {
 	case steady && tlbSteady:
@@ -750,17 +663,19 @@ func (h *Hierarchy) AccessPass(va uint64, strideBytes, count int, write bool, ne
 }
 
 // setMajor reports whether a pass takes the set-major route, and if so
-// returns its first physical address; last is the offset of its last
-// access. The route needs a load pass whose stride is at most the line
-// size or a whole multiple of it, every level with the L1's line size,
-// at most a page, and one physical range that does not wrap: no TLB, or
-// a TLB over a page-aligned ContiguousMapper. Then every line of the
-// pass lies in one page segment, the L1 looks up the lines of the pass
-// in ascending order, each once, and every level below looks up a
-// subsequence of them.
-func (h *Hierarchy) setMajor(va, last uint64, stride int, write bool) (pa uint64, ok bool) {
+// returns its first physical address. The route needs 1 ≤ count < 2^32
+// accesses (Cache.walk keys lines by a 32-bit index), a non-negative
+// stride of at most the line size or a whole multiple of it, every
+// level with the L1's line size, at most a page, and one contiguous
+// physical range: no TLB, or a TLB over a ContiguousMapper, whose base
+// is a page boundary. Neither the virtual nor the physical range may
+// wrap around the address space. Then every line of the pass lies in
+// one page segment, the L1 looks up the lines of the pass in ascending
+// order, each once, and every level below looks up a subsequence of
+// them.
+func (h *Hierarchy) setMajor(va uint64, stride, count int) (pa uint64, ok bool) {
 	line := h.levels[0].cfg.LineSize
-	if write || line > mem.PageSize || stride > line && stride%line != 0 {
+	if count <= 0 || uint64(count) >= 1<<32 || stride < 0 || line > mem.PageSize || stride > line && stride%line != 0 {
 		return 0, false
 	}
 	for _, c := range h.levels[1:] {
@@ -771,12 +686,13 @@ func (h *Hierarchy) setMajor(va, last uint64, stride int, write bool) (pa uint64
 	pa = va
 	if h.tlb != nil {
 		m, ok := h.tlb.Mapper().(*mem.ContiguousMapper)
-		if !ok || m.Base%mem.PageSize != 0 {
+		if !ok {
 			return 0, false
 		}
-		pa = m.Base + va
+		pa = m.Translate(va)
 	}
-	return pa, pa+last >= pa
+	hi, last := bits.Mul64(uint64(count-1), uint64(stride))
+	return pa, hi == 0 && va+last >= va && pa+last >= pa
 }
 
 // setMajorPass performs a pass that setMajor admits, starting at
@@ -789,7 +705,8 @@ func (h *Hierarchy) setMajor(va, last uint64, stride int, write bool) (pa uint64
 // (Cache.fillFresh). The latency of a lookup is the sum of the hit
 // latencies of the levels it reaches, so the RunResult follows from the
 // lookups per level. CACHE.md, "Set-major passes", has the argument.
-func (h *Hierarchy) setMajorPass(va, pa uint64, strideBytes, count int) RunResult {
+// It returns the RunResult and the page segments the TLB looked up.
+func (h *Hierarchy) setMajorPass(va, pa uint64, strideBytes, count int) (_ RunResult, pages uint64) {
 	stride := uint64(strideBytes)
 	var extra uint64
 	if h.tlb != nil {
@@ -798,7 +715,7 @@ func (h *Hierarchy) setMajorPass(va, pa uint64, strideBytes, count int) RunResul
 			n := samePage(vaj, stride, count-j)
 			_, tcyc := h.tlb.TranslateRun(vaj, n)
 			extra += uint64(tcyc)
-			h.pages++
+			pages++
 			j += n
 		}
 	}
@@ -826,6 +743,9 @@ func (h *Hierarchy) setMajorPass(va, pa uint64, strideBytes, count int) RunResul
 			ways = max(ways, c.cfg.Associativity)
 		}
 		h.hits, h.tail = make([]uint64, 0, capacity), make([]uint64, ways)
+	}
+	for _, c := range h.levels {
+		c.unsteady, c.overWays = false, false
 	}
 	hits := h.hits[:0]
 	var misses uint64 // of the level last walked: the next level's lookups, or DRAM's
@@ -855,7 +775,7 @@ func (h *Hierarchy) setMajorPass(va, pa uint64, strideBytes, count int) RunResul
 		Accesses: uint64(count),
 		Latency:  uint64(count)*uint64(l1.cfg.HitLatency) + extra,
 		Extra:    extra,
-	}
+	}, pages
 }
 
 // keyBySet sorts the progression indices q in the low halves of keys by
@@ -915,8 +835,8 @@ func (h *Hierarchy) Memory() *Memory { return h.mem }
 func (h *Hierarchy) L1HitLatency() int { return h.levels[0].cfg.HitLatency }
 
 // Reset restores exactly what NewHierarchy built: every tag and state
-// word cleared, every counter zero and the TLB flushed. The census
-// buffers stay allocated. The mapper behind the TLB keeps its mappings:
+// word cleared, every counter zero and the TLB flushed. The set-major
+// scratch stays allocated. The mapper behind the TLB keeps its mappings:
 // it is the caller's.
 func (h *Hierarchy) Reset() {
 	for _, c := range h.levels {
@@ -997,10 +917,6 @@ func (s *HierarchyStats) sub(a, b *HierarchyStats) {
 	s.TLBHits = a.TLBHits - b.TLBHits
 	s.TLBMisses = a.TLBMisses - b.TLBMisses
 }
-
-// Delta sets s to the counter movement between snapshots before and
-// after a region: s = after - before.
-func (s *HierarchyStats) Delta(after, before *HierarchyStats) { s.sub(after, before) }
 
 func subStats(a, b Stats) Stats {
 	return Stats{

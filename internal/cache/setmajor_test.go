@@ -8,14 +8,14 @@ import (
 	"montblanc/internal/xrand"
 )
 
-// passTwins runs one pass through AccessPass on h and through AccessRun
-// on twin, and fails unless both give the same RunResult, counters and
-// AppendState.
+// passTwins runs one load pass through AccessPass on h and through
+// AccessRun on twin, and fails unless both give the same RunResult,
+// counters and AppendState.
 func passTwins(t *testing.T, h, twin *Hierarchy, s segment, ctx string) {
 	t.Helper()
 	var next Replay
-	got, _ := h.AccessPass(s.va, s.stride, s.count, s.write, &next)
-	if want := twin.AccessRun(s.va, s.stride, s.count, s.write); got != want {
+	got, _ := h.AccessPass(s.va, s.stride, s.count, &next)
+	if want := twin.AccessRun(s.va, s.stride, s.count, false); got != want {
 		t.Fatalf("%s: AccessPass %+v, AccessRun %+v", ctx, got, want)
 	}
 	compareHierarchies(t, twin, h, ctx)
@@ -243,10 +243,10 @@ func TestFreshFillClosedForm(t *testing.T) {
 	}
 }
 
-// Once warm, a set-major pass allocates nothing: the census, the hits of
-// the levels above and the tail's tags live in the hierarchy's scratch,
-// sized by sets, ways and upper-level capacity. Both a fresh pass after
-// Reset and a pass over a warm hierarchy are guarded.
+// Once warm, a set-major pass allocates nothing: the hits of the levels
+// above and the tail's tags live in the hierarchy's scratch, sized by
+// ways and upper-level capacity. Both a fresh pass after Reset and a
+// pass over a warm hierarchy are guarded.
 func TestSetMajorPassAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under -race")
@@ -260,30 +260,36 @@ func TestSetMajorPassAllocationFree(t *testing.T) {
 		memLatency: 100,
 		tlbEntries: 8, tlbPenalty: 25, mapper: 1,
 	}.build(t)
-	if _, ok := h.setMajor(0, 1<<18, 64, false); !ok {
+	if _, ok := h.setMajor(0, 64, 1<<12); !ok {
 		t.Fatal("the guarded passes do not take the set-major route")
 	}
 	var next Replay
 	traffic := func() {
-		h.AccessPass(0, 8, 1<<15, false, &next)
-		h.AccessPass(1<<16, 64, 1<<12, false, &next)
+		h.AccessPass(0, 8, 1<<15, &next)
+		h.AccessPass(1<<16, 64, 1<<12, &next)
 		h.Reset()
-		h.AccessPass(0, 64, 1<<13, false, &next)
-		h.AccessPass(1<<12, 192, 1000, false, &next)
+		h.AccessPass(0, 64, 1<<13, &next)
+		h.AccessPass(1<<12, 192, 1000, &next)
 	}
-	traffic() // allocate the census and the set-major scratch
+	traffic() // allocate the set-major scratch
 	if allocs := testing.AllocsPerRun(5, traffic); allocs != 0 {
 		t.Errorf("warm set-major passes allocate %.1f per call set, want 0", allocs)
 	}
 }
 
 // setMajorShape is the set-major route's predicate computed from a
-// case's shape: a load pass, with no TLB or a TLB over the contiguous
-// mapper, every level of the L1's line size, at most a page, and a
-// stride at most the line or a multiple of it.
+// case's shape: at least one access, with no TLB or a TLB over the
+// contiguous mapper, every level of the L1's line size, at most a page,
+// a non-negative stride at most the line or a multiple of it, and a
+// virtual range that does not wrap around the address space. No case's
+// physical range, 1 MiB above the virtual one or equal to it, comes
+// near wrapping.
 func setMajorShape(sc steadyCase) bool {
 	s, line := sc.pass, sc.hc.levels[0].LineSize
-	if s.write || sc.alias || sc.hc.mapper > 1 || line > mem.PageSize || s.stride > line && s.stride%line != 0 {
+	if s.count <= 0 || s.stride < 0 || sc.alias || sc.hc.mapper > 1 || line > mem.PageSize || s.stride > line && s.stride%line != 0 {
+		return false
+	}
+	if s.va+uint64(s.count-1)*uint64(s.stride) < s.va {
 		return false
 	}
 	for _, l := range sc.hc.levels {

@@ -44,7 +44,7 @@ func TestCyclicSweepLRUOracle(t *testing.T) {
 			proved := false
 			for pass := 1; pass <= 4; pass++ {
 				before := h.Level(0).Stats()
-				_, ok := h.AccessPass(0, line, k, false, &next)
+				_, ok := h.AccessPass(0, line, k, &next)
 				d := subStats(h.Level(0).Stats(), before)
 				hits := 0
 				if pass > 1 && k <= ways {
@@ -114,7 +114,7 @@ func testTailFromRandomSet(t *testing.T) {
 				ctx := fmt.Sprintf("%d ways, k=%d, draw %d", ways, k, draw)
 				var next Replay
 				for p := 1; p <= 3; p++ {
-					pass.AccessPass(0, line, k, false, &next)
+					pass.AccessPass(0, line, k, &next)
 					scalarRun(scalar, segment{stride: line, count: k})
 					compareHierarchies(t, scalar, pass, fmt.Sprintf("%s pass %d", ctx, p))
 				}
@@ -173,25 +173,35 @@ func (sc steadyCase) build(t *testing.T) *Hierarchy {
 	return h
 }
 
-// randomSteadyCase draws a hierarchy (mixed line sizes, stores, tiny
-// page pools) and a pass over a power-of-two working set, the shape of
+// randomSteadyCase draws a hierarchy (mixed line sizes, tiny page
+// pools) and a load pass over a power-of-two working set, the shape of
 // a membench sweep, so that passes which miss a multiple of a set's
-// ways are common.
+// ways are common. Three passes in four get the set-major route's
+// shape, the only one AccessPass proves: every level takes the L1's
+// line size, the mapping is contiguous or absent, and a stride above
+// the line is rounded down to a multiple of it. Stores come in the warm
+// traffic.
 func randomSteadyCase(rng *xrand.Rand) steadyCase {
 	sc := steadyCase{hc: randomHierCfg(rng)}
 	strides := []int{0, 3, 4, 8, 16, 32, 64, 128, 4096, 5000}
 	stride := strides[rng.Uint64()%uint64(len(strides))]
 	bytes := 1024 << (rng.Uint64() % 8) // 1 KiB to 128 KiB
 	count := 1 + int(rng.Uint64()%64)
+	va := (rng.Uint64() % 64) * []uint64{1, 32, mem.PageSize}[rng.Uint64()%3]
+	if rng.Uint64()%4 != 0 {
+		line := sc.hc.levels[0].LineSize
+		for i := range sc.hc.levels {
+			sc.hc.levels[i].LineSize = line
+		}
+		sc.hc.mapper %= 2
+		if stride > line {
+			stride -= stride % line
+		}
+	}
 	if stride > 0 {
 		count = (bytes + stride - 1) / stride
 	}
-	sc.pass = segment{
-		va:     (rng.Uint64() % 64) * []uint64{1, 32, mem.PageSize}[rng.Uint64()%3],
-		stride: stride,
-		count:  count,
-		write:  rng.Uint64()%4 == 0,
-	}
+	sc.pass = segment{va: va, stride: stride, count: count}
 	for i := rng.Uint64() % 3; i > 0; i-- {
 		sc.warm = append(sc.warm, randomSegment(rng))
 	}
@@ -206,8 +216,8 @@ func randomSteadyCase(rng *xrand.Rand) steadyCase {
 // AddStats gives. Random hierarchies, and a mapper that aliases the
 // last of four virtual pages onto the first: an L1 set then sees
 // a, b, c, a per pass — four misses in two ways from cold, which looks
-// steady but hits on the second a next time. Only condition 4 (pages
-// ascend) refuses it.
+// steady but hits on the second a next time. Only condition 4 (the
+// set-major route's shape, which needs a contiguous mapping) refuses it.
 func TestCertifiedPassRepeats(t *testing.T) {
 	cases := []steadyCase{{
 		hc: hierCfg{
@@ -234,10 +244,10 @@ func TestCertifiedPassRepeats(t *testing.T) {
 		var next Replay
 		for p := 0; p < 4; p++ {
 			h.ReadStats(&before)
-			rr, proved := h.AccessPass(s.va, s.stride, s.count, s.write, &next)
+			rr, proved := h.AccessPass(s.va, s.stride, s.count, &next)
 			h.ReadStats(&after)
-			delta.Delta(&after, &before)
-			if twinRR := twin.AccessRun(s.va, s.stride, s.count, s.write); twinRR != rr {
+			delta.sub(&after, &before)
+			if twinRR := twin.AccessRun(s.va, s.stride, s.count, false); twinRR != rr {
 				t.Fatalf("case %d pass %d: twins diverge: %+v vs %+v", i, p, rr, twinRR)
 			}
 			// Certified: the pass AccessPass proved is this one. The
@@ -250,9 +260,9 @@ func TestCertifiedPassRepeats(t *testing.T) {
 			ctx := fmt.Sprintf("case %d (%+v, pass %+v) certified on pass %d", i, sc.hc, s, p)
 			for extra := 1; extra <= 5; extra++ {
 				twin.ReadStats(&twinBefore)
-				got := twin.AccessRun(s.va, s.stride, s.count, s.write)
+				got := twin.AccessRun(s.va, s.stride, s.count, false)
 				twin.ReadStats(&twinAfter)
-				twinDelta.Delta(&twinAfter, &twinBefore)
+				twinDelta.sub(&twinAfter, &twinBefore)
 				if got != rr {
 					t.Fatalf("%s: pass %d later gives %+v, certified %+v", ctx, extra, got, rr)
 				}
@@ -289,35 +299,35 @@ func sameStats(a, b *HierarchyStats) bool {
 // The settling forecast's soundness, and the set-major route's
 // exactness: over the random hierarchies of TestCertifiedPassRepeats
 // (and 600 more), a TLB that fills while the L1 thrashes and the L2
-// fills, an L2 whose lines are twice the L1's, and the aliasing mapper
-// above an L2, every AccessPass leaves the counters and state the
+// fills, an L2 whose lines are twice the L1's, the aliasing mapper
+// above an L2, and passes that leave the route in one more respect
+// each, every AccessPass leaves the counters and state the
 // scalar-equivalent AccessRun leaves on a twin, and whenever it proves
 // the next pass, the twin simulates that pass and four more: each gives
 // the proved RunResult and counter delta and leaves AppendState as the
 // proving pass left it, which is what replaying the delta with AddStats
 // gives. The route each pass takes must be the one setMajorShape reads
-// off the case's shape, and enough passes must take the set-major one.
+// off the case's shape, only that route may prove a pass, and enough
+// passes must take it.
 func TestSettlingPassForecast(t *testing.T) {
 	l1 := Config{Name: "L1", Level: 1, Size: 8192, LineSize: 32, Associativity: 2, HitLatency: 2}
-	cases := []steadyCase{{
-		// Every L1 set misses 8 lines in 2 ways, every L2 set fills 4
-		// lines in 8 ways and the TLB fills 8 pages in 32 entries: the
-		// next pass hits in the L2 and in the TLB.
-		hc: hierCfg{
-			levels:     []Config{l1, {Name: "L2", Level: 2, Size: 65536, LineSize: 32, Associativity: 8, HitLatency: 12}},
-			memLatency: 100,
-			tlbEntries: 32, tlbPenalty: 30, mapper: 1,
-		},
-		pass: segment{va: 0, stride: 4, count: 32 * 1024 / 4},
-	}}
-	mixed := hierCfg{
-		levels:     []Config{l1, {Name: "L2", Level: 2, Size: 65536, LineSize: 64, Associativity: 8, HitLatency: 12}},
-		memLatency: 100,
+	l2 := Config{Name: "L2", Level: 2, Size: 65536, LineSize: 32, Associativity: 8, HitLatency: 12}
+	mapped := func(mapper int) hierCfg {
+		return hierCfg{levels: []Config{l1, l2}, memLatency: 100, tlbEntries: 32, tlbPenalty: 30, mapper: mapper, seed: 7}
 	}
+	// Every L1 set misses 8 lines in 2 ways, every L2 set fills 4 lines
+	// in 8 ways and the TLB fills 8 pages in 32 entries: the next pass
+	// hits in the L2 and in the TLB.
+	cases := []steadyCase{{hc: mapped(1), pass: segment{va: 0, stride: 4, count: 32 * 1024 / 4}}}
+	const forecastCases = 1 // the first case, forecast on its first pass
+	wide := l2
+	wide.LineSize = 64
+	mixed := hierCfg{levels: []Config{l1, wide}, memLatency: 100}
 	// The L2 looks up each of its lines twice per pass, the second time
-	// a hit: 8 lookups of 4 lines per set fit its 8 ways, and in a pass
-	// 8 times as long its sets miss 32 lines, where the set-major route
-	// must not be taken.
+	// a hit: the set-major route must not be taken, so no pass of these
+	// two is proved, though in the first 8 lookups of 4 lines per set fit
+	// the L2's 8 ways (a count of the L2's lookups would forecast it) and
+	// in the second, 8 times as long, its sets miss 32 lines.
 	cases = append(cases,
 		steadyCase{hc: mixed, pass: segment{va: 0, stride: 4, count: 32 * 1024 / 4}},
 		steadyCase{hc: mixed, pass: segment{va: 0, stride: 4, count: 256 * 1024 / 4}})
@@ -326,15 +336,28 @@ func TestSettlingPassForecast(t *testing.T) {
 	// lines, but the next L1 pass hits on the second a, so the L2 sees
 	// fewer lookups. Only condition 4 refuses the forecast.
 	cases = append(cases, steadyCase{
-		hc: hierCfg{
-			levels:     []Config{l1, {Name: "L2", Level: 2, Size: 65536, LineSize: 32, Associativity: 8, HitLatency: 12}},
-			memLatency: 100,
-			tlbEntries: 2, tlbPenalty: 30,
-		},
+		hc:    hierCfg{levels: []Config{l1, l2}, memLatency: 100, tlbEntries: 2, tlbPenalty: 30},
 		alias: true,
 		pass:  segment{va: 0, stride: 32, count: 4 * mem.PageSize / 32},
 	})
-	const forecastCases = 2 // the first cases, each forecast on its first pass
+	// Passes off the set-major route: a random page map, a tiny page
+	// pool, a stride that is not a multiple of the line, a negative
+	// stride, no access, and a range that wraps around the address space.
+	// None may be proved, though a count of each level's lookups per set
+	// would forecast the first three on their first pass: each holds at
+	// most one line per L1 set.
+	page := segment{stride: 32, count: mem.PageSize / 32}
+	cases = append(cases,
+		steadyCase{hc: mapped(2), pass: page},
+		steadyCase{hc: mapped(3), pass: page},
+		steadyCase{hc: mapped(1), pass: segment{stride: 48, count: mem.PageSize / 48}},
+		steadyCase{hc: mapped(1), pass: segment{va: mem.PageSize - 32, stride: -32, count: 128}},
+		steadyCase{hc: mapped(1), pass: segment{stride: 32}},
+		steadyCase{hc: mapped(0), pass: segment{va: 1<<64 - mem.PageSize/2, stride: 32, count: 128}})
+	// Cache.walk keys a pass's lines by a 32-bit index.
+	if _, ok := mapped(1).build(t).setMajor(0, 0, 1<<32); ok {
+		t.Fatal("a pass of 2^32 accesses takes the set-major route")
+	}
 	rng := xrand.New(23)
 	for i := 0; i < 1000; i++ {
 		cases = append(cases, randomSteadyCase(rng))
@@ -348,7 +371,7 @@ func TestSettlingPassForecast(t *testing.T) {
 		}
 		s := sc.pass
 		shape := setMajorShape(sc)
-		if _, route := h.setMajor(s.va, uint64(s.count-1)*uint64(s.stride), s.stride, s.write); route != shape {
+		if _, route := h.setMajor(s.va, s.stride, s.count); route != shape {
 			t.Fatalf("case %d (%+v, pass %+v): set-major route %v, shape says %v", i, sc.hc, s, route, shape)
 		}
 		var before, after, delta, twinBefore, twinAfter, twinDelta HierarchyStats
@@ -360,13 +383,16 @@ func TestSettlingPassForecast(t *testing.T) {
 				setMajor++
 			}
 			h.ReadStats(&before)
-			rr, proved := h.AccessPass(s.va, s.stride, s.count, s.write, &next)
+			rr, proved := h.AccessPass(s.va, s.stride, s.count, &next)
 			h.ReadStats(&after)
-			delta.Delta(&after, &before)
-			if twinRR := twin.AccessRun(s.va, s.stride, s.count, s.write); twinRR != rr {
+			delta.sub(&after, &before)
+			if twinRR := twin.AccessRun(s.va, s.stride, s.count, false); twinRR != rr {
 				t.Fatalf("%s: twins diverge: %+v vs %+v", ctx, rr, twinRR)
 			}
 			compareHierarchies(t, twin, h, ctx)
+			if proved && !shape {
+				t.Fatalf("%s: proved off the set-major route", ctx)
+			}
 			if !proved {
 				if i < forecastCases {
 					t.Fatalf("%s: not proved", ctx)
@@ -384,9 +410,9 @@ func TestSettlingPassForecast(t *testing.T) {
 			state := h.AppendState(nil)
 			for extra := 1; extra <= 5; extra++ {
 				twin.ReadStats(&twinBefore)
-				got := twin.AccessRun(s.va, s.stride, s.count, s.write)
+				got := twin.AccessRun(s.va, s.stride, s.count, false)
 				twin.ReadStats(&twinAfter)
-				twinDelta.Delta(&twinAfter, &twinBefore)
+				twinDelta.sub(&twinAfter, &twinBefore)
 				if got != next.Result {
 					t.Fatalf("%s: pass %d later gives %+v, proved %+v", ctx, extra, got, next.Result)
 				}

@@ -39,17 +39,17 @@ type Mapper interface {
 // itself. This is the behaviour the paper implicitly assumes on x86
 // for warmed-up runs.
 type ContiguousMapper struct {
-	Base uint64 // physical base address (page aligned)
+	base uint64 // physical base address, page aligned
 }
 
 // NewContiguousMapper returns a mapper with physical base base, rounded
-// down to a page boundary.
+// down to a page boundary. The zero ContiguousMapper has base 0.
 func NewContiguousMapper(base uint64) *ContiguousMapper {
-	return &ContiguousMapper{Base: base &^ (PageSize - 1)}
+	return &ContiguousMapper{base: base &^ (PageSize - 1)}
 }
 
 // Translate implements Mapper.
-func (m *ContiguousMapper) Translate(va uint64) uint64 { return m.Base + va }
+func (m *ContiguousMapper) Translate(va uint64) uint64 { return m.base + va }
 
 // Reset implements Mapper. Contiguous mappings are stateless.
 func (m *ContiguousMapper) Reset() {}

@@ -13,10 +13,10 @@ func TestContiguousMapper(t *testing.T) {
 	if pa := m.Translate(123); pa != 0x10000+123 {
 		t.Errorf("Translate(123) = %#x", pa)
 	}
-	// Base must be page aligned even if constructed unaligned.
+	// The base must be page aligned even if constructed unaligned.
 	m2 := NewContiguousMapper(0x10007)
-	if m2.Base%PageSize != 0 {
-		t.Errorf("base not aligned: %#x", m2.Base)
+	if pa := m2.Translate(0); pa != 0x10000 {
+		t.Errorf("Translate(0) = %#x, want the aligned base 0x10000", pa)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 
 // The steady-state membench contract (mirroring the simmpi guards): a
 // measured pass on a warm Runner allocates (amortized) nothing — the
-// batched engine and its census work in reused buffers. This guard pins
-// the *executed-pass* path: a random page mapping, whose physical pages
-// do not ascend, is refused the steady-pass certificate, so all
+// batched engine works in reused buffers. This guard pins the
+// *executed-pass* path: a pass over a random page mapping is off the
+// set-major route and proves nothing, so all
 // WarmPasses+MeasurePasses passes really run through AccessPass and a
 // single allocation reintroduced per executed pass trips the <= 1
 // bound. Only the per-Run constant overhead (the papi.Counters
@@ -153,7 +153,7 @@ func TestMembenchResetRunAllocsConstant(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	cell() // prime the census and replay scratch
+	cell() // prime the set-major and replay scratch
 	allocsPerRun := testing.AllocsPerRun(3, cell)
 	if t.Failed() {
 		t.FailNow()

@@ -10,13 +10,13 @@
 // on the batched cache engine. A pass over a contiguous mapping (or
 // none) runs set-major: each cache set is walked once, the misses a set
 // is certain to take past its ways are accounted in closed form, and so
-// is every fill of a fresh or Reset hierarchy. Passes over random page
-// maps run line by line. Once a simulated pass proves what every later
-// pass does (cache.Hierarchy.AccessPass: from a per-set census of its
-// hits and misses, either the pass repeats itself or the next pass hits
-// at a level the pass filled), Runner.Run replays that later pass's
-// RunResult and counters instead of simulating the rest; see
-// internal/cache/CACHE.md.
+// is every fill of a fresh or Reset hierarchy. Once such a pass proves
+// what every later pass does (cache.Hierarchy.AccessPass: from each
+// set's hits and misses, either the pass repeats itself or the next
+// pass hits at a level the pass filled), Runner.Run replays that later
+// pass's RunResult and counters instead of simulating the rest; see
+// internal/cache/CACHE.md. Passes over random page maps run line by
+// line and prove nothing, so every one of them is simulated.
 package membench
 
 import (
@@ -148,7 +148,7 @@ func (r *Runner) Run(cfg Config) (Result, error) {
 		if p == cfg.WarmPasses {
 			r.hier.ResetStats()
 		}
-		rr, proved := r.hier.AccessPass(0, strideBytes, count, false, &r.next)
+		rr, proved := r.hier.AccessPass(0, strideBytes, count, &r.next)
 		simulated++
 		if measured {
 			totalCycles += cycles(rr)

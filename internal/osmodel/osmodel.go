@@ -169,13 +169,3 @@ func ARMRealTimeEnvironment(seed uint64) Environment {
 		Seed:      seed,
 	}
 }
-
-// ARMRandomPagesEnvironment is the §V.A.1 setup: fair scheduling but
-// unlucky physical page placement.
-func ARMRandomPagesEnvironment(seed uint64) Environment {
-	return Environment{
-		Pages:     RandomPages,
-		Scheduler: NewFairScheduler(0.01, seed),
-		Seed:      seed,
-	}
-}

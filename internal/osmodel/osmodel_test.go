@@ -114,10 +114,6 @@ func TestEnvironments(t *testing.T) {
 	if rt.Scheduler.Name() != "rt-fifo" {
 		t.Error("RT environment wrong")
 	}
-	rp := ARMRandomPagesEnvironment(1)
-	if rp.Pages != RandomPages {
-		t.Error("random-pages environment wrong")
-	}
 }
 
 // All scheduler factors are >= 1: the model can only slow a measurement

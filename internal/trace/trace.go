@@ -120,9 +120,6 @@ func (t *Trace) Reserve(intervals, comms int) {
 	}
 }
 
-// AddComm appends a communication record.
-func (t *Trace) AddComm(c Comm) { t.Comms = append(t.Comms, c) }
-
 // Duration returns the end time of the last interval or comm.
 func (t *Trace) Duration() float64 {
 	end := 0.0

@@ -19,7 +19,7 @@ func TestDuration(t *testing.T) {
 	}
 	tr.AddInterval(Interval{Rank: 0, Kind: StateCompute, Start: 0, End: 2})
 	tr.AddInterval(Interval{Rank: 1, Kind: StateCompute, Start: 1, End: 3})
-	tr.AddComm(Comm{Src: 0, Dst: 1, Sent: 2, Arrived: 4.5})
+	tr.Comms = append(tr.Comms, Comm{Src: 0, Dst: 1, Sent: 2, Arrived: 4.5})
 	if d := tr.Duration(); d != 4.5 {
 		t.Errorf("duration = %v, want 4.5", d)
 	}
@@ -30,7 +30,7 @@ func TestMergeAndSort(t *testing.T) {
 	a.AddInterval(Interval{Rank: 1, Start: 5, End: 6})
 	b := New(2)
 	b.AddInterval(Interval{Rank: 0, Start: 1, End: 2})
-	b.AddComm(Comm{Sent: 3, Arrived: 4})
+	b.Comms = append(b.Comms, Comm{Sent: 3, Arrived: 4})
 	a.Merge(b)
 	a.Sort()
 	if len(a.Intervals) != 2 || a.Intervals[0].Start != 1 {
@@ -145,7 +145,7 @@ func TestGanttIgnoresOutOfRangeRanks(t *testing.T) {
 func TestReserveGrowsWithoutChangingContents(t *testing.T) {
 	tr := New(2)
 	tr.AddInterval(Interval{Rank: 0, Kind: StateCompute, Start: 0, End: 1})
-	tr.AddComm(Comm{Src: 0, Dst: 1, Bytes: 10, Sent: 0, Arrived: 1})
+	tr.Comms = append(tr.Comms, Comm{Src: 0, Dst: 1, Bytes: 10, Sent: 0, Arrived: 1})
 	tr.Reserve(100, 200)
 	if cap(tr.Intervals) < 100 || cap(tr.Comms) < 200 {
 		t.Errorf("Reserve did not grow: caps %d/%d", cap(tr.Intervals), cap(tr.Comms))

@@ -4,7 +4,7 @@ import "testing"
 
 // Golden known-answer vectors for the PRNG every simulator depends
 // on. Any change to the generator — seeding, state transition, output
-// scrambler, or the derived Intn/Float64/Perm/Split recipes — shifts
+// scrambler, or the derived Intn/Float64/Perm recipes — shifts
 // event schedules, placements and shuffles everywhere, which shows up
 // as golden-file diffs far from the cause. These tests pin the stream
 // itself so drift fails here, with the culprit named.
@@ -37,9 +37,6 @@ var kat = []struct {
 	floats  []float64
 	intn100 []int
 	perm8   []int
-	// splitFirst is Split()'s first output; parentNext proves Split
-	// advanced the parent by exactly one step.
-	splitFirst, parentNext uint64
 }{
 	{
 		seed: 0,
@@ -47,10 +44,9 @@ var kat = []struct {
 			0x99ec5f36cb75f2b4, 0xbf6e1f784956452a, 0x1a5f849d4933e6e0, 0x6aa594f1262d2d2c,
 			0xbba5ad4a1f842e59, 0xffef8375d9ebcaca, 0x6c160deed2f54c98, 0x8920ad648fc30a3f,
 		},
-		floats:     []float64{0.6012629994179048, 0.7477740925472398, 0.10301998939503632, 0.4165890778296456},
-		intn100:    []int{20, 82, 68, 32, 37, 98, 44, 3},
-		perm8:      []int{3, 0, 6, 1, 2, 7, 5, 4},
-		splitFirst: 0x4c94e4a98a1709eb, parentNext: 0xbf6e1f784956452a,
+		floats:  []float64{0.6012629994179048, 0.7477740925472398, 0.10301998939503632, 0.4165890778296456},
+		intn100: []int{20, 82, 68, 32, 37, 98, 44, 3},
+		perm8:   []int{3, 0, 6, 1, 2, 7, 5, 4},
 	},
 	{
 		seed: 1,
@@ -58,10 +54,9 @@ var kat = []struct {
 			0xb3f2af6d0fc710c5, 0x853b559647364cea, 0x92f89756082a4514, 0x642e1c7bc266a3a7,
 			0xb27a48e29a233673, 0x24c123126ffda722, 0x123004ef8df510e6, 0x61954dcc47b1e89d,
 		},
-		floats:     []float64{0.7029218331588505, 0.5204366199388569, 0.5741057000197225, 0.39132860204190445},
-		intn100:    []int{57, 22, 0, 83, 71, 62, 86, 29},
-		perm8:      []int{7, 0, 1, 4, 3, 2, 6, 5},
-		splitFirst: 0x2c83f301eb3f9c90, parentNext: 0x853b559647364cea,
+		floats:  []float64{0.7029218331588505, 0.5204366199388569, 0.5741057000197225, 0.39132860204190445},
+		intn100: []int{57, 22, 0, 83, 71, 62, 86, 29},
+		perm8:   []int{7, 0, 1, 4, 3, 2, 6, 5},
 	},
 	{
 		seed: 42,
@@ -69,10 +64,9 @@ var kat = []struct {
 			0x15780b2e0c2ec716, 0x6104d9866d113a7e, 0xae17533239e499a1, 0xecb8ad4703b360a1,
 			0xfde6dc7fe2ec5e64, 0xc50da53101795238, 0xb82154855a65ddb2, 0xd99a2743ebe60087,
 		},
-		floats:     []float64{0.08386297105988216, 0.3789802506626686, 0.6800434110281394, 0.9246929453253876},
-		intn100:    []int{42, 2, 9, 93, 76, 84, 54, 7},
-		perm8:      []int{7, 2, 4, 0, 3, 5, 1, 6},
-		splitFirst: 0x8ee445d14631c453, parentNext: 0x6104d9866d113a7e,
+		floats:  []float64{0.08386297105988216, 0.3789802506626686, 0.6800434110281394, 0.9246929453253876},
+		intn100: []int{42, 2, 9, 93, 76, 84, 54, 7},
+		perm8:   []int{7, 2, 4, 0, 3, 5, 1, 6},
 	},
 	{
 		seed: 0x9e3779b97f4a7c15, // the splitmix64 golden-ratio increment itself
@@ -80,10 +74,9 @@ var kat = []struct {
 			0x422ea740d0977210, 0xe062b061b42e2928, 0x5a071fc5930841b6, 0x01334ef8ed3cc2bd,
 			0xe45cbd6a2d9e96db, 0x3bc1fe841a5f292f, 0x60001d95ebbbd8e6, 0xa0aee00b5b303762,
 		},
-		floats:     []float64{0.2585243733634266, 0.8765058744940509, 0.35167120526878737, 0.004689155362245678},
-		intn100:    []int{52, 12, 62, 33, 27, 87, 82, 46},
-		perm8:      []int{2, 7, 1, 6, 3, 4, 5, 0},
-		splitFirst: 0x0ab0a74280d4005c, parentNext: 0xe062b061b42e2928,
+		floats:  []float64{0.2585243733634266, 0.8765058744940509, 0.35167120526878737, 0.004689155362245678},
+		intn100: []int{52, 12, 62, 33, 27, 87, 82, 46},
+		perm8:   []int{2, 7, 1, 6, 3, 4, 5, 0},
 	},
 	{
 		seed: 0xdeadbeefcafef00d,
@@ -91,10 +84,9 @@ var kat = []struct {
 			0x9e32cfb5bb93eebb, 0x16006bd9d4ac0014, 0x8ada5d6d34b6538e, 0x7c327ca32346a238,
 			0xc43a6d6a3492ced2, 0xdb639ecb036a9c04, 0xc5a4b301c52fcfa4, 0xbcc5e0efaa8ded95,
 		},
-		floats:     []float64{0.617962819927541, 0.08594392841466458, 0.5423944846740707, 0.4851453684125553},
-		intn100:    []int{95, 60, 82, 44, 98, 28, 76, 85},
-		perm8:      []int{1, 6, 5, 2, 4, 0, 7, 3},
-		splitFirst: 0xeca2c753961c3280, parentNext: 0x16006bd9d4ac0014,
+		floats:  []float64{0.617962819927541, 0.08594392841466458, 0.5423944846740707, 0.4851453684125553},
+		intn100: []int{95, 60, 82, 44, 98, 28, 76, 85},
+		perm8:   []int{1, 6, 5, 2, 4, 0, 7, 3},
 	},
 }
 
@@ -139,19 +131,6 @@ func TestGoldenPerm(t *testing.T) {
 				t.Errorf("seed %#x: Perm(8) = %v, want %v", k.seed, got, k.perm8)
 				break
 			}
-		}
-	}
-}
-
-func TestGoldenSplit(t *testing.T) {
-	for _, k := range kat {
-		r := New(k.seed)
-		s := r.Split()
-		if got := s.Uint64(); got != k.splitFirst {
-			t.Errorf("seed %#x: Split().Uint64() = %#016x, want %#016x", k.seed, got, k.splitFirst)
-		}
-		if got := r.Uint64(); got != k.parentNext {
-			t.Errorf("seed %#x: parent after Split advanced wrong: %#016x, want %#016x", k.seed, got, k.parentNext)
 		}
 	}
 }

@@ -31,12 +31,6 @@ func New(seed uint64) *Rand {
 	return r
 }
 
-// Split derives an independent generator from r. The derived stream is a
-// deterministic function of r's current state; r advances by one step.
-func (r *Rand) Split() *Rand {
-	return New(r.Uint64())
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.
@@ -58,11 +52,6 @@ func (r *Rand) Intn(n int) int {
 		panic("xrand: Intn called with n <= 0")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Int63 returns a non-negative 63-bit integer.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
 }
 
 // Float64 returns a uniform float64 in [0, 1).

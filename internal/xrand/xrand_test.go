@@ -121,21 +121,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := New(17)
-	a := r.Split()
-	b := r.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("split streams overlapped %d times", same)
-	}
-}
-
 func TestShuffleKeepsElements(t *testing.T) {
 	r := New(23)
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
