@@ -53,14 +53,16 @@
 // translation once per page, set machinery once per line — and
 // Hierarchy.AccessPass, which walks a contiguous load sweep one cache
 // set at a time, accounting the misses a set is certain to take and a
-// fresh hierarchy's fills in closed form, and from each set's hits and
-// misses proves what the passes after it do, either repeating the pass
-// or hitting at the level it filled, so that they are replayed, not
-// simulated) with the element-at-a-time path retained as the
-// bit-exact reference, pinned by equivalence property suites and
-// AllocsPerRun guards. The scale-membench experiment and the
-// BenchmarkMembench* family cover the related-work working sets
-// (hundreds of MB) the scalar simulator could not afford;
+// fresh hierarchy's fills, the TLB's included, in closed form, and from
+// each set's hits and misses proves what the passes after it do, either
+// repeating the pass or hitting at the level it filled, so that they
+// are replayed, not simulated) with the element-at-a-time path retained
+// as the bit-exact reference, pinned by equivalence property suites and
+// AllocsPerRun guards. Every scale-membench, locality and fig6 cell and
+// every fig7 variant starts from a reset hierarchy, one per platform.
+// The scale-membench experiment and the BenchmarkMembench* family cover
+// the related-work working sets (hundreds of MB) the scalar simulator
+// could not afford;
 // `montblanc -cpuprofile` / `-memprofile` wrap any run in runtime/pprof
 // collectors. internal/cache/CACHE.md documents the engine and proves
 // its rules.

@@ -12,12 +12,12 @@ import (
 	"montblanc/internal/simmpi"
 )
 
-// LUEfficiency returns the fraction of the platform's sustained DP rate
+// luEfficiency returns the fraction of the platform's sustained DP rate
 // the unchanged-Fortran LINPACK reaches: in-order cores lose more of
 // their pipeline to the dependency chains of the unblocked solver.
 // Calibration targets Table II: 620 MFLOPS on the Snowball, 24 GFLOPS on
 // the Xeon.
-func LUEfficiency(p *platform.Platform) float64 {
+func luEfficiency(p *platform.Platform) float64 {
 	if p.CPU.OutOfOrder {
 		return 0.98
 	}
@@ -27,7 +27,7 @@ func LUEfficiency(p *platform.Platform) float64 {
 // Mflops returns the modeled LINPACK throughput of the full node in
 // MFLOPS — the Table II row 1 quantity.
 func Mflops(p *platform.Platform) float64 {
-	return p.SustainedFlops(true, LUEfficiency(p)) / 1e6
+	return p.SustainedFlops(true, luEfficiency(p)) / 1e6
 }
 
 // ScalingConfig parameterizes the distributed block LU run.
@@ -58,7 +58,7 @@ func TimeDistributed(c *cluster.Cluster, ranks int, cfg ScalingConfig) (*simmpi.
 	if cfg.N%cfg.NB != 0 {
 		return nil, errors.New("linpack: N must be a multiple of NB")
 	}
-	coreRate := c.CoreFlops(true, LUEfficiency(c.Node))
+	coreRate := c.CoreFlops(true, luEfficiency(c.Node))
 	job := cluster.JobConfig{
 		Ranks:           ranks,
 		CoreFlopsPerSec: coreRate,

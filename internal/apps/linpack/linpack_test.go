@@ -85,7 +85,7 @@ func TestDistributedDeterminism(t *testing.T) {
 }
 
 func TestLUEfficiencyOrdering(t *testing.T) {
-	if LUEfficiency(platform.Snowball()) >= LUEfficiency(platform.XeonX5550()) {
+	if luEfficiency(platform.Snowball()) >= luEfficiency(platform.XeonX5550()) {
 		t.Error("in-order core should reach a smaller fraction of peak")
 	}
 }

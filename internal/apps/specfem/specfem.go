@@ -15,11 +15,11 @@ import (
 	"montblanc/internal/units"
 )
 
-// FlopsPerElemStep is the per-element, per-step floating point work of
+// flopsPerElemStep is the per-element, per-step floating point work of
 // the 3-D production code (stiffness application over a 5^3 GLL cube
 // with three directional contractions): the constant feeding the
 // scaling study.
-const FlopsPerElemStep = 5000
+const flopsPerElemStep = 5000
 
 // --- Table II model -------------------------------------------------
 
@@ -140,7 +140,7 @@ func TimeDistributed(c *cluster.Cluster, ranks int, cfg ScalingConfig) (*simmpi.
 		// switch buffers — this is why SPECFEM3D never congests.
 		evenCell := (r+cl)%2 == 0
 		for step := 0; step < cfg.Steps; step++ {
-			p.ComputeFlops(elemsPerRank*FlopsPerElemStep, "stiffness")
+			p.ComputeFlops(elemsPerRank*flopsPerElemStep, "stiffness")
 			tag := haloTag + step%16
 			sendAll := func() error {
 				for _, nb := range neighbours {

@@ -521,7 +521,7 @@ func (h *Hierarchy) AccessRun(va uint64, strideBytes, count int, write bool) Run
 			tcyc int
 		)
 		if h.tlb != nil {
-			inPage = samePage(vaj, stride, inPage)
+			inPage = mem.SamePage(vaj, stride, inPage)
 			pa, tcyc = h.tlb.TranslateRun(vaj, inPage)
 		} else {
 			pa = vaj
@@ -572,18 +572,6 @@ func (h *Hierarchy) AccessRun(va uint64, strideBytes, count int, write bool) Run
 		j += inPage
 	}
 	return rr
-}
-
-// samePage returns how many of the n accesses from va on, stride bytes
-// apart, fall on va's page.
-func samePage(va, stride uint64, n int) int {
-	if stride > 0 {
-		left := mem.PageSize - va%mem.PageSize // bytes to page end
-		if k := int((left-1)/stride) + 1; k < n {
-			return k
-		}
-	}
-	return n
 }
 
 // Replay is what every later pass of a periodic sweep does, once
@@ -696,8 +684,9 @@ func (h *Hierarchy) setMajor(va uint64, stride, count int) (pa uint64, ok bool) 
 }
 
 // setMajorPass performs a pass that setMajor admits, starting at
-// virtual address va and physical address pa. The TLB is walked page by
-// page, as AccessRun walks it. Each level is walked one set at a time
+// virtual address va and physical address pa. The TLB translates the
+// pass's page segments as AccessRun does (mem.TLB.TranslateSweep, in
+// closed form on an empty TLB). Each level is walked one set at a time
 // (Cache.walk), on the lines of the pass less those a level above hit:
 // a level's state depends only on its own lookups, which are the
 // misses of the level above in order, and sets do not interact. On a
@@ -710,14 +699,7 @@ func (h *Hierarchy) setMajorPass(va, pa uint64, strideBytes, count int) (_ RunRe
 	stride := uint64(strideBytes)
 	var extra uint64
 	if h.tlb != nil {
-		for j := 0; j < count; {
-			vaj := va + uint64(j)*stride
-			n := samePage(vaj, stride, count-j)
-			_, tcyc := h.tlb.TranslateRun(vaj, n)
-			extra += uint64(tcyc)
-			pages++
-			j += n
-		}
+		pages, extra = h.tlb.TranslateSweep(va, stride, count)
 	}
 	l1 := h.levels[0]
 	p := passLines{x0: pa >> l1.lineShift, step: 1, n: 1}

@@ -437,3 +437,51 @@ func TestSettlingPassForecast(t *testing.T) {
 		t.Fatalf("only %d of %d passes took the set-major route; the suite tests too little", setMajor, passes)
 	}
 }
+
+// Each AccessPass proves only what its own walk found: the level
+// verdicts of a pass do not outlive it. A pass that thrashes both
+// levels in a number of lookups per set that is not a multiple of their
+// ways proves nothing; a later pass over a small array, which fills one
+// line per L1 set, is forecast at the L1; and the thrashing pass after
+// it proves nothing again. Each pass leaves what its AccessRun twin
+// leaves, and each proved pass is what the next one does.
+func TestEachPassJudgedOnItsOwnWalk(t *testing.T) {
+	hc := hierCfg{
+		levels: []Config{
+			{Name: "L1", Level: 1, Size: 8192, LineSize: 32, Associativity: 2, HitLatency: 2},   // 128 sets
+			{Name: "L2", Level: 2, Size: 65536, LineSize: 32, Associativity: 8, HitLatency: 12}, // 256 sets
+		},
+		memLatency: 100,
+	}
+	thrash := segment{stride: 32, count: 41 * 128} // 41 lookups per L1 set, 20 or 21 per L2 set
+	small := segment{va: 1 << 24, stride: 32, count: 128}
+	h, twin := hc.build(t), hc.build(t)
+	var next Replay
+	var before, after, delta HierarchyStats
+	for i, step := range []struct {
+		pass  segment
+		proof bool
+	}{{thrash, false}, {thrash, false}, {small, true}, {thrash, false}, {small, true}} {
+		ctx := fmt.Sprintf("pass %d (%+v)", i, step.pass)
+		s := step.pass
+		rr, proved := h.AccessPass(s.va, s.stride, s.count, &next)
+		if want := twin.AccessRun(s.va, s.stride, s.count, false); rr != want {
+			t.Fatalf("%s: AccessPass %+v, AccessRun %+v", ctx, rr, want)
+		}
+		compareHierarchies(t, twin, h, ctx)
+		if proved != step.proof {
+			t.Fatalf("%s: proved %v, want %v", ctx, proved, step.proof)
+		}
+		if !proved {
+			continue
+		}
+		twin.ReadStats(&before)
+		got := twin.AccessRun(s.va, s.stride, s.count, false)
+		twin.ReadStats(&after)
+		delta.sub(&after, &before)
+		if got != next.Result || !sameStats(&delta, &next.Delta) {
+			t.Fatalf("%s: the next pass gives %+v moving %+v, proved %+v moving %+v", ctx, got, delta, next.Result, next.Delta)
+		}
+		h.AccessRun(s.va, s.stride, s.count, false)
+	}
+}

@@ -7,14 +7,16 @@ import (
 	"testing"
 )
 
-// The full-mode outputs of the membench experiments, pinned by SHA-256.
-// Full mode runs working sets and pass counts the quick goldens do not
+// The full-mode outputs of the membench experiments and of fig7, the
+// magicfilter sweep on the same cache engine, pinned by SHA-256. Full
+// mode runs working sets and pass counts the quick goldens do not
 // reach, so a fast path of the cache engine (batched runs, the
-// steady-pass certificate, the settling forecast, set-major passes)
-// that moves a digit there fails here. The digests were taken from the
+// steady-pass certificate, the settling forecast, set-major passes, the
+// TLB's closed-form fill, the bulk spill frame) that moves a digit
+// there fails here. The membench digests were taken from the
 // element-at-a-time-equivalent engine before the forecast and the
-// set-major route existed. Well under a second without the race
-// detector.
+// set-major route existed, fig7's before its sweep shared one hierarchy
+// and spilled in bulk. Well under a second without the race detector.
 func TestFullModeMembenchDigests(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full-mode membench sweeps under -race: the membench equivalence suites cover the engine there")
@@ -25,8 +27,9 @@ func TestFullModeMembenchDigests(t *testing.T) {
 		"fig5":           "46e7b81a101f7fe4d812e32ce5296f46ae6eabad5bf2946f32fe06e110452628",
 		"fig6":           "dcbebe6045756b3e8e9b2157f13f632fd5dfbd741b8f64fe85707caf274f734b",
 		"pagealloc":      "992c439e241f4bf58e75e90c811d4180a2d65c23ad70d79b93f837a7d65ef5d2",
+		"fig7":           "6d614d5249af885f1abe8c3384017ed8018e173d3be09ffe384415523ba10ba3",
 	}
-	for _, id := range []string{"scale-membench", "locality", "fig5", "fig6", "pagealloc"} {
+	for _, id := range []string{"scale-membench", "locality", "fig5", "fig6", "pagealloc", "fig7"} {
 		e, ok := Find(id)
 		if !ok {
 			t.Fatalf("experiment %s not registered", id)

@@ -42,6 +42,10 @@ var scaleMembenchStrides = []int{1, 8, 64}
 // scaleMembenchPlatforms are the Arm generations the sweep compares.
 var scaleMembenchPlatforms = []string{"Snowball", "ThunderX2"}
 
+// runScaleMembench measures every size x stride cell on each platform.
+// Every cell starts cold, as a membench process per configuration
+// would: one Runner per platform, its hierarchy reset before each cell,
+// so a cell's cold pass fills every level in closed form.
 func runScaleMembench(w io.Writer, o Options) error {
 	sizes := scaleMembenchSizes(o.Quick)
 	for _, name := range scaleMembenchPlatforms {
@@ -64,6 +68,7 @@ func runScaleMembench(w io.Writer, o Options) error {
 		for _, size := range sizes {
 			row := []interface{}{units.Bytes(int64(size))}
 			for _, stride := range scaleMembenchStrides {
+				runner.Hierarchy().Reset()
 				res, err := runner.Run(membench.Config{
 					ArrayBytes:  size,
 					StrideElems: stride,

@@ -11,12 +11,12 @@ import (
 
 // The quick scale-membench sweep's simulated passes per cell, pinned so
 // a lost steady-pass certificate or settling forecast fails here
-// instead of only slowing the benchmark. Each cell runs 2 warm and 2
-// measured passes; the first pass proves the rest, 12 passes in all.
-// Streaming Snowball cells are certified on their first pass; the
-// ThunderX2 stride-1 cells fill the 32 MiB L3 on theirs while the L1
-// and L2 thrash in a multiple of their ways, so the settling forecast
-// gives the next pass, which hits in the L3.
+// instead of only slowing the benchmark. Each cell starts cold and runs
+// 2 warm and 2 measured passes; the first pass proves the rest, 12
+// passes in all. Streaming Snowball cells are certified on their first
+// pass; the ThunderX2 stride-1 cells fill the 32 MiB L3 on theirs while
+// the L1 and L2 thrash in a multiple of their ways, so the settling
+// forecast gives the next pass, which hits in the L3.
 func TestScaleMembenchSimulatedPasses(t *testing.T) {
 	want := map[string][2][3]int{ // by size, then stride
 		"Snowball":  {{1, 1, 1}, {1, 1, 1}},
@@ -30,6 +30,7 @@ func TestScaleMembenchSimulatedPasses(t *testing.T) {
 		}
 		for i, size := range scaleMembenchSizes(true) {
 			for j, stride := range scaleMembenchStrides {
+				runner.Hierarchy().Reset() // runScaleMembench's cold cell
 				res, err := runner.Run(membench.Config{ArrayBytes: size, StrideElems: stride, Width: cpu.W64})
 				if err != nil {
 					t.Fatal(err)

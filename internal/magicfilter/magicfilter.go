@@ -3,13 +3,24 @@
 // along each dimension of a 3-D array to compute the electronic
 // potential — for the paper's auto-tuning study (§V.B, Figure 7).
 //
-// The variant model (MeasureVariant/SweepUnroll) predicts cycles and
-// cache accesses of the 1-D pass for unroll degrees 1..12 on a given
-// platform, combining the core issue model with genuine cache
-// simulation of the kernel's memory traffic. It reproduces Figure 7's
-// findings: convex cycle curves, cache accesses that explode once the
-// unrolled window spills the register file, and a much narrower sweet
-// spot on the in-order Tegra2 than on Nehalem.
+// The variant model (SweepUnroll) predicts cycles and cache accesses of
+// the 1-D pass for unroll degrees 1..12 on a given platform, combining
+// the core issue model with genuine cache simulation of the kernel's
+// memory traffic. It reproduces Figure 7's findings: convex cycle
+// curves, cache accesses that explode once the unrolled window spills
+// the register file, and a much narrower sweet spot on the in-order
+// Tegra2 than on Nehalem. A sweep builds one cache hierarchy per
+// platform and resets it before each variant.
+//
+// Spilled values live in a 16-slot stack frame: spill touch s stores to
+// (s even) or reloads from slot s mod 16. The first 16 touches of an
+// iteration touch every slot and store to every even one. When the
+// frame's lines sit in distinct L1 sets, each later touch then hits its
+// set's most recent line, already dirty if the touch is a store, and
+// moves only the L1's access and hit counters. So the touches after the
+// first 16 are accounted in bulk, as one zero-stride load run (spill).
+// An L1 with fewer sets than the frame spans lines keeps the
+// touch-by-touch loop; no built-in platform has one.
 package magicfilter
 
 import (
@@ -21,15 +32,15 @@ import (
 	"montblanc/internal/platform"
 )
 
-// Taps is the filter support: BigDFT's magic filter spans [-7, 8].
-const Taps = 16
+// taps is the filter support: BigDFT's magic filter spans [-7, 8].
+const taps = 16
 
 // lowOff is the offset of the first tap relative to the output index.
 const lowOff = -7
 
-// FlopsPerPoint is the floating-point work per output point of one 1-D
-// pass: Taps multiply-accumulate pairs.
-func FlopsPerPoint() float64 { return 2 * Taps }
+// flopsPerPoint is the floating-point work per output point of one 1-D
+// pass: taps multiply-accumulate pairs.
+const flopsPerPoint = 2 * taps
 
 // VariantResult is one point of the Figure 7 sweep.
 type VariantResult struct {
@@ -48,11 +59,13 @@ type VariantResult struct {
 // and the rolling input window.
 const windowOverheadRegs = 10
 
-// MeasureVariant models one unrolled variant of the 1-D magic filter
+// measureVariant models one unrolled variant of the 1-D magic filter
 // over n points on platform p, returning predicted cycles and measured
-// (simulated) cache accesses. The accounting:
+// (simulated) cache accesses. h is p's hierarchy without a TLB, fresh
+// from NewHierarchy or Reset: the counters it reports are h's. The
+// accounting:
 //
-//   - FP: Taps MACs per point. Issue cost derives from the core's DP
+//   - FP: taps MACs per point. Issue cost derives from the core's DP
 //     throughput; in-order cores additionally expose the MAC dependency
 //     latency, divided across the `unroll` independent accumulators.
 //   - Memory: 15+unroll distinct input loads and `unroll` stores per
@@ -61,33 +74,29 @@ const windowOverheadRegs = 10
 //   - Spills: live values beyond the register file spill to the stack;
 //     the cascade grows quadratically with the excess, each spill a
 //     store+reload pair through the cache simulator.
-func MeasureVariant(p *platform.Platform, n, unroll int) (VariantResult, error) {
+func measureVariant(p *platform.Platform, h *cache.Hierarchy, n, unroll int) (VariantResult, error) {
 	if unroll < 1 || unroll > 64 {
 		return VariantResult{}, fmt.Errorf("magicfilter: unroll %d out of range", unroll)
 	}
-	if n < Taps {
+	if n < taps {
 		return VariantResult{}, fmt.Errorf("magicfilter: n %d below filter support", n)
-	}
-	h, err := p.NewHierarchy(nil)
-	if err != nil {
-		return VariantResult{}, err
 	}
 	core := p.CPU
 
 	// --- analytic issue model (cycles that don't depend on cache state)
 	macIssue := 2 / core.FlopsPerCycleDP // cycles per MAC at peak
-	fpPerPoint := float64(Taps) * macIssue
+	fpPerPoint := float64(taps) * macIssue
 	if !core.OutOfOrder {
 		// Dependency latency of the accumulation chain, interleaved
 		// across `unroll` independent accumulators.
 		macLatency := macIssue * 4
 		perMac := macLatency / float64(unroll)
 		if perMac > macIssue {
-			fpPerPoint = float64(Taps) * perMac
+			fpPerPoint = float64(taps) * perMac
 		}
 	}
 
-	loadsPerIter := Taps - 1 + unroll // shared sliding window
+	loadsPerIter := taps - 1 + unroll // shared sliding window
 	storesPerIter := unroll
 
 	// Register pressure: accumulators + window + bookkeeping.
@@ -110,8 +119,7 @@ func MeasureVariant(p *platform.Platform, n, unroll int) (VariantResult, error) 
 	// window's periodic wrap at the array edges splits a run into at
 	// most three contiguous segments, accessed in the same order the
 	// scalar loop would. Spill traffic alternates store/reload on a hot
-	// stack frame and stays on the scalar path.
-	const elem = 8 // float64
+	// stack frame (spill).
 	srcBase := uint64(0)
 	dstBase := uint64(n*elem + 4096) // separate pages
 	stackBase := uint64(2*n*elem + 1<<20)
@@ -136,12 +144,7 @@ func MeasureVariant(p *platform.Platform, n, unroll int) (VariantResult, error) 
 			traffic.Add(h.AccessRun(srcBase+uint64(lo*elem), elem, hi-lo, false))
 		}
 		traffic.Add(h.AccessRun(dstBase+uint64(i*elem), elem, unroll, true))
-		for s := 0; s < spillTouches; s++ {
-			// Store + reload on a small hot stack frame: alternating
-			// write/read, so each touch is its own single-access run.
-			addr := stackBase + uint64((s%16)*elem)
-			traffic.Add(h.AccessRun(addr, 0, 1, s%2 == 0))
-		}
+		traffic.Add(spill(h, stackBase, spillTouches))
 	}
 	points := iters * unroll
 
@@ -151,7 +154,7 @@ func MeasureVariant(p *platform.Platform, n, unroll int) (VariantResult, error) 
 
 	counters := papi.FromHierarchy(h).
 		Add(papi.TOT_CYC, uint64(math.Round(totalCycles))).
-		Add(papi.FP_OPS, uint64(float64(points)*FlopsPerPoint()))
+		Add(papi.FP_OPS, uint64(points)*flopsPerPoint)
 
 	res := VariantResult{
 		Platform:       p.Name,
@@ -166,12 +169,48 @@ func MeasureVariant(p *platform.Platform, n, unroll int) (VariantResult, error) 
 	return res, nil
 }
 
+// elem is the size of one array element or spill slot (float64).
+const elem = 8
+
+// frameSlots is the number of slots in the spill frame.
+const frameSlots = 16
+
+// spill accounts one iteration's touches of the spill frame at base:
+// touch s stores to (s even) or reloads from slot s mod frameSlots, each
+// one access. When the frame's lines sit in distinct L1 sets, the
+// touches after the first frameSlots are L1 hits on their sets' most
+// recent lines that change no state (see the package doc), and one
+// zero-stride load run accounts them; otherwise every touch is its own
+// run. h must translate identically.
+func spill(h *cache.Hierarchy, base uint64, touches int) cache.RunResult {
+	var rr cache.RunResult
+	l1 := h.Level(0).Config()
+	line, sets := uint64(l1.LineSize), uint64(l1.Size/l1.LineSize/l1.Associativity)
+	each := touches
+	if lines := (base+frameSlots*elem-1)/line - base/line + 1; lines <= sets {
+		each = min(touches, frameSlots)
+	}
+	for s := 0; s < each; s++ {
+		rr.Add(h.AccessRun(base+uint64((s%frameSlots)*elem), 0, 1, s%2 == 0))
+	}
+	if rest := touches - each; rest > 0 {
+		rr.Add(h.AccessRun(base, 0, rest, false))
+	}
+	return rr
+}
+
 // SweepUnroll measures unroll degrees 1..maxUnroll (Figure 7 uses 12)
-// over n points on platform p.
+// over n points on platform p, on one cache hierarchy reset before each
+// variant.
 func SweepUnroll(p *platform.Platform, n, maxUnroll int) ([]VariantResult, error) {
+	h, err := p.NewHierarchy(nil)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]VariantResult, 0, maxUnroll)
 	for u := 1; u <= maxUnroll; u++ {
-		r, err := MeasureVariant(p, n, u)
+		h.Reset()
+		r, err := measureVariant(p, h, n, u)
 		if err != nil {
 			return nil, err
 		}

@@ -1,13 +1,27 @@
 package magicfilter
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
+	"montblanc/internal/cache"
 	"montblanc/internal/platform"
+	"montblanc/internal/xrand"
 )
 
 const sweepN = 4096
+
+// variant measures one variant on a hierarchy of its own.
+func variant(p *platform.Platform, n, unroll int) (VariantResult, error) {
+	h, err := p.NewHierarchy(nil)
+	if err != nil {
+		return VariantResult{}, err
+	}
+	return measureVariant(p, h, n, unroll)
+}
 
 // Figure 7's headline: the sweet spot is much narrower on Tegra2
 // ([4:7]) than on Nehalem ([4:12]).
@@ -106,11 +120,11 @@ func TestFigure7CacheAccessGrowth(t *testing.T) {
 // "The shapes of the curves are somehow similar but differ drastically
 // in scale."
 func TestFigure7ScaleGap(t *testing.T) {
-	neh, err := MeasureVariant(platform.XeonX5550(), sweepN, 4)
+	neh, err := variant(platform.XeonX5550(), sweepN, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	teg, err := MeasureVariant(platform.Tegra2Node(), sweepN, 4)
+	teg, err := variant(platform.Tegra2Node(), sweepN, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,29 +156,131 @@ func TestFigure7Convexity(t *testing.T) {
 
 func TestMeasureVariantErrors(t *testing.T) {
 	p := platform.XeonX5550()
-	if _, err := MeasureVariant(p, sweepN, 0); err == nil {
+	if _, err := variant(p, sweepN, 0); err == nil {
 		t.Error("unroll 0 accepted")
 	}
-	if _, err := MeasureVariant(p, sweepN, 65); err == nil {
+	if _, err := variant(p, sweepN, 65); err == nil {
 		t.Error("unroll 65 accepted")
 	}
-	if _, err := MeasureVariant(p, 8, 1); err == nil {
+	if _, err := variant(p, 8, 1); err == nil {
 		t.Error("n below filter support accepted")
+	}
+	if _, err := SweepUnroll(p, sweepN, 65); err == nil {
+		t.Error("a sweep to unroll 65 accepted")
 	}
 }
 
 func TestMeasureVariantDeterminism(t *testing.T) {
 	p := platform.Tegra2Node()
-	a, err := MeasureVariant(p, sweepN, 6)
+	a, err := variant(p, sweepN, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MeasureVariant(p, sweepN, 6)
+	b, err := variant(p, sweepN, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Cycles != b.Cycles || a.CacheAccesses != b.CacheAccesses {
 		t.Error("variant measurement not deterministic")
+	}
+}
+
+// A sweep measures every variant on one hierarchy, reset before each:
+// on every built-in platform, at the quick and full sizes, each
+// VariantResult, counters included, is the one a fresh hierarchy gives.
+func TestSweepMatchesFreshHierarchies(t *testing.T) {
+	for _, name := range platform.Names() {
+		p := platform.MustLookup(name)
+		for _, n := range []int{2048, sweepN} {
+			sweep, err := SweepUnroll(p, n, 12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range sweep {
+				want, err := variant(p, n, got.Unroll)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s n=%d unroll %d: the sweep gives %+v, a fresh hierarchy %+v", name, n, got.Unroll, got, want)
+				}
+			}
+		}
+	}
+}
+
+// spillPerTouch is spill without the bulk: every touch its own run.
+func spillPerTouch(h *cache.Hierarchy, base uint64, touches int) cache.RunResult {
+	var rr cache.RunResult
+	for s := 0; s < touches; s++ {
+		rr.Add(h.AccessRun(base+uint64((s%frameSlots)*elem), 0, 1, s%2 == 0))
+	}
+	return rr
+}
+
+// The bulk spill leaves what the touch-by-touch loop leaves: the same
+// RunResult, counters at every level and AppendState, iteration after
+// iteration, with random loads and stores around the frame in between.
+// Random L1 geometries with 8 to 256 B lines, some with fewer sets than
+// the frame spans lines (which keep the loop), over an L2 or DRAM, and
+// frames at a 16-byte or a page boundary, as measureVariant places them.
+func TestSpillBulkMatchesPerTouch(t *testing.T) {
+	rng := xrand.New(53)
+	var bulk, loop int
+	for trial := 0; trial < 400; trial++ {
+		line := 8 << rng.Intn(6)
+		sets, ways := 1<<rng.Intn(7), 1<<rng.Intn(4)
+		levels := []cache.Config{{Name: "L1", Level: 1, Size: sets * ways * line, LineSize: line, Associativity: ways, HitLatency: 3}}
+		if rng.Intn(2) == 0 {
+			levels = append(levels, cache.Config{Name: "L2", Level: 2, Size: 4 * levels[0].Size, LineSize: line, Associativity: 2 * ways, HitLatency: 14})
+		}
+		build := func() *cache.Hierarchy {
+			h, err := cache.NewHierarchy(levels, 90, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h
+		}
+		h, ref := build(), build()
+		base := uint64(2*16*(1+rng.Intn(8192)) + 1<<20) // 2n elements, then 1 MiB
+		if rng.Intn(4) == 0 {
+			base &^= 4095
+		}
+		frameLines := (base+frameSlots*elem-1)/uint64(line) - base/uint64(line) + 1
+		ctx := fmt.Sprintf("trial %d (%d B lines, %d sets, %d ways, %d levels, base %#x)", trial, line, sets, ways, len(levels), base)
+		for it := 0; it < 6; it++ {
+			// Loads and stores that share sets with the frame.
+			for k := rng.Intn(4); k > 0; k-- {
+				va := base - uint64(levels[0].Size) + uint64(rng.Intn(3*levels[0].Size))
+				stride, count, write := 8*rng.Intn(9), 1+rng.Intn(40), rng.Intn(2) == 0
+				if got, want := h.AccessRun(va, stride, count, write), ref.AccessRun(va, stride, count, write); got != want {
+					t.Fatalf("%s: traffic diverges: %+v vs %+v", ctx, got, want)
+				}
+			}
+			touches := rng.Intn(120)
+			if frameLines <= uint64(sets) && touches > frameSlots {
+				bulk++
+			} else if touches > frameSlots {
+				loop++
+			}
+			got, want := spill(h, base, touches), spillPerTouch(ref, base, touches)
+			if got != want {
+				t.Fatalf("%s iteration %d, %d touches: spill %+v, per touch %+v", ctx, it, touches, got, want)
+			}
+			var gs, ws cache.HierarchyStats
+			h.ReadStats(&gs)
+			ref.ReadStats(&ws)
+			if !reflect.DeepEqual(gs, ws) {
+				t.Fatalf("%s iteration %d: counters %+v, per touch %+v", ctx, it, gs, ws)
+			}
+			if !slices.Equal(h.AppendState(nil), ref.AppendState(nil)) {
+				t.Fatalf("%s iteration %d: state differs from the per-touch loop's", ctx, it)
+			}
+		}
+	}
+	t.Logf("%d spills in bulk, %d kept the loop (frame lines above L1 sets)", bulk, loop)
+	if bulk < 100 || loop < 100 {
+		t.Fatalf("only %d bulk and %d looped spills; the suite tests too little", bulk, loop)
 	}
 }
 

@@ -1,6 +1,12 @@
 package mem
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"montblanc/internal/xrand"
+)
 
 // TranslateRun must be exactly equivalent to n consecutive Translate
 // calls on addresses of one page: same physical address, same first-
@@ -119,5 +125,125 @@ func TestTLBAppendState(t *testing.T) {
 	}
 	if same {
 		t.Fatal("LRU reordering not visible in the encoding")
+	}
+}
+
+// walkSweep is the page walk TranslateSweep replaces on an empty TLB:
+// TranslateRun over each page segment of the sweep, in order.
+func walkSweep(t *TLB, va, stride uint64, count int) (pages, cycles uint64) {
+	for j := 0; j < count; {
+		vaj := va + uint64(j)*stride
+		n := SamePage(vaj, stride, count-j)
+		_, c := t.TranslateRun(vaj, n)
+		cycles += uint64(c)
+		pages++
+		j += n
+	}
+	return pages, cycles
+}
+
+// sweepCount returns a count for an ascending sweep from va, stride
+// bytes apart, that visits exactly pages pages, drawn at random among
+// the counts that do.
+func sweepCount(rng *xrand.Rand, va, stride, pages uint64) int {
+	switch {
+	case stride == 0:
+		return 1 + rng.Intn(64) // pages is 1
+	case stride >= PageSize:
+		return int(pages)
+	}
+	page := va/PageSize + pages - 1 // the last page
+	lo := uint64(0)                 // the first and last access on it
+	if pages > 1 {
+		lo = (page*PageSize - va + stride - 1) / stride
+	}
+	hi := ((page+1)*PageSize - 1 - va) / stride
+	return int(lo + rng.Uint64()%(hi-lo+1) + 1)
+}
+
+// On an empty TLB TranslateSweep is in closed form; it must leave what
+// TranslateRun over each page segment leaves: the segment count, the
+// cycles, the counters, AppendState, and the same answers to a random
+// translation sequence afterwards (which also sees the clock and the
+// mapper's state). Random entry counts, strides of 0, under a page, a
+// page, several pages and not a power of two, random offsets, random or
+// contiguous mappings, and page counts P < E, P = E and P = kE, kE±1.
+// A TLB warmed and then flushed is empty too; a warm one walks.
+func TestTranslateSweepClosedForm(t *testing.T) {
+	rng := xrand.New(41)
+	strides := []uint64{0, 8, 64, 1000, 3000, PageSize, 5000, 2 * PageSize, 3*PageSize + 8}
+	regimes := map[string]int{}
+	for trial := 0; trial < 2000; trial++ {
+		entries := 1 + rng.Intn(48)
+		e := uint64(entries)
+		stride := strides[rng.Intn(len(strides))]
+		k := 1 + rng.Uint64()%4
+		regime := []string{"P < E", "P = E", "P = kE", "P = kE+1", "P = kE-1"}[rng.Intn(5)]
+		pages := map[string]uint64{"P < E": 1 + rng.Uint64()%e, "P = E": e, "P = kE": k * e, "P = kE+1": k*e + 1, "P = kE-1": k*e - 1}[regime]
+		if pages == 0 || stride == 0 {
+			pages, regime = 1, "P = 1"
+		}
+		va := rng.Uint64()%(1<<20)*PageSize + rng.Uint64()%PageSize
+		count := sweepCount(rng, va, stride, pages)
+		seed, contiguous := rng.Uint64(), rng.Intn(2) == 0
+		mapper := func() Mapper {
+			if contiguous {
+				return NewContiguousMapper(seed % (1 << 40))
+			}
+			return NewRandomMapper(seed, 1<<12)
+		}
+		closed, walked := NewTLB(entries, 25, mapper()), NewTLB(entries, 25, mapper())
+		warm := rng.Intn(3) // 0: fresh, 1: warm then flushed, 2: warm
+		for _, tlb := range []*TLB{closed, walked} {
+			r := xrand.New(seed)
+			for i := 0; i < 2*entries && warm > 0; i++ {
+				tlb.Translate(va + (r.Uint64()%(4*e)-2*e)*PageSize)
+			}
+			if warm == 1 {
+				tlb.Flush()
+			}
+		}
+		if closed.empty() != (warm < 2) {
+			t.Fatalf("trial %d: empty() = %v after warm state %d", trial, closed.empty(), warm)
+		}
+		if warm < 2 {
+			regimes[regime]++
+		}
+		ctx := fmt.Sprintf("trial %d (%d entries, stride %d, %d pages, count %d, va %#x, warm state %d)", trial, entries, stride, pages, count, va, warm)
+		gotPages, gotCycles := closed.TranslateSweep(va, stride, count)
+		wantPages, wantCycles := walkSweep(walked, va, stride, count)
+		if gotPages != wantPages || gotCycles != wantCycles || gotPages != pages {
+			t.Fatalf("%s: %d pages, %d cycles; the walk gives %d, %d", ctx, gotPages, gotCycles, wantPages, wantCycles)
+		}
+		compareTLBs(t, closed, walked, ctx)
+		r := xrand.New(seed + 1)
+		last := (va + uint64(count-1)*stride) / PageSize
+		for i := 0; i < 3*entries; i++ {
+			v := (last+e-r.Uint64()%(3*e))*PageSize + r.Uint64()%PageSize
+			pa, c := closed.Translate(v)
+			wantPA, wantC := walked.Translate(v)
+			if pa != wantPA || c != wantC {
+				t.Fatalf("%s: follow-up %d at %#x gives (%#x, %d), the walk (%#x, %d)", ctx, i, v, pa, c, wantPA, wantC)
+			}
+		}
+		compareTLBs(t, closed, walked, ctx+" after the follow-up")
+	}
+	t.Logf("closed-form sweeps by page count: %v", regimes)
+	for _, r := range []string{"P < E", "P = E", "P = kE", "P = kE+1", "P = kE-1"} {
+		if regimes[r] == 0 {
+			t.Fatalf("no closed-form sweep with %s", r)
+		}
+	}
+}
+
+func compareTLBs(t *testing.T, got, want *TLB, ctx string) {
+	t.Helper()
+	gh, gm := got.Stats()
+	wh, wm := want.Stats()
+	if gh != wh || gm != wm {
+		t.Fatalf("%s: %d hits, %d misses; the walk gives %d, %d", ctx, gh, gm, wh, wm)
+	}
+	if g, w := got.AppendState(nil), want.AppendState(nil); !slices.Equal(g, w) {
+		t.Fatalf("%s: state %v, the walk leaves %v", ctx, g, w)
 	}
 }

@@ -219,6 +219,74 @@ func (t *TLB) TranslateRun(va uint64, n int) (pa uint64, cycles int) {
 	return pa, cycles
 }
 
+// SamePage returns how many of the n accesses from va on, stride bytes
+// apart, fall on va's page.
+func SamePage(va, stride uint64, n int) int {
+	if stride > 0 {
+		left := PageSize - va%PageSize // bytes to page end
+		if k := int((left-1)/stride) + 1; k < n {
+			return k
+		}
+	}
+	return n
+}
+
+// TranslateSweep translates an ascending sweep of count >= 1 accesses
+// from va, stride bytes apart, whose range does not wrap around the
+// address space. It is exactly TranslateRun over each page segment of
+// the sweep in order (SamePage), and returns the number of segments and
+// the cycles they cost.
+//
+// On an empty TLB it is in closed form. The sweep's P pages are
+// distinct, so each misses, and page j fills slot
+// Entries-1-(j mod Entries): the last invalid slot while one is left,
+// then the least recently used one, which page j-Entries filled. The
+// last min(P, Entries) pages stay, each stamped with the clock at its
+// segment's last access, and the pass costs P misses and count-P hits.
+// The mapper still translates every page, in order, so its state moves
+// as the page walk would move it. Any other TLB walks the segments.
+func (t *TLB) TranslateSweep(va, stride uint64, count int) (pages, cycles uint64) {
+	if !t.empty() {
+		for j := 0; j < count; {
+			vaj := va + uint64(j)*stride
+			n := SamePage(vaj, stride, count-j)
+			_, c := t.TranslateRun(vaj, n)
+			cycles += uint64(c)
+			pages++
+			j += n
+		}
+		return pages, cycles
+	}
+	first := va / PageSize
+	pages = (va+uint64(count-1)*stride)/PageSize - first + 1
+	if stride >= PageSize {
+		pages = uint64(count) // one access per page
+	}
+	entries := uint64(len(t.slots))
+	for j := range pages {
+		vpn, last := first+j, uint64(count-1) // the page and its segment's last access
+		switch {
+		case stride >= PageSize:
+			vpn, last = (va+j*stride)/PageSize, j
+		case stride > 0:
+			last = min(last, ((vpn+1)*PageSize-1-va)/stride)
+		}
+		ppn := t.mapper.Translate(vpn*PageSize) / PageSize
+		if j+entries >= pages {
+			t.slots[entries-1-j%entries] = tlbSlot{vpn: vpn, ppn: ppn, valid: true, used: t.clock + last + 1}
+		}
+	}
+	t.clock += uint64(count)
+	t.hits += uint64(count) - pages
+	t.misses += pages
+	return pages, pages * uint64(t.MissPenalty)
+}
+
+// empty reports whether the TLB is enabled and holds no translation, as
+// after NewTLB or Flush. A miss fills the last invalid slot, so the last
+// slot is the first to be filled and stays valid until a Flush.
+func (t *TLB) empty() bool { return t.enabled && !t.slots[len(t.slots)-1].valid }
+
 // Mapper returns the mapper behind the TLB, nil for none.
 func (t *TLB) Mapper() Mapper { return t.mapper }
 

@@ -10,13 +10,14 @@
 // on the batched cache engine. A pass over a contiguous mapping (or
 // none) runs set-major: each cache set is walked once, the misses a set
 // is certain to take past its ways are accounted in closed form, and so
-// is every fill of a fresh or Reset hierarchy. Once such a pass proves
-// what every later pass does (cache.Hierarchy.AccessPass: from each
-// set's hits and misses, either the pass repeats itself or the next
-// pass hits at a level the pass filled), Runner.Run replays that later
-// pass's RunResult and counters instead of simulating the rest; see
-// internal/cache/CACHE.md. Passes over random page maps run line by
-// line and prove nothing, so every one of them is simulated.
+// is every fill of a fresh or Reset hierarchy, its TLB's included. Once
+// such a pass proves what every later pass does
+// (cache.Hierarchy.AccessPass: from each set's hits and misses, either
+// the pass repeats itself or the next pass hits at a level the pass
+// filled), Runner.Run replays that later pass's RunResult and counters
+// instead of simulating the rest; see internal/cache/CACHE.md. Passes
+// over random page maps run line by line and prove nothing, so every
+// one of them is simulated.
 package membench
 
 import (

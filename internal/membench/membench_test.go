@@ -63,6 +63,30 @@ func TestBandwidthDropsBeyondL1(t *testing.T) {
 	}
 }
 
+// An analytic bound: stride-1 bandwidth over an array four times the
+// last cache level, which streams from DRAM, stays below the spec's
+// sustained DRAM bandwidth on every built-in platform at every element
+// width. The simulator never reads mem_bandwidth; the bound holds
+// because every line fill pays the DRAM latency.
+func TestStreamBandwidthBelowDRAM(t *testing.T) {
+	for _, name := range platform.Names() {
+		p := platform.MustLookup(name)
+		last := p.Caches[len(p.Caches)-1]
+		for _, w := range cpu.Widths() {
+			res, err := Run(p, nil, Config{ArrayBytes: 4 * last.Size, Width: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ratio := res.Bandwidth / p.MemBandwidth
+			t.Logf("%s %v over %d MiB: %.3g B/s, %.3f of mem_bandwidth", name, w, 4*last.Size>>20, res.Bandwidth, ratio)
+			if !(ratio > 0 && ratio < 1) {
+				t.Errorf("%s %v: stride-1 bandwidth %.3g B/s over %d B, %.3f of the spec's %.3g B/s",
+					name, w, res.Bandwidth, 4*last.Size, ratio, p.MemBandwidth)
+			}
+		}
+	}
+}
+
 // Spatial locality: striding past the cache line makes every access miss
 // and effective bandwidth collapse.
 func TestStridePenalty(t *testing.T) {
