@@ -46,7 +46,13 @@
 // (the decision record is in SIMMPI.md). internal/simmpi/SIMMPI.md
 // documents the scheduler design and its determinism invariants; the
 // golden files under internal/experiments/testdata pin the quick-suite
-// bytes to the seed scheduler's output.
+// bytes to the seed scheduler's output. A traced run records straight
+// into a rank-major trace: each rank appends to its own start-ordered
+// interval list, a collective taking its slot when it begins, and the
+// commit loop appends the communication log in commit order, so no
+// trace is copied, sorted or regrouped (the order invariants and why
+// every consumer's output is unchanged are in the internal/trace
+// package doc).
 //
 // The memory side (internal/cache behind internal/mem) mirrors that
 // design: strided sweeps run on a batched engine (Hierarchy.AccessRun —

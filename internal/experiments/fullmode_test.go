@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+
+	"montblanc/internal/fault"
 )
 
 // The full-mode outputs of the membench experiments and of fig7, the
@@ -41,6 +43,43 @@ func TestFullModeMembenchDigests(t *testing.T) {
 		sum := sha256.Sum256(buf.Bytes())
 		if got := hex.EncodeToString(sum[:]); got != want[id] {
 			t.Errorf("%s full-mode output digest %s, want %s (%d bytes)", id, got, want[id], buf.Len())
+		}
+	}
+}
+
+// The full-mode outputs of the traced simulations, pinned by SHA-256:
+// fig4 renders its Gantt chart and congestion report from the trace,
+// energy-phases and the resilience experiments integrate it with
+// EnergyByState. The last case reruns resilience-sweep under the fault
+// schedule of the CI determinism smoke (MTBF 40 s, downtime 2 s), so
+// traces with outage gaps are pinned too. The digests were taken while
+// the trace was still one flat slice stable-sorted by (start, rank),
+// before it became rank-major.
+func TestFullModeTraceDigests(t *testing.T) {
+	faulty := &fault.Spec{MTBFSeconds: 40, DowntimeSeconds: 2}
+	for _, c := range []struct {
+		id    string
+		fault *fault.Spec
+		want  string
+	}{
+		{"fig4", nil, "7fa814047648ca85998bff978403cd25efeb348946d3fad05de1cffab3e40ed5"},
+		{"energy-phases", nil, "4ddad868a42b8b78ff07f41a9a9c2b5cfc318ce1115eb4f484dae68d35016beb"},
+		{"resilience-daly", nil, "18f1732782b2d43821b96185376b2d6085731a92e726c69c92cd1e55df3eeb03"},
+		{"resilience-sweep", nil, "10f39699a92129800d529ceea15cb6fa20bf74066bc188e38672619dc3933e91"},
+		{"resilience-sweep", faulty, "2ff6e9c174e14d3820987ae6a45a8df4cf5fe3e15a7e5a3a04b7d017d1d21d66"},
+	} {
+		e, ok := Find(c.id)
+		if !ok {
+			t.Fatalf("experiment %s not registered", c.id)
+		}
+		var buf bytes.Buffer
+		if err := e.Run(&buf, Options{Fault: c.fault}); err != nil {
+			t.Fatalf("%s (fault %v): %v", c.id, c.fault != nil, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s (fault %v) full-mode output digest %s, want %s (%d bytes)",
+				c.id, c.fault != nil, got, c.want, buf.Len())
 		}
 	}
 }

@@ -1,11 +1,14 @@
 package simmpi
 
 import (
+	"cmp"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"montblanc/internal/trace"
 	"montblanc/internal/xrand"
 )
 
@@ -40,13 +43,19 @@ type commitRecord struct {
 }
 
 // runBoth executes the same workload under the heap picker and the
-// linear-scan reference, returning both commit logs and reports.
+// linear-scan reference, returning both commit logs and reports. Under
+// both, committed ready times must never decrease: that is what keeps
+// the trace's communication log, appended in commit order, sorted by
+// send time without a sort.
 func runBoth(t *testing.T, cfg Config, body func(*Proc) error) (heapLog, scanLog []commitRecord, heapRep, scanRep *Report) {
 	t.Helper()
 	exec := func(linear bool) ([]commitRecord, *Report) {
 		cfg.Net.Reset() // both pickers start from pristine link state
 		var log []commitRecord
 		h := hooks{onCommit: func(kind opKind, rank int, ready float64) {
+			if n := len(log); n > 0 && ready < log[n-1].ready {
+				t.Errorf("linear=%v: commit %d (%s, rank %d) ready %v after %v", linear, n, kind, rank, ready, log[n-1].ready)
+			}
 			log = append(log, commitRecord{kind, rank, ready})
 		}}
 		if linear {
@@ -63,7 +72,9 @@ func runBoth(t *testing.T, cfg Config, body func(*Proc) error) (heapLog, scanLog
 	return
 }
 
-func assertEquivalent(t *testing.T, cfg Config, body func(*Proc) error) {
+// assertEquivalent runs the workload under both pickers, fails the test
+// on any difference, and returns the heap picker's report.
+func assertEquivalent(t *testing.T, cfg Config, body func(*Proc) error) *Report {
 	t.Helper()
 	heapLog, scanLog, heapRep, scanRep := runBoth(t, cfg, body)
 	if len(heapLog) != len(scanLog) {
@@ -84,12 +95,29 @@ func assertEquivalent(t *testing.T, cfg Config, body func(*Proc) error) {
 		t.Fatalf("drop counts differ: heap %d, scan %d", heapRep.Drops, scanRep.Drops)
 	}
 	if cfg.CollectTrace {
-		if !reflect.DeepEqual(heapRep.Trace.Intervals, scanRep.Trace.Intervals) {
+		if !reflect.DeepEqual(heapRep.Trace.ByRank, scanRep.Trace.ByRank) {
 			t.Fatal("trace intervals differ between pickers")
 		}
 		if !reflect.DeepEqual(heapRep.Trace.Comms, scanRep.Trace.Comms) {
 			t.Fatal("trace comms differ between pickers")
 		}
+		assertTraceOrder(t, heapRep.Trace)
+	}
+	return heapRep
+}
+
+// assertTraceOrder checks the trace's order invariants (the trace
+// package doc): every rank's list in start order, the comm log sorted
+// by send time.
+func assertTraceOrder(t *testing.T, tr *trace.Trace) {
+	t.Helper()
+	for r, ivs := range tr.ByRank {
+		if !slices.IsSortedFunc(ivs, func(a, b trace.Interval) int { return cmp.Compare(a.Start, b.Start) }) {
+			t.Fatalf("rank %d intervals not in start order: %+v", r, ivs)
+		}
+	}
+	if !slices.IsSortedFunc(tr.Comms, func(a, b trace.Comm) int { return cmp.Compare(a.Sent, b.Sent) }) {
+		t.Fatal("comm log not sorted by send time")
 	}
 }
 
@@ -126,9 +154,11 @@ func TestHeapMatchesScanUnderCongestion(t *testing.T) {
 
 // Property: on randomized symmetric workloads — mixed collectives,
 // skewed compute, ring point-to-point, random sizes crossing the
-// eager/rendezvous threshold — the heap and scan pickers commit the
-// same sequence and produce identical reports and traces.
+// eager/rendezvous threshold, with and without node outages — the heap
+// and scan pickers commit the same sequence, in ready order, and
+// produce identical reports and traces.
 func TestHeapScanEquivalenceProperty(t *testing.T) {
+	interrupted := 0 // runs an outage actually froze a rank in
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		ranks := 2 + rng.Intn(12)
@@ -142,7 +172,16 @@ func TestHeapScanEquivalenceProperty(t *testing.T) {
 		}
 		cfg := starConfig(ranks, per)
 		cfg.CollectTrace = seed%2 == 0
-		assertEquivalent(t, cfg, func(p *Proc) error {
+		if seed%3 != 0 {
+			// Outages of 0.1-2 ms inside the first 5 ms, where these
+			// programs run.
+			for i := rng.Intn(4); i >= 0; i-- {
+				start := rng.Float64() * 5e-3
+				cfg.Outages = append(cfg.Outages, Outage{Node: rng.Intn(cfg.Net.NumNodes),
+					Start: start, End: start + 1e-4 + rng.Float64()*2e-3})
+			}
+		}
+		rep := assertEquivalent(t, cfg, func(p *Proc) error {
 			for i, kind := range kinds {
 				var err error
 				switch kind {
@@ -182,9 +221,16 @@ func TestHeapScanEquivalenceProperty(t *testing.T) {
 			}
 			return nil
 		})
+		if rep.Faults.Interrupts > 0 {
+			interrupted++
+		}
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+	if interrupted == 0 {
+		t.Fatal("no run was interrupted by an outage")
+	}
+	t.Logf("%d of 30 runs interrupted by outages", interrupted)
 }

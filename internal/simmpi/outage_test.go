@@ -95,8 +95,8 @@ func TestOutageFreezesCompute(t *testing.T) {
 		t.Errorf("fault stats (%v down, %d interrupts), want (1.5, 1)", rep.Faults.DownSeconds, rep.Faults.Interrupts)
 	}
 	var got []trace.Interval
-	for _, iv := range rep.Trace.Intervals {
-		if iv.Rank == 1 && iv.Name == "w" {
+	for _, iv := range rep.Trace.ByRank[1] {
+		if iv.Name == "w" {
 			got = append(got, iv)
 		}
 	}
@@ -105,8 +105,8 @@ func TestOutageFreezesCompute(t *testing.T) {
 	}
 	// The down window itself is unrecorded — that absence is what lets
 	// trace.EnergyByState price it at idle watts.
-	for _, iv := range rep.Trace.Intervals {
-		if iv.Rank == 1 && iv.Start < 2 && iv.End > 0.5 {
+	for _, iv := range rep.Trace.ByRank[1] {
+		if iv.Start < 2 && iv.End > 0.5 {
 			t.Errorf("interval %v overlaps the down window", iv)
 		}
 	}
@@ -154,7 +154,7 @@ func TestOutageAfterCompletion(t *testing.T) {
 		t.Errorf("phantom outage fired: %v down, %d interrupts", got.Faults.DownSeconds, got.Faults.Interrupts)
 	}
 	if !reflect.DeepEqual(got.RankSeconds, ref.RankSeconds) ||
-		!reflect.DeepEqual(got.Trace.Intervals, ref.Trace.Intervals) {
+		!reflect.DeepEqual(got.Trace.ByRank, ref.Trace.ByRank) {
 		t.Error("an unreached outage window moved the simulation")
 	}
 }

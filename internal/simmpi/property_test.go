@@ -203,8 +203,10 @@ func TestDroppedRecvCounting(t *testing.T) {
 		t.Fatal("precondition: expected drops")
 	}
 	total := 0
-	for _, iv := range rep.Trace.Intervals {
-		total += iv.Dropped
+	for _, ivs := range rep.Trace.ByRank {
+		for _, iv := range ivs {
+			total += iv.Dropped
+		}
 	}
 	if uint64(total) != rep.Drops {
 		t.Errorf("interval drop counts %d != network drops %d", total, rep.Drops)

@@ -92,10 +92,10 @@ type Config struct {
 
 	// TraceHint is an optional capacity hint: the expected number of
 	// trace intervals one rank records. When CollectTrace is set it
-	// presizes the per-rank interval buffers and the shared
-	// communication log, eliminating append regrowth on long runs. It
-	// never affects results, only allocation behaviour; zero (or
-	// tracing off) means no preallocation.
+	// presizes the ranks' interval lists and the communication log,
+	// eliminating append regrowth on long runs. It never affects
+	// results, only allocation behaviour; zero (or tracing off) means no
+	// preallocation.
 	TraceHint int
 }
 
@@ -255,7 +255,10 @@ type world struct {
 	procs []*Proc
 	mail  []mailbox // indexed by destination rank
 	heap  opHeap
-	comms []trace.Comm
+	// tr is the run's trace, recorded in place (nil unless
+	// CollectTrace): each rank appends to its own list, and the commit
+	// loop to the communication log.
+	tr    *trace.Trace
 	hooks hooks
 	// pending is the table hooks.pick scans, refilled before every pick;
 	// nil without the hook.
@@ -281,10 +284,10 @@ type Proc struct {
 	rank, size   int
 	now          float64
 	w            *world
-	tr           *trace.Trace
-	collSeq      map[string]int // calls per collective name; nil until the first
-	droppedRecvs int            // running count of retransmitted messages received
-	err          error          // what the body returned, once it has
+	ivs          *[]trace.Interval // this rank's list in w.tr; nil unless tracing
+	collSeq      map[string]int    // calls per collective name; nil until the first
+	droppedRecvs int               // running count of retransmitted messages received
+	err          error             // what the body returned, once it has
 
 	// queue holds the rank's declared, uncommitted operations in program
 	// order: the rank appends at tail, the scheduler commits from head.
@@ -399,12 +402,10 @@ func (p *Proc) skipDown() {
 }
 
 func (p *Proc) record(kind trace.Kind, name string, start, end float64) {
-	if p.tr == nil {
+	if p.ivs == nil {
 		return
 	}
-	p.tr.AddInterval(trace.Interval{
-		Rank: p.rank, Kind: kind, Name: name, Start: start, End: end,
-	})
+	*p.ivs = append(*p.ivs, trace.Interval{Kind: kind, Name: name, Start: start, End: end})
 }
 
 // rankAborted is the panic value wait raises when the scheduler stops a
@@ -449,7 +450,7 @@ func (p *Proc) Send(dst, tag, bytes int) error {
 	o := p.declare(opSend)
 	o.peer, o.tag, o.bytes = int32(dst), tag, bytes
 	p.now = o.done()
-	if p.tr != nil {
+	if p.ivs != nil {
 		p.record(trace.StateSend, p.w.sendLabels[dst], start, p.now)
 	}
 	// A completion landing inside an outage is observed at the restart;
@@ -488,7 +489,7 @@ func (p *Proc) Recv(src, tag int) error {
 	if dropped {
 		p.droppedRecvs++
 	}
-	if p.tr != nil {
+	if p.ivs != nil {
 		p.record(trace.StateRecv, p.w.recvLabels[src], start, p.now)
 	}
 	p.skipDown() // deferred completion, as in Send
@@ -499,22 +500,25 @@ func (p *Proc) Recv(src, tag int) error {
 // name carries a per-rank sequence number so the same call site groups
 // across ranks ("alltoallv#3"). The interval records how many of the
 // rank's receives inside the collective were retransmitted — the
-// Figure 4 congestion evidence.
+// Figure 4 congestion evidence. It takes its slot in the rank's list
+// when the collective begins and gets its end when the body returns,
+// so the list stays in start order.
 func (p *Proc) Collective(name string, body func() error) error {
 	if p.collSeq == nil {
 		p.collSeq = map[string]int{}
 	}
 	seq := p.collSeq[name]
 	p.collSeq[name] = seq + 1
-	start := p.now
+	slot := -1
+	if p.ivs != nil {
+		slot = len(*p.ivs)
+		p.record(trace.StateCollective, name+"#"+strconv.Itoa(seq), p.now, p.now)
+	}
 	dropsBefore := p.droppedRecvs
 	err := body()
-	if p.tr != nil {
-		p.tr.AddInterval(trace.Interval{
-			Rank: p.rank, Kind: trace.StateCollective,
-			Name: name + "#" + strconv.Itoa(seq), Start: start, End: p.now,
-			Dropped: p.droppedRecvs - dropsBefore,
-		})
+	if slot >= 0 {
+		iv := &(*p.ivs)[slot]
+		iv.End, iv.Dropped = p.now, p.droppedRecvs-dropsBefore
 	}
 	return err
 }
@@ -551,9 +555,15 @@ func newWorld(cfg Config, body func(*Proc) error, h hooks) *world {
 			w.sendLabels[i] = "send->" + n
 			w.recvLabels[i] = "recv<-" + n
 		}
-		if cfg.TraceHint > 0 {
-			// Roughly half a rank's intervals are sends, each one comm.
-			w.comms = make([]trace.Comm, 0, cfg.Ranks*cfg.TraceHint/2)
+		w.tr = trace.New(cfg.Ranks)
+		if hint := cfg.TraceHint; hint > 0 {
+			// One slab cut into the ranks' lists. Roughly half a rank's
+			// intervals are sends, each one comm.
+			slab := make([]trace.Interval, cfg.Ranks*hint)
+			for r := range w.tr.ByRank {
+				w.tr.ByRank[r] = slab[r*hint : r*hint : (r+1)*hint]
+			}
+			w.tr.Comms = make([]trace.Comm, 0, cfg.Ranks*hint/2)
 		}
 	}
 	w.spawnProcs(body, capacity)
@@ -574,11 +584,8 @@ func (w *world) spawnProcs(body func(*Proc) error, capacity int) {
 			p.down = w.outages[w.node(r)]
 			p.skipDown() // a node down at t=0 boots its ranks at the restart
 		}
-		if cfg.CollectTrace {
-			p.tr = trace.New(cfg.Ranks)
-			if cfg.TraceHint > 0 {
-				p.tr.Reserve(cfg.TraceHint, 0)
-			}
+		if w.tr != nil {
+			p.ivs = &w.tr.ByRank[r]
 		}
 		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 			p.yield = yield
@@ -665,23 +672,6 @@ func faultTotals(procs []*Proc) FaultStats {
 	return fs
 }
 
-// mergeTrace assembles the final trace: per-rank intervals in rank
-// order plus the global communication log, then the canonical sort.
-func mergeTrace(cfg Config, procs []*Proc, comms []trace.Comm) *trace.Trace {
-	tr := trace.New(cfg.Ranks)
-	nIntervals := 0
-	for _, p := range procs {
-		nIntervals += len(p.tr.Intervals)
-	}
-	tr.Reserve(nIntervals, len(comms))
-	for _, p := range procs {
-		tr.Merge(p.tr)
-	}
-	tr.Comms = append(tr.Comms, comms...)
-	tr.Sort()
-	return tr
-}
-
 // run is Run with scheduler hooks (production callers pass the zero
 // value via Run; tests use the hooks to compare pickers and observe
 // commit order).
@@ -727,8 +717,8 @@ func run(cfg Config, body func(*Proc) error, h hooks) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			if cfg.CollectTrace {
-				w.comms = append(w.comms, trace.Comm{
+			if w.tr != nil {
+				w.tr.Comms = append(w.tr.Comms, trace.Comm{
 					Src: r, Dst: int(o.peer), Tag: o.tag, Bytes: o.bytes,
 					Sent: o.ready, Arrived: res.Arrival, Dropped: res.Dropped,
 				})
@@ -758,15 +748,12 @@ func run(cfg Config, body func(*Proc) error, h hooks) (*Report, error) {
 	}
 
 	stats.Wall = nowMonotonic() - start
-	rep := &Report{RankSeconds: endTimes, Drops: cfg.Net.Drops(), Sched: stats,
+	rep := &Report{RankSeconds: endTimes, Trace: w.tr, Drops: cfg.Net.Drops(), Sched: stats,
 		Faults: faultTotals(w.procs)}
 	for _, t := range endTimes {
 		if t > rep.Seconds {
 			rep.Seconds = t
 		}
-	}
-	if cfg.CollectTrace {
-		rep.Trace = mergeTrace(cfg, w.procs, w.comms)
 	}
 	recordEngineRun(stats)
 	return rep, nil

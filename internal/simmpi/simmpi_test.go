@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -767,14 +768,12 @@ func TestTraceCollection(t *testing.T) {
 	if len(rep.Trace.Comms) == 0 {
 		t.Error("no comms recorded")
 	}
-	found := false
-	for _, iv := range rep.Trace.Intervals {
-		if iv.Kind == trace.StateCompute && iv.Name == "step" {
-			found = true
+	for r, ivs := range rep.Trace.ByRank {
+		if !slices.ContainsFunc(ivs, func(iv trace.Interval) bool {
+			return iv.Kind == trace.StateCompute && iv.Name == "step"
+		}) {
+			t.Errorf("rank %d: compute interval missing", r)
 		}
-	}
-	if !found {
-		t.Error("compute interval missing")
 	}
 }
 

@@ -52,31 +52,47 @@ func (b EnergyBreakdown) Joules(s power.State) float64 { return b.ByState[s] }
 // Overlapping intervals resolve exactly like the Gantt rendering —
 // collectives paint over everything, explicitly idle intervals are
 // transparent (they paint the blank glyph, so anything else shows
-// through), otherwise the first-recorded interval wins — so the energy
-// accounting and the timeline picture always agree. Malformed
-// intervals are clamped to [0, makespan] and inverted ones ignored.
-// prof is charged per rank.
+// through), otherwise the interval first in the rank's list wins — so
+// the energy accounting and the timeline picture always agree.
+// Malformed intervals are clamped to [0, makespan] and inverted ones
+// ignored. prof is charged per rank.
 func (t *Trace) EnergyByState(prof power.Profile) EnergyBreakdown {
 	b := EnergyBreakdown{
 		Seconds:        t.Duration(),
 		SecondsByState: map[power.State]float64{},
 		ByState:        map[power.State]float64{},
-		ByRank:         make([]float64, t.Ranks),
+		ByRank:         make([]float64, len(t.ByRank)),
 	}
-	if b.Seconds <= 0 || t.Ranks <= 0 {
+	if b.Seconds <= 0 {
 		return b
 	}
-	// Per-rank interval lists, recorded order preserved for the
-	// first-writer rule.
-	perRank := make([][]Interval, t.Ranks)
-	for _, iv := range t.Intervals {
-		if iv.Rank < 0 || iv.Rank >= t.Ranks || iv.End < iv.Start {
-			continue
-		}
+	for rank, ivs := range t.ByRank {
+		integrateRank(&b, ivs, rank, prof)
+	}
+	return b
+}
+
+// event is one interval boundary of a rank's sweep line.
+type event struct {
+	t    float64
+	idx  int // index into the rank's interval list
+	open bool
+}
+
+// integrateRank charges one rank from 0 to the horizon with a single
+// sweep over its interval boundaries — O(N log N) in the rank's
+// interval count, not a rescan of every interval per segment. It reads
+// the rank's list in place, clamping and filtering as it builds the
+// events. An active-set min-heap of list indices implements the
+// first-writer rule; a counter implements collectives-paint-over-
+// everything.
+func integrateRank(b *EnergyBreakdown, ivs []Interval, rank int, prof power.Profile) {
+	events := make([]event, 0, 2*len(ivs))
+	for i, iv := range ivs {
 		// Idle-drawing kinds are transparent, exactly as in Gantt: they
 		// paint the blank glyph, so they neither hide other intervals
 		// nor change what a gap would be charged anyway.
-		if iv.Kind.PowerState() == power.StateIdle {
+		if iv.End < iv.Start || iv.Kind.PowerState() == power.StateIdle {
 			continue
 		}
 		if iv.Start < 0 {
@@ -88,29 +104,6 @@ func (t *Trace) EnergyByState(prof power.Profile) EnergyBreakdown {
 		if iv.End <= iv.Start {
 			continue
 		}
-		perRank[iv.Rank] = append(perRank[iv.Rank], iv)
-	}
-	for rank := 0; rank < t.Ranks; rank++ {
-		integrateRank(&b, perRank[rank], rank, prof)
-	}
-	return b
-}
-
-// event is one interval boundary of a rank's sweep line.
-type event struct {
-	t    float64
-	idx  int // index into the rank's interval slice
-	open bool
-}
-
-// integrateRank charges one rank from 0 to the horizon with a single
-// sweep over its interval boundaries — O(N log N) in the rank's
-// interval count, not a rescan of every interval per segment. An
-// active-set min-heap of recorded indices implements the first-writer
-// rule; a counter implements collectives-paint-over-everything.
-func integrateRank(b *EnergyBreakdown, ivs []Interval, rank int, prof power.Profile) {
-	events := make([]event, 0, 2*len(ivs))
-	for i, iv := range ivs {
 		events = append(events, event{iv.Start, i, true}, event{iv.End, i, false})
 	}
 	sort.Slice(events, func(i, j int) bool { return events[i].t < events[j].t })
@@ -163,8 +156,8 @@ func integrateRank(b *EnergyBreakdown, ivs []Interval, rank int, prof power.Prof
 	charge(b.Seconds) // trailing idle after the rank's last interval
 }
 
-// indexHeap is a min-heap of interval indices: the top is the
-// first-recorded open interval.
+// indexHeap is a min-heap of interval indices: the top is the open
+// interval first in the rank's list.
 type indexHeap []int
 
 func (h indexHeap) Len() int            { return len(h) }

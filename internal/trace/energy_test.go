@@ -21,11 +21,10 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 //
 // makespan 4s. Energy: r0 = 20 + 4 + 1 = 25 J; r1 = 8 + 12 = 20 J.
 func TestEnergyByStateHandComputed(t *testing.T) {
-	tr := New(2)
-	tr.AddInterval(Interval{Rank: 0, Kind: StateCompute, Start: 0, End: 2})
-	tr.AddInterval(Interval{Rank: 0, Kind: StateSend, Start: 2, End: 3})
-	tr.AddInterval(Interval{Rank: 1, Kind: StateMemory, Start: 0, End: 1})
-	tr.AddInterval(Interval{Rank: 1, Kind: StateCollective, Name: "a2a#0", Start: 1, End: 4})
+	tr := &Trace{ByRank: [][]Interval{
+		{{Kind: StateCompute, Start: 0, End: 2}, {Kind: StateSend, Start: 2, End: 3}},
+		{{Kind: StateMemory, Start: 0, End: 1}, {Kind: StateCollective, Name: "a2a#0", Start: 1, End: 4}},
+	}}
 
 	b := tr.EnergyByState(phased)
 	if b.Seconds != 4 {
@@ -59,10 +58,11 @@ func TestEnergyByStateHandComputed(t *testing.T) {
 // A uniform profile must reduce the breakdown exactly to the paper's
 // constant model: ranks x makespan x envelope, whatever the phase mix.
 func TestEnergyByStateUniformReducesToConstantModel(t *testing.T) {
-	tr := New(3)
-	tr.AddInterval(Interval{Rank: 0, Kind: StateCompute, Start: 0, End: 1.5})
-	tr.AddInterval(Interval{Rank: 1, Kind: StateRecv, Start: 0.25, End: 2})
-	tr.AddInterval(Interval{Rank: 2, Kind: StateCollective, Start: 1, End: 1.75})
+	tr := &Trace{ByRank: [][]Interval{
+		{{Kind: StateCompute, Start: 0, End: 1.5}},
+		{{Kind: StateRecv, Start: 0.25, End: 2}},
+		{{Kind: StateCollective, Start: 1, End: 1.75}},
+	}}
 
 	u := power.Uniform("board", 2.5)
 	b := tr.EnergyByState(u)
@@ -81,10 +81,11 @@ func TestEnergyByStateUniformReducesToConstantModel(t *testing.T) {
 // a collective interval wraps the point-to-points it is built from), so
 // the whole span draws communication power once, not twice.
 func TestEnergyByStateCollectivePaintsOver(t *testing.T) {
-	tr := New(1)
-	tr.AddInterval(Interval{Rank: 0, Kind: StateCollective, Name: "a2a#0", Start: 0, End: 2})
-	tr.AddInterval(Interval{Rank: 0, Kind: StateSend, Start: 0.5, End: 1})
-	tr.AddInterval(Interval{Rank: 0, Kind: StateRecv, Start: 1, End: 1.5})
+	tr := &Trace{ByRank: [][]Interval{{
+		{Kind: StateCollective, Name: "a2a#0", Start: 0, End: 2},
+		{Kind: StateSend, Start: 0.5, End: 1},
+		{Kind: StateRecv, Start: 1, End: 1.5},
+	}}}
 
 	b := tr.EnergyByState(phased)
 	if !almost(b.ByState[power.StateComm], 8) {
@@ -95,13 +96,13 @@ func TestEnergyByStateCollectivePaintsOver(t *testing.T) {
 	}
 }
 
-// Malformed intervals are clamped to the horizon, inverted ones and
-// out-of-range ranks dropped.
+// Malformed intervals are clamped to the horizon, inverted ones
+// dropped.
 func TestEnergyByStateMalformedIntervals(t *testing.T) {
-	tr := New(1)
-	tr.AddInterval(Interval{Rank: 0, Kind: StateCompute, Start: -5, End: 1})
-	tr.AddInterval(Interval{Rank: 0, Kind: StateSend, Start: 2, End: 1})    // inverted
-	tr.AddInterval(Interval{Rank: 7, Kind: StateCompute, Start: 0, End: 1}) // no such rank
+	tr := &Trace{ByRank: [][]Interval{{
+		{Kind: StateCompute, Start: -5, End: 1},
+		{Kind: StateSend, Start: 2, End: 1}, // inverted
+	}}}
 	b := tr.EnergyByState(phased)
 	// Horizon is 1s: compute [0,1) at 10 W.
 	if !almost(b.Total, 10) {
@@ -137,15 +138,17 @@ func TestKindPowerState(t *testing.T) {
 }
 
 // Regression: an interval with a negative Start used to compute a
-// negative bucket index and panic; intervals beyond the makespan could
-// do the same on the high side after a bad Merge. Both ends clamp now.
+// negative bucket index and panic; an interval ending at the makespan
+// could do the same on the high side. Both ends clamp now.
 func TestGanttClampsMalformedIntervals(t *testing.T) {
-	tr := New(2)
-	tr.AddInterval(Interval{Rank: 0, Kind: StateSend, Start: -0.5, End: 0.25})
-	tr.AddInterval(Interval{Rank: 0, Kind: StateCompute, Start: 0, End: 1})
-	tr.AddInterval(Interval{Rank: 1, Kind: StateRecv, Start: -3, End: -1})
-	tr.AddInterval(Interval{Rank: 1, Kind: StateCollective, Start: 0.5, End: 2})
-	tr.AddInterval(Interval{Rank: 1, Kind: StateCompute, Start: 5, End: 1}) // inverted
+	tr := &Trace{ByRank: [][]Interval{
+		{{Kind: StateSend, Start: -0.5, End: 0.25}, {Kind: StateCompute, Start: 0, End: 1}},
+		{
+			{Kind: StateRecv, Start: -3, End: -1},
+			{Kind: StateCollective, Start: 0.5, End: 2},
+			{Kind: StateCompute, Start: 5, End: 1}, // inverted
+		},
+	}}
 	g := tr.Gantt(10)
 	if g == "" {
 		t.Fatal("no Gantt output")
@@ -175,8 +178,8 @@ func TestEnergyByStateMatchesBruteForce(t *testing.T) {
 		n := 1 + rng.Intn(30)
 		for i := 0; i < n; i++ {
 			start := rng.Float64() * 10
-			tr.AddInterval(Interval{
-				Rank:  rng.Intn(3),
+			r := rng.Intn(3)
+			tr.ByRank[r] = append(tr.ByRank[r], Interval{
 				Kind:  kinds[rng.Intn(len(kinds))],
 				Start: start,
 				End:   start + rng.Float64()*3,
@@ -198,10 +201,10 @@ func TestEnergyByStateMatchesBruteForce(t *testing.T) {
 func bruteForceEnergy(t *Trace, prof power.Profile) map[power.State]float64 {
 	total := t.Duration()
 	out := map[power.State]float64{}
-	for rank := 0; rank < t.Ranks; rank++ {
+	for _, list := range t.ByRank {
 		var ivs []Interval
-		for _, iv := range t.Intervals {
-			if iv.Rank != rank || iv.End < iv.Start {
+		for _, iv := range list {
+			if iv.End < iv.Start {
 				continue
 			}
 			if iv.Start < 0 {
@@ -259,9 +262,10 @@ func bruteForceEnergy(t *Trace, prof power.Profile) map[power.State]float64 {
 // through in the chart AND gets the joules — picture and accounting
 // agree.
 func TestEnergyByStateIdleIntervalsTransparent(t *testing.T) {
-	tr := New(1)
-	tr.AddInterval(Interval{Rank: 0, Kind: StateIdle, Start: 0, End: 10})
-	tr.AddInterval(Interval{Rank: 0, Kind: StateCompute, Start: 0, End: 10})
+	tr := &Trace{ByRank: [][]Interval{{
+		{Kind: StateIdle, Start: 0, End: 10},
+		{Kind: StateCompute, Start: 0, End: 10},
+	}}}
 	b := tr.EnergyByState(phased)
 	if !almost(b.ByState[power.StateCompute], 100) || b.ByState[power.StateIdle] != 0 {
 		t.Errorf("ByState = %v, want 100 J compute, 0 J idle", b.ByState)

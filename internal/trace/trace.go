@@ -5,13 +5,40 @@
 // Paraver timelines, and implements the Figure 4 analysis: finding
 // all_to_all_v instances delayed by switch-dropped messages and
 // classifying whether all ranks or only part of them were hit.
+//
+// # Rank-major order
+//
+// ByRank[r] is rank r's own interval list, one Paraver row; no flat
+// list of every rank's intervals exists. The simulator (internal/simmpi)
+// records into the trace in place and keeps two invariants:
+//
+//   - Each rank's list is in start order. A send, recv, compute or
+//     memory interval is appended when it ends, and nothing else is
+//     recorded for its rank meanwhile. A collective takes its slot when
+//     it begins, before anything its body records, and gets its End
+//     and Dropped when the body returns.
+//   - Comms is the log in commit order. Commits go in (ready, rank)
+//     order with ready times that never decrease, and a send's ready
+//     time is its Sent, so the log is sorted by Sent.
+//
+// The flat trace this replaced appended a collective when its body
+// returned, concatenated the ranks' lists and stable-sorted them by
+// (start, rank), and Comms by Sent. Every consumer gives exactly what
+// it gave on that order, for finite times: the sorts moved no
+// non-collective interval within its rank and no comm, so only where a
+// collective sits among same-start intervals of its rank differs.
+// Gantt and EnergyByState paint a collective over everything wherever
+// it sits, and their first-writer rule compares only the other
+// intervals. Collectives orders each instance's intervals by (start,
+// rank), the flat order (a rank has at most one interval per instance,
+// since it numbers its own calls), so Durations and the sums of
+// AnalyzeCongestion are bit for bit the same.
 package trace
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -68,9 +95,9 @@ func (k Kind) glyph() rune {
 	}
 }
 
-// Interval is one state of one rank over [Start, End).
+// Interval is one state of one rank over [Start, End). Its rank is the
+// list it is in (Trace.ByRank).
 type Interval struct {
-	Rank  int
 	Kind  Kind
 	Name  string // e.g. "alltoallv#3"
 	Start float64
@@ -90,42 +117,25 @@ type Comm struct {
 	Dropped              bool // suffered a buffer overrun somewhere
 }
 
-// Trace is a complete recording of one run.
+// Trace is a complete recording of one run: ByRank[r] holds rank r's
+// intervals, and Comms the messages in commit order (see the package
+// doc for the order invariants).
 type Trace struct {
-	Ranks     int
-	Intervals []Interval
-	Comms     []Comm
+	ByRank [][]Interval
+	Comms  []Comm
 }
 
 // New returns an empty trace over the given number of ranks.
-func New(ranks int) *Trace { return &Trace{Ranks: ranks} }
-
-// AddInterval appends a state interval.
-func (t *Trace) AddInterval(iv Interval) { t.Intervals = append(t.Intervals, iv) }
-
-// Reserve grows the interval and comm buffers to at least the given
-// total capacities, so recorders that know their event counts up front
-// (simmpi sizes them from its config) avoid append regrowth. It never
-// shrinks and never changes contents.
-func (t *Trace) Reserve(intervals, comms int) {
-	if n := len(t.Intervals); intervals > cap(t.Intervals) {
-		grown := make([]Interval, n, intervals)
-		copy(grown, t.Intervals)
-		t.Intervals = grown
-	}
-	if n := len(t.Comms); comms > cap(t.Comms) {
-		grown := make([]Comm, n, comms)
-		copy(grown, t.Comms)
-		t.Comms = grown
-	}
-}
+func New(ranks int) *Trace { return &Trace{ByRank: make([][]Interval, ranks)} }
 
 // Duration returns the end time of the last interval or comm.
 func (t *Trace) Duration() float64 {
 	end := 0.0
-	for _, iv := range t.Intervals {
-		if iv.End > end {
-			end = iv.End
+	for _, ivs := range t.ByRank {
+		for _, iv := range ivs {
+			if iv.End > end {
+				end = iv.End
+			}
 		}
 	}
 	for _, c := range t.Comms {
@@ -134,26 +144,6 @@ func (t *Trace) Duration() float64 {
 		}
 	}
 	return end
-}
-
-// Merge appends the contents of other into t (used to combine per-rank
-// buffers after a run).
-func (t *Trace) Merge(other *Trace) {
-	t.Intervals = append(t.Intervals, other.Intervals...)
-	t.Comms = append(t.Comms, other.Comms...)
-}
-
-// Sort orders intervals by (start, rank) and comms by send time, making
-// traces deterministic regardless of collection order. Both sorts are
-// stable and generic: no reflection moves the elements.
-func (t *Trace) Sort() {
-	slices.SortStableFunc(t.Intervals, func(a, b Interval) int {
-		if c := cmp.Compare(a.Start, b.Start); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Rank, b.Rank)
-	})
-	slices.SortStableFunc(t.Comms, func(a, b Comm) int { return cmp.Compare(a.Sent, b.Sent) })
 }
 
 // Instance aggregates one collective instance across ranks.
@@ -170,13 +160,20 @@ type Instance struct {
 }
 
 // Collectives groups collective intervals whose name starts with prefix
-// by instance name, ordered by start time.
+// by instance name, ordered by start time. Each instance lists its
+// Durations in (start, rank) order.
 func (t *Trace) Collectives(prefix string) []Instance {
-	byName := map[string]*Instance{}
-	for _, iv := range t.Intervals {
-		if iv.Kind != StateCollective || !strings.HasPrefix(iv.Name, prefix) {
-			continue
+	var ivs []Interval // stable by start over rank order: (start, rank)
+	for _, list := range t.ByRank {
+		for _, iv := range list {
+			if iv.Kind == StateCollective && strings.HasPrefix(iv.Name, prefix) {
+				ivs = append(ivs, iv)
+			}
 		}
+	}
+	slices.SortStableFunc(ivs, func(a, b Interval) int { return cmp.Compare(a.Start, b.Start) })
+	byName := map[string]*Instance{}
+	for _, iv := range ivs {
 		in, ok := byName[iv.Name]
 		if !ok {
 			in = &Instance{Name: iv.Name, Start: iv.Start, End: iv.End}
@@ -199,11 +196,11 @@ func (t *Trace) Collectives(prefix string) []Instance {
 	for _, in := range byName {
 		out = append(out, *in)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+	slices.SortFunc(out, func(a, b Instance) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return out[i].Name < out[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	return out
 }
@@ -273,42 +270,39 @@ func (t *Trace) Gantt(width int) string {
 	if total <= 0 {
 		return ""
 	}
-	rows := make([][]rune, t.Ranks)
-	for r := range rows {
-		rows[r] = []rune(strings.Repeat(" ", width))
-	}
-	for _, iv := range t.Intervals {
-		if iv.Rank < 0 || iv.Rank >= t.Ranks {
-			continue
-		}
-		// An inverted interval, or one lying wholly outside [0, makespan],
-		// carries no drawable time — skip it, exactly as EnergyByState
-		// drops it from the accounting.
-		if iv.End < iv.Start || iv.End <= 0 || iv.Start >= total {
-			continue
-		}
-		// Clamp both bucket indexes to [0, width-1]: a partially
-		// out-of-range interval (negative Start, or an End beyond the
-		// makespan after a bad Merge) must not index outside the row.
-		lo := int(iv.Start / total * float64(width))
-		hi := int(iv.End / total * float64(width))
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= width {
-			hi = width - 1
-		}
-		for c := lo; c <= hi; c++ {
-			// Collectives paint over everything; otherwise first writer
-			// wins within a bucket.
-			if iv.Kind == StateCollective || rows[iv.Rank][c] == ' ' {
-				rows[iv.Rank][c] = iv.Kind.glyph()
-			}
-		}
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "time: 0 .. %.4fs\n", total)
-	for r, row := range rows {
+	row := make([]rune, width)
+	for r, ivs := range t.ByRank {
+		for c := range row {
+			row[c] = ' '
+		}
+		for _, iv := range ivs {
+			// An inverted interval, or one lying wholly outside [0,
+			// makespan], carries no drawable time — skip it, exactly as
+			// EnergyByState drops it from the accounting.
+			if iv.End < iv.Start || iv.End <= 0 || iv.Start >= total {
+				continue
+			}
+			// Clamp both bucket indexes to [0, width-1]: a negative Start
+			// must not index before the row, nor an End at the makespan
+			// past it.
+			lo := int(iv.Start / total * float64(width))
+			hi := int(iv.End / total * float64(width))
+			if lo < 0 {
+				lo = 0
+			}
+			if hi >= width {
+				hi = width - 1
+			}
+			for c := lo; c <= hi; c++ {
+				// Collectives paint over everything; otherwise first writer
+				// wins within a bucket.
+				if iv.Kind == StateCollective || row[c] == ' ' {
+					row[c] = iv.Kind.glyph()
+				}
+			}
+		}
 		fmt.Fprintf(&b, "rank %3d |%s|\n", r, string(row))
 	}
 	return b.String()

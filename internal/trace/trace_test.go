@@ -17,27 +17,11 @@ func TestDuration(t *testing.T) {
 	if tr.Duration() != 0 {
 		t.Error("empty trace duration != 0")
 	}
-	tr.AddInterval(Interval{Rank: 0, Kind: StateCompute, Start: 0, End: 2})
-	tr.AddInterval(Interval{Rank: 1, Kind: StateCompute, Start: 1, End: 3})
+	tr.ByRank[0] = []Interval{{Kind: StateCompute, Start: 0, End: 2}}
+	tr.ByRank[1] = []Interval{{Kind: StateCompute, Start: 1, End: 3}}
 	tr.Comms = append(tr.Comms, Comm{Src: 0, Dst: 1, Sent: 2, Arrived: 4.5})
 	if d := tr.Duration(); d != 4.5 {
 		t.Errorf("duration = %v, want 4.5", d)
-	}
-}
-
-func TestMergeAndSort(t *testing.T) {
-	a := New(2)
-	a.AddInterval(Interval{Rank: 1, Start: 5, End: 6})
-	b := New(2)
-	b.AddInterval(Interval{Rank: 0, Start: 1, End: 2})
-	b.Comms = append(b.Comms, Comm{Sent: 3, Arrived: 4})
-	a.Merge(b)
-	a.Sort()
-	if len(a.Intervals) != 2 || a.Intervals[0].Start != 1 {
-		t.Errorf("merge/sort wrong: %+v", a.Intervals)
-	}
-	if len(a.Comms) != 1 {
-		t.Error("comms not merged")
 	}
 }
 
@@ -55,16 +39,17 @@ func buildCollectiveTrace() *Trace {
 			if inst == 2 && rank == 3 {
 				d = 8.0 // one rank delayed
 			}
-			tr.AddInterval(Interval{
-				Rank: rank, Kind: StateCollective,
+			tr.ByRank[rank] = append(tr.ByRank[rank], Interval{
+				Kind:  StateCollective,
 				Name:  "alltoallv#" + string(rune('0'+inst)),
 				Start: base, End: base + d,
 			})
 		}
 	}
 	// Unrelated collectives and computes must not pollute the analysis.
-	tr.AddInterval(Interval{Rank: 0, Kind: StateCollective, Name: "barrier#0", Start: 40, End: 49})
-	tr.AddInterval(Interval{Rank: 0, Kind: StateCompute, Name: "work", Start: 50, End: 59})
+	tr.ByRank[0] = append(tr.ByRank[0],
+		Interval{Kind: StateCollective, Name: "barrier#0", Start: 40, End: 49},
+		Interval{Kind: StateCompute, Name: "work", Start: 50, End: 59})
 	return tr
 }
 
@@ -96,10 +81,10 @@ func TestAnalyzeEmptyTrace(t *testing.T) {
 }
 
 func TestGanttRendering(t *testing.T) {
-	tr := New(2)
-	tr.AddInterval(Interval{Rank: 0, Kind: StateCompute, Start: 0, End: 5})
-	tr.AddInterval(Interval{Rank: 0, Kind: StateCollective, Name: "alltoallv#0", Start: 5, End: 10})
-	tr.AddInterval(Interval{Rank: 1, Kind: StateRecv, Start: 0, End: 10})
+	tr := &Trace{ByRank: [][]Interval{
+		{{Kind: StateCompute, Start: 0, End: 5}, {Kind: StateCollective, Name: "alltoallv#0", Start: 5, End: 10}},
+		{{Kind: StateRecv, Start: 0, End: 10}},
+	}}
 	out := tr.Gantt(40)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 {
@@ -123,8 +108,7 @@ func TestGanttEmpty(t *testing.T) {
 }
 
 func TestGanttDefaultWidth(t *testing.T) {
-	tr := New(1)
-	tr.AddInterval(Interval{Rank: 0, Kind: StateCompute, Start: 0, End: 1})
+	tr := &Trace{ByRank: [][]Interval{{{Kind: StateCompute, Start: 0, End: 1}}}}
 	out := tr.Gantt(0)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines[1]) < 80 {
@@ -132,34 +116,19 @@ func TestGanttDefaultWidth(t *testing.T) {
 	}
 }
 
-func TestGanttIgnoresOutOfRangeRanks(t *testing.T) {
-	tr := New(1)
-	tr.AddInterval(Interval{Rank: 5, Kind: StateCompute, Start: 0, End: 1})
-	tr.AddInterval(Interval{Rank: 0, Kind: StateCompute, Start: 0, End: 1})
-	out := tr.Gantt(10)
-	if !strings.Contains(out, "rank   0") {
-		t.Errorf("gantt = %q", out)
-	}
-}
-
-func TestReserveGrowsWithoutChangingContents(t *testing.T) {
-	tr := New(2)
-	tr.AddInterval(Interval{Rank: 0, Kind: StateCompute, Start: 0, End: 1})
-	tr.Comms = append(tr.Comms, Comm{Src: 0, Dst: 1, Bytes: 10, Sent: 0, Arrived: 1})
-	tr.Reserve(100, 200)
-	if cap(tr.Intervals) < 100 || cap(tr.Comms) < 200 {
-		t.Errorf("Reserve did not grow: caps %d/%d", cap(tr.Intervals), cap(tr.Comms))
-	}
-	if len(tr.Intervals) != 1 || len(tr.Comms) != 1 {
-		t.Fatalf("Reserve changed lengths: %d/%d", len(tr.Intervals), len(tr.Comms))
-	}
-	if tr.Intervals[0].End != 1 || tr.Comms[0].Bytes != 10 {
-		t.Error("Reserve changed contents")
-	}
-	// Reserving less than current capacity must not shrink.
-	before := cap(tr.Intervals)
-	tr.Reserve(1, 1)
-	if cap(tr.Intervals) != before {
-		t.Error("Reserve shrank a buffer")
+// Row r is rank r's list: a rank with no intervals still gets its
+// (blank) row, and every rank's intervals land in their own row.
+func TestGanttOneRowPerRank(t *testing.T) {
+	tr := &Trace{ByRank: [][]Interval{
+		{{Kind: StateCompute, Start: 0, End: 1}},
+		nil,
+		{{Kind: StateMemory, Start: 0, End: 1}},
+	}}
+	want := "time: 0 .. 1.0000s\n" +
+		"rank   0 |==========|\n" +
+		"rank   1 |          |\n" +
+		"rank   2 |mmmmmmmmmm|\n"
+	if out := tr.Gantt(10); out != want {
+		t.Errorf("gantt =\n%s\nwant\n%s", out, want)
 	}
 }
