@@ -467,9 +467,10 @@ func BenchmarkMembenchFig3(b *testing.B) {
 }
 
 // BenchmarkMembenchStridedSweep walks one 64 MiB array across the
-// stride spectrum — line-resident through page-skipping — on one warm
-// runner, the engine's three regimes (bulk hits, per-line machinery,
-// per-access machinery) in a single metric.
+// stride spectrum — line-resident through page-skipping — on one
+// Runner, each stride's Run starting cold: the engine's three regimes
+// (bulk hits, per-line machinery, per-access machinery) in a single
+// metric.
 func BenchmarkMembenchStridedSweep(b *testing.B) {
 	r, err := membench.NewRunner(platform.MustLookup("XeonX5550"), mem.NewContiguousMapper(0))
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"montblanc/internal/experiments"
 	"montblanc/internal/platform"
@@ -530,6 +531,34 @@ func TestFaultFlagValidation(t *testing.T) {
 				t.Errorf("stderr %q lacks %q", errOut, tc.wantErr)
 			}
 		})
+	}
+}
+
+// A checkpoint interval that would split the work into more segments
+// than the resilience probe takes is an experiment error, reported
+// before anything is simulated: the run exits 1 within a second, naming
+// the interval. (A machine whose flop rate makes work / interval pass
+// the int range is core.TestResilienceProbeBoundsSegments' case: a
+// file-registered machine would stay in the registry for every later
+// test here.)
+func TestCheckpointIntervalSegmentBound(t *testing.T) {
+	type result struct {
+		code   int
+		errOut string
+	}
+	done := make(chan result, 1)
+	go func() {
+		var out, errBuf bytes.Buffer
+		code := run([]string{"-quick", "-checkpoint-interval", "1e-7", "resilience-sweep"}, &out, &errBuf)
+		done <- result{code, errBuf.String()}
+	}()
+	select {
+	case r := <-done:
+		if want := "checkpoint interval 1e-07s"; r.code != 1 || !strings.Contains(r.errOut, want) {
+			t.Fatalf("exit %d, stderr %q; want exit 1 naming %q", r.code, r.errOut, want)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("still running after a second")
 	}
 }
 

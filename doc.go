@@ -64,8 +64,10 @@
 // repeating the pass or hitting at the level it filled, so that they
 // are replayed, not simulated) with the element-at-a-time path retained
 // as the bit-exact reference, pinned by equivalence property suites and
-// AllocsPerRun guards. Every scale-membench, locality and fig6 cell and
-// every fig7 variant starts from a reset hierarchy, one per platform.
+// AllocsPerRun guards. Every membench measurement starts cold
+// (membench.Runner.Run resets its hierarchy before its first pass), so
+// each sweep reuses one Runner per platform, and every fig7 variant
+// starts from a reset hierarchy, one per platform.
 // The scale-membench experiment and the BenchmarkMembench* family cover
 // the related-work working sets (hundreds of MB) the scalar simulator
 // could not afford;

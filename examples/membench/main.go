@@ -45,8 +45,7 @@ func main() {
 	var worst stats.Modes
 	var worstStreaks stats.Streaks
 	for seed := uint64(1); seed <= 10; seed++ {
-		env := osmodel.ARMRealTimeEnvironment(seed)
-		ms, err := membench.Sweep(snowball, env, sizes, 20)
+		ms, err := membench.Sweep(snowball, seed, sizes, 20)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,6 +12,14 @@ import (
 	"montblanc/internal/trace"
 )
 
+// maxSegments bounds how many checkpoint intervals one probe may split
+// its work into. The resilience experiments use at most a few hundred
+// and the tests about 18,000; a count past the cap is almost always a
+// unit mix-up, and simulating it would hold a simulation slot for
+// minutes. The count is computed in float64, so a tiny interval or a
+// vanishing flop rate cannot overflow it into a small one.
+const maxSegments = 1 << 16
+
 // ResilienceConfig parameterizes the checkpointing mini-app behind the
 // resilience experiments: every node performs a fixed amount of useful
 // work split into checkpoint intervals, writes a checkpoint image
@@ -139,10 +147,12 @@ func RunResilienceProbe(p *platform.Platform, cfg ResilienceConfig) (ResilienceR
 	n := cfg.Nodes
 	rate := p.SustainedFlops(true, cfg.Efficiency)
 	workSeconds := cfg.WorkFlops / rate
-	nSeg := int(math.Ceil(workSeconds / cfg.IntervalSeconds))
-	if nSeg < 1 {
-		nSeg = 1
+	segs := math.Ceil(workSeconds / cfg.IntervalSeconds)
+	if !(segs <= maxSegments) {
+		return ResilienceResult{}, fmt.Errorf("core: checkpoint interval %gs splits %.3gs of work on %s into %.3g segments (max %d)",
+			cfg.IntervalSeconds, workSeconds, p.Name, segs, maxSegments)
 	}
+	nSeg := max(int(segs), 1)
 	ckpt := cfg.CheckpointBytes / p.MemBandwidth
 	restart := ckpt // the restart reads the image back through DRAM
 

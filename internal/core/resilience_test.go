@@ -135,6 +135,43 @@ func TestResilienceProbeHostileInputs(t *testing.T) {
 	}
 }
 
+// The segment count is bounded before anything is simulated: a tiny
+// interval (ceil(work / interval) past maxSegments) and a vanishing flop
+// rate (work / interval past the int range, which a float-to-int
+// conversion would wrap into one segment) are refused, naming the
+// interval.
+func TestResilienceProbeBoundsSegments(t *testing.T) {
+	slow, ok := platform.LookupSpec("Exynos5Dual")
+	if !ok {
+		t.Fatal("builtin Exynos5Dual missing")
+	}
+	slow.Name = "Hostile"
+	slow.CPU.FlopsPerCycleDP = 1e-300
+	hostile, err := slow.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		p        *platform.Platform
+		interval float64
+		want     string
+	}{
+		{"tiny interval", platform.MustLookup("Tegra2"), 1e-7, "checkpoint interval 1e-07s"},
+		{"vanishing flop rate", hostile, 0.5, "checkpoint interval 0.5s"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickResilience()
+			cfg.IntervalSeconds = tc.interval
+			_, err := RunResilienceProbe(tc.p, cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want an error naming %q, got %v", tc.want, err)
+			}
+		})
+	}
+}
+
 func TestResilienceProbeRejectsMismatchedSchedule(t *testing.T) {
 	cfg := quickResilience()
 	cfg.Faults = resolveFor(t, &fault.Spec{}, 16, 0) // resolved for 16 nodes, probe has 4

@@ -50,8 +50,7 @@ func Fig5Data(o Options) (Fig5Result, error) {
 	for s := step; s <= 50*units.KiB; s += step {
 		sizes = append(sizes, s)
 	}
-	env := osmodel.ARMRealTimeEnvironment(seed)
-	ms, err := membench.Sweep(p, env, sizes, reps)
+	ms, err := membench.Sweep(p, seed, sizes, reps)
 	if err != nil {
 		return Fig5Result{}, err
 	}

@@ -44,8 +44,8 @@ var scaleMembenchPlatforms = []string{"Snowball", "ThunderX2"}
 
 // runScaleMembench measures every size x stride cell on each platform.
 // Every cell starts cold, as a membench process per configuration
-// would: one Runner per platform, its hierarchy reset before each cell,
-// so a cell's cold pass fills every level in closed form.
+// would: one Runner per platform, whose Run resets the hierarchy, so a
+// cell's cold pass fills every level in closed form.
 func runScaleMembench(w io.Writer, o Options) error {
 	sizes := scaleMembenchSizes(o.Quick)
 	for _, name := range scaleMembenchPlatforms {
@@ -68,7 +68,6 @@ func runScaleMembench(w io.Writer, o Options) error {
 		for _, size := range sizes {
 			row := []interface{}{units.Bytes(int64(size))}
 			for _, stride := range scaleMembenchStrides {
-				runner.Hierarchy().Reset()
 				res, err := runner.Run(membench.Config{
 					ArrayBytes:  size,
 					StrideElems: stride,

@@ -30,7 +30,6 @@ func TestScaleMembenchSimulatedPasses(t *testing.T) {
 		}
 		for i, size := range scaleMembenchSizes(true) {
 			for j, stride := range scaleMembenchStrides {
-				runner.Hierarchy().Reset() // runScaleMembench's cold cell
 				res, err := runner.Run(membench.Config{ArrayBytes: size, StrideElems: stride, Width: cpu.W64})
 				if err != nil {
 					t.Fatal(err)

@@ -28,7 +28,6 @@ import (
 	"math"
 
 	"montblanc/internal/cache"
-	"montblanc/internal/papi"
 	"montblanc/internal/platform"
 )
 
@@ -38,10 +37,6 @@ const taps = 16
 // lowOff is the offset of the first tap relative to the output index.
 const lowOff = -7
 
-// flopsPerPoint is the floating-point work per output point of one 1-D
-// pass: taps multiply-accumulate pairs.
-const flopsPerPoint = 2 * taps
-
 // VariantResult is one point of the Figure 7 sweep.
 type VariantResult struct {
 	Platform       string
@@ -49,9 +44,8 @@ type VariantResult struct {
 	Points         int     // outputs produced
 	Cycles         float64 // total cycles
 	CyclesPerPoint float64
-	CacheAccesses  uint64 // total data-cache accesses (PAPI_L1_DCA + L2 + L3)
+	CacheAccesses  uint64 // data-cache accesses, summed over the levels
 	AccessesPerPt  float64
-	Counters       papi.Counters
 }
 
 // windowOverheadRegs is the bookkeeping register pressure of the kernel
@@ -62,8 +56,8 @@ const windowOverheadRegs = 10
 // measureVariant models one unrolled variant of the 1-D magic filter
 // over n points on platform p, returning predicted cycles and measured
 // (simulated) cache accesses. h is p's hierarchy without a TLB, fresh
-// from NewHierarchy or Reset: the counters it reports are h's. The
-// accounting:
+// from NewHierarchy or Reset: the cache accesses it reports are h's
+// levels' accesses, summed. The accounting:
 //
 //   - FP: taps MACs per point. Issue cost derives from the core's DP
 //     throughput; in-order cores additionally expose the MAC dependency
@@ -152,21 +146,19 @@ func measureVariant(p *platform.Platform, h *cache.Hierarchy, n, unroll int) (Va
 		float64(iters)*issuePerIter +
 		core.StallCyclesTotal(traffic.Extra)
 
-	counters := papi.FromHierarchy(h).
-		Add(papi.TOT_CYC, uint64(math.Round(totalCycles))).
-		Add(papi.FP_OPS, uint64(points)*flopsPerPoint)
-
-	res := VariantResult{
+	var accesses uint64
+	for l := 0; l < h.Depth(); l++ {
+		accesses += h.Level(l).Stats().Accesses
+	}
+	return VariantResult{
 		Platform:       p.Name,
 		Unroll:         unroll,
 		Points:         points,
 		Cycles:         totalCycles,
 		CyclesPerPoint: totalCycles / float64(points),
-		CacheAccesses:  counters.CacheAccesses(),
-		Counters:       counters,
-	}
-	res.AccessesPerPt = float64(res.CacheAccesses) / float64(points)
-	return res, nil
+		CacheAccesses:  accesses,
+		AccessesPerPt:  float64(accesses) / float64(points),
+	}, nil
 }
 
 // elem is the size of one array element or spill slot (float64).

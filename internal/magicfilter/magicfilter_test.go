@@ -187,7 +187,7 @@ func TestMeasureVariantDeterminism(t *testing.T) {
 
 // A sweep measures every variant on one hierarchy, reset before each:
 // on every built-in platform, at the quick and full sizes, each
-// VariantResult, counters included, is the one a fresh hierarchy gives.
+// VariantResult is the one a fresh hierarchy gives.
 func TestSweepMatchesFreshHierarchies(t *testing.T) {
 	for _, name := range platform.Names() {
 		p := platform.MustLookup(name)

@@ -297,10 +297,10 @@ func (t *TLB) Stats() (hits, misses uint64) { return t.hits, t.misses }
 // translations (the counter counterpart of a warm cache).
 func (t *TLB) ResetStats() { t.hits, t.misses = 0, 0 }
 
-// AddStats bulk-advances the hit/miss counters. It exists for verified
-// periodic-pass replay (see internal/cache/CACHE.md): after a pass is
-// proven to leave the TLB state at a fixed point, the counter movement
-// of further identical passes may be added without re-simulating them.
+// AddStats bulk-advances the hit/miss counters. It exists for proved
+// periodic-pass replay (see internal/cache/CACHE.md): once a pass has
+// proved what every later pass does, the counter movement of those
+// passes is added without simulating them.
 func (t *TLB) AddStats(hits, misses uint64) {
 	t.hits += hits
 	t.misses += misses
@@ -320,8 +320,9 @@ func (t *TLB) Flush() {
 // identically for any subsequent access sequence: the encoding captures
 // each slot's mapping, validity and relative LRU rank, which — together
 // with the strictly increasing clock — is all replacement decisions
-// depend on. Absolute clock/used values are deliberately excluded so a
-// periodic pass reaches a detectable fixed point.
+// depend on. Absolute clock/used values are excluded, so two TLBs that
+// reached the same state by different histories encode alike; the
+// equivalence suites compare it.
 func (t *TLB) AppendState(dst []uint64) []uint64 {
 	for i := range t.slots {
 		s := &t.slots[i]

@@ -39,10 +39,10 @@ var largeScalarBaseline = sync.OnceValues(func() (time.Duration, error) {
 
 // BenchmarkMembenchLargeArray pins the batched engine's headline win: a
 // DRAM-resident 256 MiB sweep measured against the scalar reference
-// (target >= 5x). The allocs/run metric is the constant per-Run
-// overhead of a warm Runner (essentially the papi.Counters snapshot):
-// the certified pass replays the rest, so the per-executed-pass <= 1
-// contract is enforced by TestMembenchSteadyPassAllocsPerOp on a
+// (target >= 5x). The allocs/run metric is the per-Run overhead of a
+// reused Runner, zero since a Run allocates nothing once its scratch is
+// primed: the certified pass replays the rest, so the per-executed-pass
+// <= 1 contract is enforced by TestMembenchSteadyPassAllocsPerOp on a
 // config the certificate refuses, not derived from this figure.
 func BenchmarkMembenchLargeArray(b *testing.B) {
 	scalar, err := largeScalarBaseline()

@@ -1,12 +1,10 @@
 package membench
 
 import (
-	"reflect"
 	"testing"
 
 	"montblanc/internal/cpu"
 	"montblanc/internal/mem"
-	"montblanc/internal/papi"
 	"montblanc/internal/platform"
 	"montblanc/internal/units"
 	"montblanc/internal/xrand"
@@ -30,8 +28,8 @@ var mapperSpecs = []mapperSpec{
 
 // compareRuns asserts exact equivalence of one configuration between a
 // batched and a scalar runner: identical cycles (bitwise), accesses,
-// bandwidth, papi counters, per-level stats, TLB/memory counters, and
-// canonical hierarchy state.
+// bandwidth, per-level stats, TLB/memory counters, and canonical
+// hierarchy state.
 func compareRuns(t *testing.T, batched, scalar *Runner, cfg Config, ctx string) {
 	t.Helper()
 	got, err := batched.Run(cfg)
@@ -48,10 +46,7 @@ func compareRuns(t *testing.T, batched, scalar *Runner, cfg Config, ctx string) 
 	if got.Accesses != want.Accesses || got.Seconds != want.Seconds || got.Bandwidth != want.Bandwidth {
 		t.Fatalf("%s: result diverges: %+v vs %+v", ctx, got, want)
 	}
-	if !reflect.DeepEqual(got.Counters, want.Counters) {
-		t.Fatalf("%s: counters diverge: %v vs %v", ctx, got.Counters, want.Counters)
-	}
-	bh, sh := batched.Hierarchy(), scalar.Hierarchy()
+	bh, sh := batched.hier, scalar.hier
 	for i := 0; i < bh.Depth(); i++ {
 		if a, b := bh.Level(i).Stats(), sh.Level(i).Stats(); a != b {
 			t.Fatalf("%s: level %d stats diverge: %+v vs %+v", ctx, i, a, b)
@@ -110,9 +105,8 @@ func TestRunMatchesScalarRandomized(t *testing.T) {
 		ctx := plat.Name + "/" + ms.name
 		compareRuns(t, batched, scalar, cfg, ctx)
 		// Runner reuse (the Sweep pattern): a second, different
-		// configuration against the now-warm hierarchy must stay
-		// equivalent — memoized replay may not leak state errors into
-		// later measurements.
+		// configuration on the same Runners must stay equivalent — both
+		// start cold again, and a random mapper keeps its mappings.
 		cfg2 := cfg
 		cfg2.ArrayBytes = sizes[rng.Uint64()%uint64(len(sizes))]
 		cfg2.StrideElems = strides[rng.Uint64()%uint64(len(strides))]
@@ -128,10 +122,14 @@ func TestRunMatchesScalarRandomized(t *testing.T) {
 func TestPageColourConflictsPreserved(t *testing.T) {
 	p := platform.MustLookup("Snowball")
 	cfg := Config{ArrayBytes: 32 * units.KiB}
-	contig, err := Run(p, mem.NewContiguousMapper(0), cfg)
+	contig, err := NewRunner(p, mem.NewContiguousMapper(0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := contig.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	contigL1 := contig.hier.Level(0).Stats()
 	conflicts := 0
 	for seed := uint64(1); seed <= 8; seed++ {
 		build := func() mem.Mapper { return mem.NewRandomMapper(seed, 64) }
@@ -144,19 +142,15 @@ func TestPageColourConflictsPreserved(t *testing.T) {
 			t.Fatal(err)
 		}
 		compareRuns(t, batched, scalar, cfg, "colour-conflict")
-		res, err := batched.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Counters.Get(papi.L1_DCM) > 4*contig.Counters.Get(papi.L1_DCM)+100 {
+		if batched.hier.Level(0).Stats().Misses > 4*contigL1.Misses+100 {
 			conflicts++
 		}
 	}
 	if conflicts == 0 {
 		t.Fatal("no random placement produced L1 conflict misses; the batched engine erased §V.A.1")
 	}
-	if contig.Counters.MissRatio() > 0.001 {
-		t.Errorf("contiguous placement missing at ratio %f", contig.Counters.MissRatio())
+	if r := contigL1.MissRatio(); r > 0.001 {
+		t.Errorf("contiguous placement missing at ratio %f", r)
 	}
 }
 

@@ -17,8 +17,8 @@ type LocalityPoint struct {
 // against stride (spatial locality: line utilization), the full
 // parameter space of the §V.A kernel: "Such parameters provide a crude
 // estimation how temporal and spatial locality of the code impact
-// performance on a given machine." Every cell starts from a fresh
-// hierarchy: one Runner, reset before each cell.
+// performance on a given machine." The cells share one Runner, and
+// each starts cold.
 func LocalityProfile(p *platform.Platform, sizes, strides []int) ([]LocalityPoint, error) {
 	if len(sizes) == 0 || len(strides) == 0 {
 		return nil, fmt.Errorf("membench: empty locality sweep")
@@ -30,7 +30,6 @@ func LocalityProfile(p *platform.Platform, sizes, strides []int) ([]LocalityPoin
 	out := make([]LocalityPoint, 0, len(sizes)*len(strides))
 	for _, size := range sizes {
 		for _, stride := range strides {
-			r.hier.Reset()
 			res, err := r.Run(Config{ArrayBytes: size, StrideElems: stride})
 			if err != nil {
 				return nil, err

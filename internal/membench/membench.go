@@ -10,8 +10,11 @@
 // on the batched cache engine. A pass over a contiguous mapping (or
 // none) runs set-major: each cache set is walked once, the misses a set
 // is certain to take past its ways are accounted in closed form, and so
-// is every fill of a fresh or Reset hierarchy, its TLB's included. Once
-// such a pass proves what every later pass does
+// is every fill of a fresh or Reset hierarchy, its TLB's included. Every
+// measurement starts cold: Runner.Run resets the hierarchy before its
+// first pass, so a result never depends on what the Runner measured
+// before, and a sweep reuses one Runner's allocation, not its state.
+// Once a pass proves what every later pass does
 // (cache.Hierarchy.AccessPass: from each set's hits and misses, either
 // the pass repeats itself or the next pass hits at a level the pass
 // filled), Runner.Run replays that later pass's RunResult and counters
@@ -27,7 +30,6 @@ import (
 	"montblanc/internal/cpu"
 	"montblanc/internal/mem"
 	"montblanc/internal/osmodel"
-	"montblanc/internal/papi"
 	"montblanc/internal/platform"
 	"montblanc/internal/xrand"
 )
@@ -77,7 +79,6 @@ type Result struct {
 	Accesses  uint64
 	Seconds   float64
 	Bandwidth float64 // effective bytes/s = accesses * elemBytes / time
-	Counters  papi.Counters
 
 	// SimulatedPasses counts the passes the engine executed and
 	// ReplayedPasses those it replayed or skipped once a pass proved
@@ -87,11 +88,12 @@ type Result struct {
 
 // Runner performs measurements against one platform with one page
 // mapping, modelling a single process whose malloc/free keeps returning
-// the same physical pages (§V.A.1). Measurements run on the batched
-// cache engine with periodic-pass replay: once a simulated pass, warm
-// or measured, proves what every later pass does, that later pass
-// stands in for every pass still to run. The property suite in
-// equivalence_test.go pins Run exactly equivalent to an
+// the same physical pages (§V.A.1): the mapper keeps its mappings across
+// Runs, while the caches and the TLB start cold in each. Measurements
+// run on the batched cache engine with periodic-pass replay: once a
+// simulated pass, warm or measured, proves what every later pass does,
+// that later pass stands in for every pass still to run. The property
+// suite in equivalence_test.go pins Run exactly equivalent to an
 // element-at-a-time reference. See internal/cache/CACHE.md.
 type Runner struct {
 	plat *platform.Platform
@@ -112,11 +114,8 @@ func NewRunner(p *platform.Platform, m mem.Mapper) (*Runner, error) {
 	return &Runner{plat: p, hier: h}, nil
 }
 
-// Hierarchy exposes the Runner's cache hierarchy for tests and
-// diagnostics.
-func (r *Runner) Hierarchy() *cache.Hierarchy { return r.hier }
-
-// Run measures one configuration and returns the result. It drives the
+// Run measures one configuration and returns the result. It resets the
+// hierarchy first, so every measurement starts cold. It drives the
 // batched engine — translation once per page, set machinery once per
 // line — and, once a pass, warm or measured, proves what every later
 // pass does, skips the warm passes left and replays the measured passes
@@ -140,6 +139,7 @@ func (r *Runner) Run(cfg Config) (Result, error) {
 		return float64(rr.Accesses)*issuePerAccess + r.plat.CPU.StallCyclesTotal(rr.Extra)
 	}
 
+	r.hier.Reset()
 	passes := cfg.WarmPasses + cfg.MeasurePasses
 	var totalCycles float64
 	var totalAccesses uint64
@@ -188,7 +188,6 @@ func (r *Runner) Run(cfg Config) (Result, error) {
 	if res.Seconds > 0 {
 		res.Bandwidth = float64(totalAccesses) * float64(elemBytes) / res.Seconds
 	}
-	res.Counters = papi.FromHierarchy(r.hier)
 	return res, nil
 }
 
@@ -207,15 +206,16 @@ type Measurement struct {
 	SizeBytes int
 	Rep       int
 	Bandwidth float64 // effective bytes/s after scheduler perturbation
-	Degraded  bool    // scheduler was in a degraded window (if knowable)
+	Degraded  bool    // scheduler was in a degraded window
 }
 
-// Sweep measures every size in sizes reps times under environment env,
-// in randomized order as §V.A.1 prescribes ("benchmarks ... need to be
+// Sweep measures every size in sizes reps times on platform p, in
+// randomized order as §V.A.1 prescribes ("benchmarks ... need to be
 // thoroughly randomized"), and returns measurements in wall-clock order.
-func Sweep(p *platform.Platform, env osmodel.Environment, sizes []int, reps int) ([]Measurement, error) {
-	mapper := env.Pages.NewMapper(env.Seed)
-	runner, err := NewRunner(p, mapper)
+// It models the §V.A.2 setup: contiguous pages, real-time priority on
+// the ARM board (osmodel.NewRTScheduler), both seeded by seed.
+func Sweep(p *platform.Platform, seed uint64, sizes []int, reps int) ([]Measurement, error) {
+	runner, err := NewRunner(p, mem.NewContiguousMapper(0))
 	if err != nil {
 		return nil, err
 	}
@@ -227,17 +227,17 @@ func Sweep(p *platform.Platform, env osmodel.Environment, sizes []int, reps int)
 			order = append(order, point{s, r})
 		}
 	}
-	rng := xrand.New(env.Seed)
+	rng := xrand.New(seed)
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
-	// Cache raw (unperturbed) results per size: the simulated kernel is
-	// deterministic for a fixed mapper, so re-running identical
-	// configurations only costs time. Scheduler perturbation is applied
-	// per measurement afterwards, which is also physically faithful:
-	// the kernel's work is identical, the OS window slows it down.
+	// Cache raw (unperturbed) results per size: every Run starts cold,
+	// so re-running identical configurations only costs time. Scheduler
+	// perturbation is applied per measurement afterwards, which is also
+	// physically faithful: the kernel's work is identical, the OS
+	// window slows it down.
 	raw := make(map[int]Result)
 	out := make([]Measurement, 0, len(order))
-	rt, _ := env.Scheduler.(*osmodel.RTScheduler)
+	sched := osmodel.NewRTScheduler(seed)
 	for seq, pt := range order {
 		res, ok := raw[pt.size]
 		if !ok {
@@ -247,17 +247,14 @@ func Sweep(p *platform.Platform, env osmodel.Environment, sizes []int, reps int)
 			}
 			raw[pt.size] = res
 		}
-		factor := env.Scheduler.Next()
-		m := Measurement{
+		factor := sched.Next()
+		out = append(out, Measurement{
 			Seq:       seq,
 			SizeBytes: pt.size,
 			Rep:       pt.rep,
 			Bandwidth: res.Bandwidth / factor,
-		}
-		if rt != nil {
-			m.Degraded = rt.Degraded()
-		}
-		out = append(out, m)
+			Degraded:  sched.Degraded(),
+		})
 	}
 	return out, nil
 }
@@ -271,8 +268,7 @@ type GridPoint struct {
 
 // OptimizationGrid measures the element-width x unroll grid of Figure 6
 // on platform p for the given array size (the paper uses 50 KB, stride
-// 1, unroll in {1, 8}). Every cell starts from a fresh hierarchy: one
-// Runner, reset before each cell.
+// 1, unroll in {1, 8}), on one Runner whose every Run starts cold.
 func OptimizationGrid(p *platform.Platform, arrayBytes int, unrolls []int) ([]GridPoint, error) {
 	r, err := NewRunner(p, nil)
 	if err != nil {
@@ -281,7 +277,6 @@ func OptimizationGrid(p *platform.Platform, arrayBytes int, unrolls []int) ([]Gr
 	var out []GridPoint
 	for _, w := range cpu.Widths() {
 		for _, u := range unrolls {
-			r.hier.Reset()
 			res, err := r.Run(Config{
 				ArrayBytes: arrayBytes,
 				Width:      w,

@@ -7,7 +7,6 @@ import (
 	"montblanc/internal/cpu"
 	"montblanc/internal/mem"
 	"montblanc/internal/osmodel"
-	"montblanc/internal/papi"
 	"montblanc/internal/platform"
 	"montblanc/internal/stats"
 	"montblanc/internal/units"
@@ -28,8 +27,11 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 }
 
 func TestRunBasics(t *testing.T) {
-	p := platform.Snowball()
-	res, err := Run(p, nil, Config{ArrayBytes: 8 * units.KiB})
+	r, err := NewRunner(platform.Snowball(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run(Config{ArrayBytes: 8 * units.KiB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +42,8 @@ func TestRunBasics(t *testing.T) {
 		t.Errorf("non-positive results: %+v", res)
 	}
 	// After warm-up an 8KB array fits the 32KB L1: misses ~ 0.
-	if r := res.Counters.MissRatio(); r > 0.001 {
-		t.Errorf("L1-resident array missing at ratio %f", r)
+	if ratio := r.hier.Level(0).Stats().MissRatio(); ratio > 0.001 {
+		t.Errorf("L1-resident array missing at ratio %f", ratio)
 	}
 }
 
@@ -249,9 +251,8 @@ func TestFigure6ScaleGap(t *testing.T) {
 
 func TestSweepRandomizedButComplete(t *testing.T) {
 	p := platform.Snowball()
-	env := osmodel.DefaultEnvironment(3)
 	sizes := []int{4 * units.KiB, 16 * units.KiB, 48 * units.KiB}
-	ms, err := Sweep(p, env, sizes, 4)
+	ms, err := Sweep(p, 3, sizes, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +288,7 @@ func TestSweepRTProducesDegradedRuns(t *testing.T) {
 	}
 	// Find a seed whose degraded window intersects the sweep.
 	for seed := uint64(0); seed < 12; seed++ {
-		env := osmodel.ARMRealTimeEnvironment(seed)
-		ms, err := Sweep(p, env, sizes, 8)
+		ms, err := Sweep(p, seed, sizes, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,14 +322,13 @@ func TestRunnerReportsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Run(Config{ArrayBytes: 64 * units.KiB})
-	if err != nil {
+	if _, err := r.Run(Config{ArrayBytes: 64 * units.KiB}); err != nil {
 		t.Fatal(err)
 	}
-	if res.Counters.Get(papi.L1_DCA) == 0 {
+	if r.hier.Level(0).Stats().Accesses == 0 {
 		t.Error("no L1 accesses recorded")
 	}
-	if res.Counters.Get(papi.L2_DCA) == 0 {
+	if r.hier.Level(1).Stats().Accesses == 0 {
 		t.Error("64KB working set should reach L2")
 	}
 }

@@ -4,15 +4,14 @@ import (
 	"slices"
 
 	"montblanc/internal/cache"
-	"montblanc/internal/papi"
 )
 
 // RunScalar is the reference measurement the equivalence suites pin
 // Run against: one Hierarchy.Access per element, every pass simulated,
-// nothing replayed. It repeats Run's arithmetic — issue cost, stall
-// cycles added pass by pass, bandwidth and counters — over the scalar
-// path, and is the baseline BenchmarkMembenchLargeArray measures the
-// batched engine against.
+// nothing replayed. Like Run it starts cold, and it repeats Run's
+// arithmetic — issue cost, stall cycles added pass by pass, bandwidth —
+// over the scalar path. It is the baseline BenchmarkMembenchLargeArray
+// measures the batched engine against.
 func (r *Runner) RunScalar(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -22,6 +21,7 @@ func (r *Runner) RunScalar(cfg Config) (Result, error) {
 	n := cfg.ArrayBytes / elemBytes
 	issuePerAccess := r.plat.CPU.IterationCost(cfg.Width, cfg.Unroll) / float64(cfg.Unroll)
 	l1Hit := r.hier.L1HitLatency()
+	r.hier.Reset()
 	passes := cfg.WarmPasses + cfg.MeasurePasses
 	var totalCycles float64
 	var totalAccesses uint64
@@ -54,7 +54,6 @@ func (r *Runner) RunScalar(cfg Config) (Result, error) {
 	if res.Seconds > 0 {
 		res.Bandwidth = float64(totalAccesses) * float64(elemBytes) / res.Seconds
 	}
-	res.Counters = papi.FromHierarchy(r.hier)
 	return res, nil
 }
 

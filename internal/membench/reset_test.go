@@ -94,3 +94,57 @@ func TestResetRunnerMatchesFresh(t *testing.T) {
 		sameHierarchy(t, r.hier, fresh.hier, ctx+" after Run")
 	}
 }
+
+// A measurement does not depend on the Runner's history: after a random
+// sequence of earlier Runs, and a store sweep that leaves dirty lines,
+// the next Run — and the scalar reference's, RunScalar — equals a fresh
+// Runner's over the same mapper, in every Result field, the counters
+// and AppendState. The mapper is shared, so a random mapping is the
+// same state on both sides: Run resets the caches and the TLB, never
+// the mapper's mappings.
+func TestRunIgnoresRunnerHistory(t *testing.T) {
+	platforms := []string{"Snowball", "XeonX5550", "Tegra2", "ThunderX2"}
+	measures := []struct {
+		name string
+		run  func(*Runner, Config) (Result, error)
+	}{{"Run", (*Runner).Run}, {"RunScalar", (*Runner).RunScalar}}
+	rng := xrand.New(59)
+	trials := 40
+	if testing.Short() {
+		trials = 12
+	}
+	for trial := 0; trial < trials; trial++ {
+		plat := platform.MustLookup(platforms[rng.Uint64()%uint64(len(platforms))])
+		ms := mapperSpecs[rng.Uint64()%uint64(len(mapperSpecs))]
+		m := ms.build(rng.Uint64())
+		r, err := NewRunner(plat, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1 + rng.Uint64()%3; i > 0; i-- {
+			if _, err := r.Run(randomCell(rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.hier.AccessRun(rng.Uint64()%(1<<20), 8, 1+int(rng.Uint64()%(1<<14)), true)
+		fresh, err := NewRunner(plat, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		measure := measures[trial%len(measures)]
+		cfg := randomCell(rng)
+		got, err := measure.run(r, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := measure.run(fresh, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := fmt.Sprintf("trial %d (%s, %s mapper, %s)", trial, plat.Name, ms.name, measure.name)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %+v after history, fresh Runner %+v", ctx, got, want)
+		}
+		sameHierarchy(t, r.hier, fresh.hier, ctx)
+	}
+}

@@ -4,7 +4,8 @@
 // reproducing Figure 5: under SCHED_FIFO on the ARM board, measurements
 // fall into two modes — a normal one and a ~5x degraded one — and the
 // degraded measurements are *consecutive in time*, pointing at "plainly
-// wrong OS scheduling decisions during that period".
+// wrong OS scheduling decisions during that period". membench.Sweep
+// runs its measurements under that model.
 package osmodel
 
 import (
@@ -53,43 +54,10 @@ func (p PagePolicy) NewMapper(seed uint64) mem.Mapper {
 	}
 }
 
-// Scheduler perturbs a sequence of measurements the way an OS scheduling
-// policy would. Next returns the slowdown factor (>= 1) applied to the
-// next measurement in wall-clock order.
-type Scheduler interface {
-	Name() string
-	Next() float64
-}
-
-// FairScheduler models the default time-sharing policy on an otherwise
-// idle machine: measurements see only small noise.
-type FairScheduler struct {
-	Noise float64 // relative sigma of the multiplicative noise
-	rng   *xrand.Rand
-}
-
-// NewFairScheduler returns a fair scheduler with the given noise level
-// (e.g. 0.01 for 1% jitter), seeded deterministically.
-func NewFairScheduler(noise float64, seed uint64) *FairScheduler {
-	return &FairScheduler{Noise: noise, rng: xrand.New(seed)}
-}
-
-// Name implements Scheduler.
-func (s *FairScheduler) Name() string { return "fair" }
-
-// Next implements Scheduler.
-func (s *FairScheduler) Next() float64 {
-	f := 1 + s.Noise*s.rng.NormFloat64()
-	if f < 1 {
-		// Noise can only slow a measurement down relative to the ideal.
-		f = 2 - f
-	}
-	return f
-}
-
 // RTScheduler models SCHED_FIFO on the ARM board. It is a two-state
-// Markov chain: in the normal state measurements behave like the fair
-// scheduler's; with probability EnterProb per measurement the scheduler
+// Markov chain: in the normal state a measurement sees only small
+// multiplicative noise (relative sigma Noise); with probability
+// EnterProb per measurement the scheduler
 // enters a degraded window where throughput drops by DegradeFactor, and
 // it leaves the window with probability ExitProb per measurement. The
 // sticky window is what makes all degraded measurements consecutive in
@@ -116,14 +84,12 @@ func NewRTScheduler(seed uint64) *RTScheduler {
 	}
 }
 
-// Name implements Scheduler.
-func (s *RTScheduler) Name() string { return "rt-fifo" }
-
 // Degraded reports whether the scheduler is currently in the degraded
 // window (after the last Next call).
 func (s *RTScheduler) Degraded() bool { return s.degraded }
 
-// Next implements Scheduler.
+// Next returns the slowdown factor (>= 1) of the next measurement in
+// wall-clock order.
 func (s *RTScheduler) Next() float64 {
 	if s.degraded {
 		if s.rng.Float64() < s.ExitProb {
@@ -134,38 +100,11 @@ func (s *RTScheduler) Next() float64 {
 	}
 	f := 1 + s.Noise*s.rng.NormFloat64()
 	if f < 1 {
+		// Noise can only slow a measurement down relative to the ideal.
 		f = 2 - f
 	}
 	if s.degraded {
 		f *= s.DegradeFactor
 	}
 	return f
-}
-
-// Environment bundles the OS-level knobs of one experimental setup, the
-// "environment parameters" of §V.A whose influence the paper measures.
-type Environment struct {
-	Pages     PagePolicy
-	Scheduler Scheduler
-	Seed      uint64
-}
-
-// DefaultEnvironment is an idle machine with a fair scheduler and
-// contiguous pages: the well-behaved x86 baseline.
-func DefaultEnvironment(seed uint64) Environment {
-	return Environment{
-		Pages:     ContiguousPages,
-		Scheduler: NewFairScheduler(0.01, seed),
-		Seed:      seed,
-	}
-}
-
-// ARMRealTimeEnvironment is the §V.A.2 setup: real-time priority on the
-// Snowball.
-func ARMRealTimeEnvironment(seed uint64) Environment {
-	return Environment{
-		Pages:     ContiguousPages,
-		Scheduler: NewRTScheduler(seed),
-		Seed:      seed,
-	}
 }

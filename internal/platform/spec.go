@@ -132,13 +132,38 @@ func (s Spec) Profile() power.Profile {
 	}
 }
 
-// Build constructs a fresh Platform from the spec and validates it.
-// Nothing is shared between builds: the CPU model, accelerator and
-// cache slice are all copies, so experiments that mutate a platform
-// (ablations, what-if studies) never contaminate the registry.
+// Build constructs a fresh Platform from the spec and validates it:
+// first the spec-only invariants (a usable name, a known ISA, and the
+// power envelope and section within power.MinWatts and power.MaxWatts),
+// then the platform-level ones on the Platform built. Nothing is shared
+// between builds: the CPU model, accelerator and cache slice are all
+// copies, so experiments that mutate a platform (ablations, what-if
+// studies) never contaminate the registry.
 func (s Spec) Build() (*Platform, error) {
-	if err := s.Validate(); err != nil {
+	if s.Name == "" {
+		return nil, fmt.Errorf("platform: spec with empty name")
+	}
+	if _, err := ParseISA(s.ISA.String()); err != nil {
+		return nil, fmt.Errorf("platform: spec %s: %w", s.Name, err)
+	}
+	watts := []bound{{"watts", s.Watts, power.MinWatts, power.MaxWatts}}
+	if s.Power != nil {
+		watts = append(watts,
+			bound{"power.idle_watts", s.Power.IdleWatts, power.MinWatts, power.MaxWatts},
+			bound{"power.memory_watts", s.Power.MemoryWatts, power.MinWatts, power.MaxWatts},
+			bound{"power.comm_watts", s.Power.CommWatts, power.MinWatts, power.MaxWatts})
+	}
+	if err := check(s.Name, watts); err != nil {
 		return nil, err
+	}
+	if s.Power != nil {
+		if cw := s.Power.ComputeWatts; cw != 0 && cw != s.Watts {
+			return nil, fmt.Errorf("platform: spec %s: power section compute_watts %g conflicts with watts envelope %g",
+				s.Name, cw, s.Watts)
+		}
+		if err := s.Profile().Validate(); err != nil {
+			return nil, fmt.Errorf("platform: spec %s: %w", s.Name, err)
+		}
 	}
 	cpuCopy := s.CPU
 	p := &Platform{
@@ -158,52 +183,14 @@ func (s Spec) Build() (*Platform, error) {
 		a := *s.Accel
 		p.Accel = &a
 	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
-// Validate checks the spec without building it: the platform-level
-// invariants plus the spec-only ones (a usable name, a known ISA, and
-// the power envelope and section within power.MinWatts and
-// power.MaxWatts).
+// Validate checks the spec: it reports the error Build would.
 func (s Spec) Validate() error {
-	if s.Name == "" {
-		return fmt.Errorf("platform: spec with empty name")
-	}
-	if _, err := ParseISA(s.ISA.String()); err != nil {
-		return fmt.Errorf("platform: spec %s: %w", s.Name, err)
-	}
-	watts := []bound{{"watts", s.Watts, power.MinWatts, power.MaxWatts}}
-	if s.Power != nil {
-		watts = append(watts,
-			bound{"power.idle_watts", s.Power.IdleWatts, power.MinWatts, power.MaxWatts},
-			bound{"power.memory_watts", s.Power.MemoryWatts, power.MinWatts, power.MaxWatts},
-			bound{"power.comm_watts", s.Power.CommWatts, power.MinWatts, power.MaxWatts})
-	}
-	if err := check(s.Name, watts); err != nil {
-		return err
-	}
-	if s.Power != nil {
-		if cw := s.Power.ComputeWatts; cw != 0 && cw != s.Watts {
-			return fmt.Errorf("platform: spec %s: power section compute_watts %g conflicts with watts envelope %g",
-				s.Name, cw, s.Watts)
-		}
-		if err := s.Profile().Validate(); err != nil {
-			return fmt.Errorf("platform: spec %s: %w", s.Name, err)
-		}
-	}
-	cpuCopy := s.CPU
-	probe := Platform{
-		Name:             s.Name,
-		CPU:              &cpuCopy,
-		Cores:            s.Cores,
-		ISA:              s.ISA,
-		Accel:            s.Accel,
-		RAMBytes:         s.RAMBytes,
-		MemBandwidth:     s.MemBandwidth,
-		MemLatencyCycles: s.MemLatencyCycles,
-		Caches:           s.Caches,
-		TLBEntries:       s.TLBEntries,
-		TLBMissPenalty:   s.TLBMissPenalty,
-	}
-	return probe.Validate()
+	_, err := s.Build()
+	return err
 }

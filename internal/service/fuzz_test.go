@@ -13,7 +13,9 @@ import (
 
 	"montblanc/internal/experiments"
 	"montblanc/internal/platform"
+	"montblanc/internal/power"
 	"montblanc/internal/runner"
+	"montblanc/internal/units"
 )
 
 // FuzzRunRequest drives /v1/run bodies through the handler. The
@@ -96,8 +98,11 @@ func FuzzRunRequest(f *testing.F) {
 // through simmpi, the trace and the energy, resilience and sweep
 // models. Every answer is a 200 whose outputs hold no NaN or Inf, or a
 // 4xx with the error envelope; nothing panics (a panicking experiment
-// answers 500). Seeds: every built-in spec, and the two hostile specs
-// TestSpecMagnitudeBounds keeps out.
+// answers 500). Seeds: every built-in spec; the two hostile specs
+// TestSpecMagnitudeBounds keeps out; one spec per bounded field at each
+// end of its PLATFORMS.md range, with the power fields it must not
+// undercut moved along; and a machine whose flop rate makes
+// resilience-sweep's segment count overflow an int.
 func FuzzInlineSpecRun(f *testing.F) {
 	for _, name := range platform.Names() {
 		spec, _ := platform.LookupSpec(name)
@@ -121,6 +126,42 @@ func FuzzInlineSpecRun(f *testing.F) {
 		s.Watts = 1e308
 		s.Power.IdleWatts, s.Power.MemoryWatts, s.Power.CommWatts = 1e308, 1e308, 1e308
 	}))
+	const wMin, wMax = power.MinWatts, power.MaxWatts
+	for _, bound := range []func(*platform.Spec){
+		func(s *platform.Spec) { s.Cores = 1 },
+		func(s *platform.Spec) { s.Cores = 4096 },
+		func(s *platform.Spec) { s.RAMBytes = units.MiB },
+		func(s *platform.Spec) { s.RAMBytes = 1 << 44 },
+		func(s *platform.Spec) { s.MemBandwidth = 1e6 },
+		func(s *platform.Spec) { s.MemBandwidth = 1e15 },
+		func(s *platform.Spec) { s.MemLatencyCycles = 1 },
+		func(s *platform.Spec) { s.MemLatencyCycles = 1e6 },
+		func(s *platform.Spec) { s.TLBEntries = 0 },
+		func(s *platform.Spec) { s.TLBEntries = 1 << 16 },
+		func(s *platform.Spec) { s.TLBMissPenalty = 0 },
+		func(s *platform.Spec) { s.TLBMissPenalty = 1e6 },
+		func(s *platform.Spec) { s.Accel.PeakSPFlops = 0 },
+		func(s *platform.Spec) { s.Accel.PeakSPFlops = 1e18 },
+		func(s *platform.Spec) { s.Accel.PeakDPFlops = 0 },
+		func(s *platform.Spec) { s.Accel.PeakDPFlops = 1e18 },
+		func(s *platform.Spec) {
+			s.Watts = wMin
+			s.Power.IdleWatts, s.Power.MemoryWatts, s.Power.CommWatts = wMin, wMin, wMin
+		},
+		func(s *platform.Spec) { s.Watts = wMax },
+		func(s *platform.Spec) { s.Power.IdleWatts = wMin },
+		func(s *platform.Spec) {
+			s.Watts = wMax
+			s.Power.IdleWatts, s.Power.MemoryWatts, s.Power.CommWatts = wMax, wMax, wMax
+		},
+		func(s *platform.Spec) { s.Power.IdleWatts, s.Power.MemoryWatts = wMin, wMin },
+		func(s *platform.Spec) { s.Power.MemoryWatts = wMax },
+		func(s *platform.Spec) { s.Power.IdleWatts, s.Power.CommWatts = wMin, wMin },
+		func(s *platform.Spec) { s.Power.CommWatts = wMax },
+	} {
+		f.Add(hostile(bound))
+	}
+	f.Add(hostile(func(s *platform.Spec) { s.CPU.FlopsPerCycleDP = 1e-300 }))
 	f.Fuzz(func(t *testing.T, spec []byte) {
 		var named struct {
 			Name string `json:"name"`

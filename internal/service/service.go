@@ -62,9 +62,6 @@ type Config struct {
 	// Match resolves request experiment arguments (IDs, globs, "all");
 	// nil means experiments.Match. Injection point for tests.
 	Match func(args ...string) ([]experiments.Experiment, error)
-	// List enumerates the experiments /v1/experiments advertises; nil
-	// means experiments.All.
-	List func() []experiments.Experiment
 	// Logf receives service lifecycle lines; nil means silent.
 	Logf func(format string, args ...interface{})
 }
@@ -75,7 +72,6 @@ type Config struct {
 type Server struct {
 	cfg    Config
 	match  func(args ...string) ([]experiments.Experiment, error)
-	list   func() []experiments.Experiment
 	cache  *resultCache
 	store  *store.Store // durable tier under the LRU; nil without CacheDir
 	flight *flightGroup
@@ -115,7 +111,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		match:  cfg.Match,
-		list:   cfg.List,
 		cache:  newResultCache(cfg.CacheSize),
 		flight: newFlightGroup(),
 		sem:    make(chan struct{}, mc),
@@ -131,9 +126,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if s.match == nil {
 		s.match = experiments.Match
-	}
-	if s.list == nil {
-		s.list = experiments.All
 	}
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
@@ -456,7 +448,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		ID    string `json:"id"`
 		Title string `json:"title"`
 	}
-	es := s.list()
+	es := experiments.All()
 	entries := make([]entry, 0, len(es))
 	for _, e := range es {
 		entries = append(entries, entry{ID: e.ID, Title: e.Title})
